@@ -15,6 +15,8 @@ BLANK_ID = 0
 ROW_NORM_TOL = 1e-6
 DEFAULT_CONTEXT = 3
 NEG_INF = -np.inf
+# Array names of every 2-layer net (AM and mask net); also gradient dict keys.
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +68,15 @@ class LogProbLattice:
         return self.values.shape[1]
 
 
+def coerce_finite_params(params, label: str) -> None:
+    """Cast params.w1/b1/w2/b2 to float64 in place; all entries must be finite."""
+    for name in PARAM_NAMES:
+        arr = np.asarray(getattr(params, name), dtype=np.float64)
+        setattr(params, name, arr)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{label} parameter {name} must be finite")
+
+
 @dataclass
 class AmParams:
     """Weights of the 2-layer context-window net.
@@ -80,11 +91,7 @@ class AmParams:
     context: int = DEFAULT_CONTEXT
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"AM parameter {name} must be finite")
+        coerce_finite_params(self, "AM")
         if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[1] != self.b2.shape[0]:
             raise ValueError("bias shapes must match weight output dims")
         if self.w1.shape[1] != self.w2.shape[0]:
@@ -110,16 +117,8 @@ def init_am_params(
     vocab_size: int,
     context: int = DEFAULT_CONTEXT,
 ) -> AmParams:
-    """Gaussian init scaled by 1/sqrt(fan_in); biases zero."""
     in_dim = (2 * context + 1) * feat_dim
-    out_dim = vocab_size + 1
-    return AmParams(
-        w1=rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, hidden_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, out_dim)),
-        b2=np.zeros(out_dim),
-        context=context,
-    )
+    return AmParams(**mlp2_init(rng, in_dim, hidden_dim, vocab_size + 1), context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +149,37 @@ def context_window_adjoint(grad: np.ndarray, n_frames: int, context: int) -> np.
 
 
 # ---------------------------------------------------------------------------
+# 2-layer tanh MLP shared by the acoustic model and the mask net
+# ---------------------------------------------------------------------------
+
+
+def mlp2_init(rng: np.random.Generator, in_dim: int, hidden_dim: int, out_dim: int) -> dict:
+    """Gaussian weights scaled by 1/sqrt(fan_in); biases zero."""
+    return {
+        "w1": rng.normal(0.0, 1.0 / np.sqrt(in_dim), size=(in_dim, hidden_dim)),
+        "b1": np.zeros(hidden_dim),
+        "w2": rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, out_dim)),
+        "b2": np.zeros(out_dim),
+    }
+
+
+def mlp2_forward(params, x: np.ndarray):
+    """affine -> tanh -> affine on rows of x; returns (outputs, hidden)."""
+    hidden = np.tanh(x @ params.w1 + params.b1)
+    return hidden @ params.w2 + params.b2, hidden
+
+
+def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray):
+    """Reverse pass of mlp2_forward: (grads keyed by PARAM_NAMES, g_x)."""
+    g_w2 = hidden.T @ g_out
+    g_b2 = g_out.sum(axis=0)
+    g_pre = (g_out @ params.w2.T) * (1.0 - hidden ** 2)
+    g_w1 = x.T @ g_pre
+    g_b1 = g_pre.sum(axis=0)
+    return dict(zip(PARAM_NAMES, (g_w1, g_b1, g_w2, g_b2))), g_pre @ params.w1.T
+
+
+# ---------------------------------------------------------------------------
 # Acoustic model forward / backward
 # ---------------------------------------------------------------------------
 
@@ -166,8 +196,7 @@ def am_forward_cached(features: np.ndarray, params: AmParams):
     if features.shape[1] * (2 * params.context + 1) != params.w1.shape[0]:
         raise ValueError("feature dimension does not match AM parameters")
     ctx = context_window(features, params.context)
-    hidden = np.tanh(ctx @ params.w1 + params.b1)
-    logits = hidden @ params.w2 + params.b2
+    logits, hidden = mlp2_forward(params, ctx)
     log_probs = _log_softmax(logits)
     cache = {"n_frames": features.shape[0], "ctx": ctx, "hidden": hidden,
              "log_probs": log_probs}
@@ -188,15 +217,8 @@ def am_backward(params: AmParams, cache: dict, g_log_probs: np.ndarray):
     """
     softmax = np.exp(cache["log_probs"])
     g_logits = g_log_probs - softmax * g_log_probs.sum(axis=1, keepdims=True)
-    g_w2 = cache["hidden"].T @ g_logits
-    g_b2 = g_logits.sum(axis=0)
-    g_hidden = g_logits @ params.w2.T
-    g_pre = g_hidden * (1.0 - cache["hidden"] ** 2)
-    g_w1 = cache["ctx"].T @ g_pre
-    g_b1 = g_pre.sum(axis=0)
-    g_ctx = g_pre @ params.w1.T
-    g_features = context_window_adjoint(g_ctx, cache["n_frames"], params.context)
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}, g_features
+    grads, g_ctx = mlp2_backward(params, cache["ctx"], cache["hidden"], g_logits)
+    return grads, context_window_adjoint(g_ctx, cache["n_frames"], params.context)
 
 
 # ---------------------------------------------------------------------------

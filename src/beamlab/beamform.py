@@ -4,9 +4,12 @@ The MVDR weights follow the masked-statistics formulation: per-frequency
 speech/noise cross-channel PSD matrices, filter
     h(f) = (Phi_NN^-1(f) Phi_SS(f) / tr{Phi_NN^-1(f) Phi_SS(f)}) u
 with u one-hot at the reference microphone, applied as x_hat = h^H x.
+
+The `*_vjp` functions return their forward's output and its adjoint
+(vector-Jacobian product) under the Wirtinger convention of `pipeline`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,6 +107,21 @@ def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return numer / denom[:, None, None]
 
 
+def masked_psd_vjp(bins: np.ndarray, mask: np.ndarray):
+    """masked_psd plus its adjoint: (phi, vjp) with vjp(g_phi) -> g_mask [T, F]."""
+    phi = masked_psd(bins, mask)
+
+    def vjp(g_phi: np.ndarray) -> np.ndarray:
+        mask_sum = mask.sum(axis=0)
+        denom = np.maximum(mask_sum, MASK_EPS)
+        quad = np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
+        inner = np.einsum("fij,fij->f", g_phi.conj(), phi).real
+        active = mask_sum > MASK_EPS  # denominator depends on the mask only here
+        return (quad - np.where(active, inner, 0.0)[None, :]) / denom[None, :]
+
+    return phi, vjp
+
+
 def estimate_psd(spec: Spectrogram, mask) -> np.ndarray:
     """Mask-weighted spatial covariance per frequency.
 
@@ -130,11 +148,14 @@ def load_noise_psd(phi_nn: np.ndarray) -> np.ndarray:
     return phi_nn + (DIAGONAL_LOADING * trace / c)[:, None, None] * eye
 
 
-def normalized_psd_ratio(phi_ss: np.ndarray, phi_nn: np.ndarray) -> np.ndarray:
-    """Trace-normalized G = Phi_NN_loaded^-1 Phi_SS per frequency.
+def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
+    """normalized_psd_ratio plus its adjoint: (W, vjp), vjp(g_W) -> (g_phi_ss, g_phi_nn).
 
-    tr of every returned matrix is 1 except where tr(G) is exactly zero
-    (Phi_SS identically zero), which yields a zero matrix.
+    The diagonal loading is treated as a constant shift in the adjoint: g_A
+    passes to g_phi_nn unchanged, dropping the dependence of the loading on
+    tr(Phi_NN). This is not negligible: the finite-difference check exceeds
+    its 1e-4 tolerance on some inputs (`beamlab gradcheck --seed 17001`,
+    `--seed 28000`) and passes with DIAGONAL_LOADING = 0 (ROADMAP item 4).
     """
     loaded = load_noise_psd(phi_nn)
     ratio = np.linalg.solve(loaded, phi_ss)
@@ -142,7 +163,30 @@ def normalized_psd_ratio(phi_ss: np.ndarray, phi_nn: np.ndarray) -> np.ndarray:
     out = np.zeros_like(ratio)
     nz = trace != 0
     out[nz] = ratio[nz] / trace[nz, None, None]
-    return out
+
+    def vjp(g_w: np.ndarray):
+        # W = G / tr(G):  g_G = g_W / conj(tau) - conj(<g_W, G> / tau^2) * I.
+        g_ratio = np.zeros_like(ratio)
+        inner = np.einsum("fij,fij->f", g_w.conj(), ratio)
+        diag_term = np.conj(inner / np.where(nz, trace, 1.0) ** 2)
+        g_ratio[nz] = g_w[nz] / np.conj(trace[nz, None, None])
+        idx = np.arange(ratio.shape[1])
+        g_ratio[:, idx, idx] -= np.where(nz, diag_term, 0.0)[:, None]
+        # G = A^-1 B with A = loaded noise PSD (Hermitian), B = speech PSD:
+        #   g_B = A^-H g_G,   g_A = -g_B G^H.
+        g_phi_ss = np.linalg.solve(loaded, g_ratio)
+        return g_phi_ss, -g_phi_ss @ ratio.conj().transpose(0, 2, 1)
+
+    return out, vjp
+
+
+def normalized_psd_ratio(phi_ss: np.ndarray, phi_nn: np.ndarray) -> np.ndarray:
+    """Trace-normalized G = Phi_NN_loaded^-1 Phi_SS per frequency.
+
+    tr of every returned matrix is 1 except where tr(G) is exactly zero
+    (Phi_SS identically zero), which yields a zero matrix.
+    """
+    return normalized_psd_ratio_vjp(phi_ss, phi_nn)[0]
 
 
 def mvdr_weights(psd: PsdPair, ref: int) -> BeamWeights:
@@ -162,12 +206,7 @@ def apply_beamformer(weights: BeamWeights, spec: Spectrogram) -> Spectrogram:
     if weights.h.shape[0] != spec.freq_bins:
         raise ValueError("beam weight bin count does not match spectrogram")
     enhanced = np.einsum("fc,tfc->tf", weights.h.conj(), spec.bins)
-    return Spectrogram(
-        bins=enhanced[:, :, None],
-        sample_rate=spec.sample_rate,
-        window_size=spec.window_size,
-        hop=spec.hop,
-    )
+    return replace(spec, bins=enhanced[:, :, None])
 
 
 def select_reference(phi_ss: np.ndarray) -> int:
@@ -194,9 +233,4 @@ def delay_and_sum(spec: Spectrogram, delays) -> Spectrogram:
     omega = 2.0 * np.pi * np.arange(spec.freq_bins) / spec.window_size
     steer = np.exp(-1j * omega[:, None] * delays[None, :])  # [F, C]
     summed = np.einsum("fc,tfc->tf", steer, spec.bins) / spec.channels
-    return Spectrogram(
-        bins=summed[:, :, None],
-        sample_rate=spec.sample_rate,
-        window_size=spec.window_size,
-        hop=spec.hop,
-    )
+    return replace(spec, bins=summed[:, :, None])

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,13 +69,6 @@ def _require(cfg: dict, key: str, flag: str) -> object:
     return cfg[key]
 
 
-def _resolve_audio_path(manifest_path, audio_path) -> Path:
-    path = Path(audio_path)
-    if not path.is_absolute():
-        path = Path(manifest_path).parent / path
-    return path
-
-
 # ---------------------------------------------------------------------------
 # enhance
 # ---------------------------------------------------------------------------
@@ -112,27 +106,20 @@ def cmd_enhance(args) -> int:
         if clean.samples.shape != noisy.samples.shape:
             raise ValueError("clean reference must match the input shape exactly")
         clean_spec = stft(clean, cfg["window_size"], cfg["hop"])
+        noise_spec = replace(spec, bins=spec.bins - clean_spec.bins)
 
     if cfg["masks"] == "oracle":
         if clean_spec is None:
             raise UsageError("--masks oracle requires --clean")
-        noise_spec = Spectrogram(
-            bins=spec.bins - clean_spec.bins,
-            sample_rate=spec.sample_rate,
-            window_size=spec.window_size,
-            hop=spec.hop,
-        )
-        speech_mask, noise_mask = beamform.oracle_masks(clean_spec, noise_spec)
-        phi_ss = beamform.estimate_psd(spec, speech_mask)
-        phi_nn = beamform.estimate_psd(spec, noise_mask)
+        mask = beamform.oracle_masks(clean_spec, noise_spec)[0].values
     elif cfg["masks"] == "checkpoint":
         ck_path = _require(cfg, "checkpoint", "--checkpoint")
         state = pipeline.load_checkpoint(ck_path)
         mask, _ = pipeline.mask_net_forward(state.mask_params, spec.bins)
-        phi_ss = beamform.estimate_psd(spec, mask)
-        phi_nn = beamform.estimate_psd(spec, 1.0 - mask)
     else:
         raise UsageError("--masks must be 'oracle' or 'checkpoint'")
+    phi_ss = beamform.estimate_psd(spec, mask)
+    phi_nn = beamform.estimate_psd(spec, 1.0 - mask)
 
     if ref < 0:
         ref = beamform.select_reference(phi_ss)
@@ -151,18 +138,17 @@ def cmd_enhance(args) -> int:
     print(f"wrote {out_path} ({out_wave.n_samples} samples, ref channel {ref})")
 
     if clean_spec is not None:
-        gain = _snr_gain_db(weights, spec, clean_spec, ref)
+        gain = _snr_gain_db(weights, clean_spec, noise_spec, ref)
         print(f"SNR gain: {gain:.2f} dB")
     return 0
 
 
-def _snr_gain_db(weights, spec, clean_spec, ref: int) -> float:
+def _snr_gain_db(weights, clean_spec, noise_spec, ref: int) -> float:
     """Beamformers are linear: pass clean and noise through separately."""
-    noise_bins = spec.bins - clean_spec.bins
-    clean_out = np.einsum("fc,tfc->tf", weights.h.conj(), clean_spec.bins)
-    noise_out = np.einsum("fc,tfc->tf", weights.h.conj(), noise_bins)
+    clean_out = beamform.apply_beamformer(weights, clean_spec).bins[:, :, 0]
+    noise_out = beamform.apply_beamformer(weights, noise_spec).bins[:, :, 0]
     p_in_s = np.sum(np.abs(clean_spec.bins[:, :, ref]) ** 2)
-    p_in_n = np.sum(np.abs(noise_bins[:, :, ref]) ** 2)
+    p_in_n = np.sum(np.abs(noise_spec.bins[:, :, ref]) ** 2)
     p_out_s = np.sum(np.abs(clean_out) ** 2)
     p_out_n = np.sum(np.abs(noise_out) ** 2)
     if min(p_in_s, p_in_n, p_out_s, p_out_n) <= 0:
@@ -197,7 +183,7 @@ def cmd_simulate(args) -> int:
     rir_cache = {}
     records = []
     for utt in manifest:
-        wave = corpus_io.read_wav(_resolve_audio_path(manifest_path, utt.audio_path))
+        wave = corpus_io.read_wav(corpus_io.resolve_audio_path(manifest_path, utt.audio_path))
         if wave.channels != 1:
             raise ValueError(f"utterance '{utt.utt_id}' is not single-channel")
         if wave.sample_rate not in rir_cache:
@@ -267,28 +253,13 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
     manifest = corpus_io.load_manifest(manifest_path)
     utts = []
     for record in manifest:
-        wave = corpus_io.read_wav(_resolve_audio_path(manifest_path, record.audio_path))
+        wave = corpus_io.read_wav(corpus_io.resolve_audio_path(manifest_path, record.audio_path))
         labels = backend.LabelSequence(
             ids=np.asarray(record.transcript, dtype=np.int64), vocab_size=vocab_size
         )
         utts.append(sched.Utt(utt_id=record.utt_id, wave=wave, labels=labels,
                               origin=record.origin))
     return utts
-
-
-def _room_from_dict(d: dict) -> roomsim.RoomSpec:
-    return roomsim.RoomSpec(
-        dims=d["dims"],
-        source_pos=d["source_pos"],
-        absorption=d.get("absorption", roomsim.DEFAULT_ABSORPTION),
-        sound_speed=d.get("sound_speed", roomsim.SOUND_SPEED),
-    )
-
-
-def _array_from_dict(d: dict) -> roomsim.MicArray:
-    if "positions" in d:
-        return roomsim.MicArray(positions=d["positions"], preset=d.get("preset", "custom"))
-    return roomsim.array_preset(d["preset"], d["center"])
 
 
 def cmd_train(args) -> int:
@@ -299,8 +270,8 @@ def cmd_train(args) -> int:
     vocab_path = _require(cfg, "vocab", "--vocab")
     tokens = backend.load_vocab(vocab_path)
 
-    room = _room_from_dict(cfg["room"]) if cfg["room"] else None
-    array = _array_from_dict(cfg["array"]) if cfg["array"] else None
+    room = roomsim.room_from_dict(cfg["room"]) if cfg["room"] else None
+    array = roomsim.array_from_dict(cfg["array"]) if cfg["array"] else None
     if cfg["mode"] == "SIMU" and room is None:
         room, array = sched.toy_room(), sched.toy_array()
 

@@ -189,6 +189,14 @@ def save_manifest(manifest: Manifest, path) -> None:
             fh.write(json.dumps(asdict(utt)) + "\n")
 
 
+def resolve_audio_path(manifest_path, audio_path) -> Path:
+    """A relative audio_path resolves against the manifest's own directory."""
+    audio = Path(audio_path)
+    if not audio.is_absolute():
+        audio = Path(manifest_path).parent / audio
+    return audio
+
+
 def load_manifest(path, verify_audio: bool = False) -> Manifest:
     """Read a JSON-lines manifest.
 
@@ -221,11 +229,8 @@ def load_manifest(path, verify_audio: bool = False) -> Manifest:
                 raise ValueError(f"malformed manifest line {lineno}: {exc}") from None
     manifest = Manifest(utterances=utterances)
     if verify_audio:
-        base = Path(path).parent
         for utt in manifest:
-            audio = Path(utt.audio_path)
-            if not audio.is_absolute():
-                audio = base / audio
+            audio = resolve_audio_path(path, utt.audio_path)
             if not audio.exists():
                 raise ValueError(f"audio path not resolvable: {utt.audio_path}")
             wave = read_wav(audio)

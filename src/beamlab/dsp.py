@@ -215,23 +215,40 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, window_size: int, sample_rate: 
     return filters
 
 
+def _log_mel(bins: np.ndarray, filters: np.ndarray):
+    """Log mel energies of complex bins [T, F]: (log energies, energies)."""
+    energies = (np.abs(bins) ** 2) @ filters.T
+    return np.log(energies + LOG_FLOOR), energies
+
+
+def _cmvn(values: np.ndarray):
+    """(normalized values, per-dim sigma, mask of dims above the variance floor)."""
+    mean = values.mean(axis=0)
+    var = values.var(axis=0)
+    sigma = np.sqrt(np.maximum(var, CMVN_VAR_FLOOR))
+    return (values - mean) / sigma, sigma, var > CMVN_VAR_FLOOR
+
+
+def _stack_deltas(values: np.ndarray) -> np.ndarray:
+    if values.shape[0] < 5:
+        raise ValueError("insufficient frames: deltas need >= 5 frames")
+    d1 = delta_features(values)
+    return np.concatenate([values, d1, delta_features(d1)], axis=1)
+
+
 def log_fbank(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> FeatureMatrix:
     """Log mel filterbank energies of the power spectrum, floor 1e-10."""
     if spec.channels != 1:
         raise ValueError("log_fbank requires a single-channel spectrogram")
-    power = np.abs(spec.bins[:, :, 0]) ** 2
     filters = mel_filterbank(n_mels, spec.freq_bins, spec.window_size, spec.sample_rate)
-    energies = power @ filters.T
-    return FeatureMatrix(values=np.log(energies + LOG_FLOOR), meta="fbank")
+    return FeatureMatrix(values=_log_mel(spec.bins[:, :, 0], filters)[0], meta="fbank")
 
 
 def cmvn(feat: FeatureMatrix) -> FeatureMatrix:
     """Per-utterance, per-dimension zero mean / unit variance."""
     if feat.frames < 2:
         raise ValueError("insufficient frames: cmvn needs >= 2 frames")
-    mean = feat.values.mean(axis=0)
-    var = np.maximum(feat.values.var(axis=0), CMVN_VAR_FLOOR)
-    return FeatureMatrix(values=(feat.values - mean) / np.sqrt(var), meta="cmvn")
+    return FeatureMatrix(values=_cmvn(feat.values)[0], meta="cmvn")
 
 
 def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
@@ -239,11 +256,32 @@ def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
 
     Output dims = 3x input dims.
     """
-    if feat.frames < 5:
-        raise ValueError("insufficient frames: deltas need >= 5 frames")
-    d1 = delta_features(feat.values)
-    d2 = delta_features(d1)
-    return FeatureMatrix(values=np.concatenate([feat.values, d1, d2], axis=1), meta="deltas")
+    return FeatureMatrix(values=_stack_deltas(feat.values), meta="deltas")
+
+
+def fbank_chain_vjp(bins: np.ndarray, filters: np.ndarray, factor: int):
+    """log_fbank -> cmvn -> add_deltas -> subsample on complex bins [T, F].
+
+    Returns (features, vjp); vjp(g_features) -> g_bins, complex, under the
+    Wirtinger convention of `pipeline`.
+    """
+    logf, energies = _log_mel(bins, filters)
+    normed, sigma, active = _cmvn(logf)
+    feats = _stack_deltas(normed)[::factor].copy()
+
+    def vjp(g_sub: np.ndarray) -> np.ndarray:
+        g_feats = np.zeros((normed.shape[0], g_sub.shape[1]))
+        g_feats[::factor] = g_sub
+        n = normed.shape[1]
+        g_d1 = g_feats[:, n : 2 * n] + delta_features_adjoint(g_feats[:, 2 * n :])
+        g_normed = g_feats[:, :n] + delta_features_adjoint(g_d1)
+        centered = g_normed - g_normed.mean(axis=0)
+        correction = normed * (g_normed * normed).mean(axis=0)
+        g_logf = np.where(active, centered - correction, centered) / sigma
+        g_power = (g_logf / (energies + LOG_FLOOR)) @ filters
+        return 2.0 * g_power * bins  # adjoint of |z|^2 for a real loss
+
+    return feats, vjp
 
 
 def delta_features(values: np.ndarray) -> np.ndarray:

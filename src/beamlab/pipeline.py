@@ -10,12 +10,16 @@ adjoints under the convention
 with <A, B> = sum conj(A) * B. The two identities doing the heavy lifting
 are d(A^-1) = -A^-1 dA A^-1 and the conjugate pairing of a real loss.
 
+Each differentiable operation's adjoint lives beside its forward
+(`beamform.masked_psd_vjp`, `beamform.normalized_psd_ratio_vjp`,
+`dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`);
+this module wires them into the joint graph.
+
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
     constant (the argmax is not differentiated);
   * the diagonal-loading term added to Phi_NN is treated as constant in
-    the adjoint (its trace dependence is orders below the verification
-    tolerance; the finite-difference suite runs against the exact forward);
+    the adjoint (see `beamform.normalized_psd_ratio_vjp`);
   * SpecAugment never appears on this path.
 """
 
@@ -26,10 +30,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import backend as _backend
-from .backend import AmParams, LabelSequence, am_backward, am_forward_cached, ctc_loss
-from .beamform import MASK_EPS, load_noise_psd, masked_psd, select_reference
-from .dsp import CMVN_VAR_FLOOR, LOG_FLOOR, Spectrogram, delta_features, \
-    delta_features_adjoint, mel_filterbank
+from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
+    am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
+from .beamform import masked_psd_vjp, normalized_psd_ratio_vjp, select_reference
+from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
 DEFAULT_SUBSAMPLE = 3
 CHECKPOINT_VERSION = 1
@@ -57,11 +61,7 @@ class MaskNetParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"mask-net parameter {name} must be finite")
+        _backend.coerce_finite_params(self, "mask-net")
         if self.w1.shape[0] != 3:
             raise ValueError("mask net consumes 3 log-magnitude context values")
         if self.w1.shape[1] != self.b1.shape[0]:
@@ -96,12 +96,7 @@ class GradBundle:
 
 
 def init_mask_params(rng: np.random.Generator, hidden_dim: int = 8) -> MaskNetParams:
-    return MaskNetParams(
-        w1=rng.normal(0.0, 1.0 / np.sqrt(3.0), size=(3, hidden_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=(hidden_dim, 1)),
-        b2=np.zeros(1),
-    )
+    return MaskNetParams(**_backend.mlp2_init(rng, 3, hidden_dim, 1))
 
 
 def init_train_state(
@@ -121,8 +116,8 @@ def init_train_state(
 
 def zeros_bundle(state: TrainState) -> GradBundle:
     return GradBundle(
-        mask={n: np.zeros_like(getattr(state.mask_params, n)) for n in ("w1", "b1", "w2", "b2")},
-        am={n: np.zeros_like(getattr(state.am_params, n)) for n in ("w1", "b1", "w2", "b2")},
+        mask={n: np.zeros_like(getattr(state.mask_params, n)) for n in PARAM_NAMES},
+        am={n: np.zeros_like(getattr(state.am_params, n)) for n in PARAM_NAMES},
     )
 
 
@@ -135,64 +130,19 @@ def bundle_add(acc: GradBundle, other: GradBundle) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared real-valued stages (used by both the joint and backend-only paths)
+# Back-end tail (shared by both paths) and the back-end-only path
 # ---------------------------------------------------------------------------
 
 
-def _cmvn_forward(x: np.ndarray):
-    mean = x.mean(axis=0)
-    var = x.var(axis=0)
-    sigma = np.sqrt(np.maximum(var, CMVN_VAR_FLOOR))
-    y = (x - mean) / sigma
-    active = var > CMVN_VAR_FLOOR  # variance branch of the max()
-    return y, {"sigma": sigma, "active": active, "y": y}
-
-def _cmvn_backward(g_y: np.ndarray, st: dict) -> np.ndarray:
-    centered = g_y - g_y.mean(axis=0)
-    correction = st["y"] * (g_y * st["y"]).mean(axis=0)
-    return np.where(st["active"], centered - correction, centered) / st["sigma"]
-
-
-def _feature_forward(xhat: np.ndarray, mel: np.ndarray, subsample_factor: int):
-    """log-fbank -> cmvn -> deltas -> subsample on a [T, F] complex array."""
-    power = np.abs(xhat) ** 2
-    energies = power @ mel.T
-    logf = np.log(energies + LOG_FLOOR)
-    normed, cmvn_state = _cmvn_forward(logf)
-    if normed.shape[0] < 5:
-        raise ValueError("insufficient frames: deltas need >= 5 frames")
-    d1 = delta_features(normed)
-    d2 = delta_features(d1)
-    feats = np.concatenate([normed, d1, d2], axis=1)
-    sub = feats[::subsample_factor].copy()
-    cache = {
-        "xhat": xhat,
-        "mel": mel,
-        "energies": energies,
-        "cmvn": cmvn_state,
-        "n_frames": normed.shape[0],
-        "subsample": subsample_factor,
-    }
-    return sub, cache
-
-
-def _feature_backward(g_sub: np.ndarray, cache: dict) -> np.ndarray:
-    """Returns g_xhat (complex, Wirtinger convention)."""
-    t_full = cache["n_frames"]
-    g_feats = np.zeros((t_full, g_sub.shape[1]))
-    g_feats[:: cache["subsample"]] = g_sub
-    n = g_feats.shape[1] // 3
-    g_d1 = g_feats[:, n : 2 * n] + delta_features_adjoint(g_feats[:, 2 * n :])
-    g_normed = g_feats[:, :n] + delta_features_adjoint(g_d1)
-    g_logf = _cmvn_backward(g_normed, cache["cmvn"])
-    g_energies = g_logf / (cache["energies"] + LOG_FLOOR)
-    g_power = g_energies @ cache["mel"]
-    return 2.0 * g_power * cache["xhat"]  # adjoint of |z|^2 for a real loss
-
-
-# ---------------------------------------------------------------------------
-# Back-end-only path (single-channel batches, pretraining)
-# ---------------------------------------------------------------------------
+def _backend_tail(am_params: AmParams, spec: Spectrogram, xhat: np.ndarray,
+                  labels: LabelSequence, subsample_factor: int) -> dict:
+    """mel -> feature chain -> AM -> CTC on single-channel bins [T, F]."""
+    mel = mel_filterbank(_n_mels_for(am_params), spec.freq_bins, spec.window_size,
+                         spec.sample_rate)
+    feats, feat_vjp = fbank_chain_vjp(xhat, mel, subsample_factor)
+    log_probs, am_cache = am_forward_cached(feats, am_params)
+    loss, g_lattice = ctc_loss(log_probs, labels)
+    return {"feat_vjp": feat_vjp, "am": am_cache, "g_lattice": g_lattice, "loss": loss}
 
 
 def forward_backend(
@@ -204,20 +154,8 @@ def forward_backend(
     """Single-channel loss: fbank -> cmvn -> deltas -> subsample -> AM -> CTC."""
     if spec.channels != 1:
         raise ValueError("backend path requires a single-channel spectrogram")
-    n_mels = _n_mels_for(am_params)
-    mel = mel_filterbank(n_mels, spec.freq_bins, spec.window_size, spec.sample_rate)
-    feats, feat_cache = _feature_forward(spec.bins[:, :, 0], mel, subsample_factor)
-    log_probs, am_cache = am_forward_cached(feats, am_params)
-    loss, g_lattice = ctc_loss(log_probs, labels)
-    cache = {
-        "kind": "backend",
-        "am_params": am_params,
-        "feat": feat_cache,
-        "am": am_cache,
-        "g_lattice": g_lattice,
-        "loss": loss,
-    }
-    return loss, cache
+    tail = _backend_tail(am_params, spec, spec.bins[:, :, 0], labels, subsample_factor)
+    return tail["loss"], {"kind": "backend", "am_params": am_params, **tail}
 
 
 def backward_backend(cache: dict) -> dict:
@@ -246,34 +184,10 @@ def mask_net_forward(mask_params: MaskNetParams, bins: np.ndarray):
     logmag = 0.5 * np.log(power + LOG_FLOOR)  # smooth-floored log magnitude
     idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
     ctx = logmag[:, idx].reshape(n_frames * n_bins, 3)
-    hidden = np.tanh(ctx @ mask_params.w1 + mask_params.b1)
-    logits = hidden @ mask_params.w2 + mask_params.b2
+    logits, hidden = mlp2_forward(mask_params, ctx)
     mask = expit(logits).reshape(n_frames, n_bins)
     cache = {"ctx": ctx, "hidden": hidden, "mask": mask}
     return mask, cache
-
-
-def _mask_net_backward(mask_params: MaskNetParams, cache: dict, g_mask: np.ndarray) -> dict:
-    m = cache["mask"]
-    g_logit = (g_mask * m * (1.0 - m)).reshape(-1, 1)
-    g_w2 = cache["hidden"].T @ g_logit
-    g_b2 = g_logit.sum(axis=0)
-    g_hidden = g_logit @ mask_params.w2.T
-    g_pre = g_hidden * (1.0 - cache["hidden"] ** 2)
-    g_w1 = cache["ctx"].T @ g_pre
-    g_b1 = g_pre.sum(axis=0)
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
-
-
-def _psd_mask_grad(
-    bins: np.ndarray, phi: np.ndarray, mask_sum: np.ndarray, g_phi: np.ndarray
-) -> np.ndarray:
-    """dL/dmask for phi = sum_t m x x^H / max(sum_t m, eps), given g_phi."""
-    denom = np.maximum(mask_sum, MASK_EPS)
-    quad = np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
-    inner = np.einsum("fij,fij->f", g_phi.conj(), phi).real
-    active = mask_sum > MASK_EPS  # denominator depends on the mask only here
-    return (quad - np.where(active, inner, 0.0)[None, :]) / denom[None, :]
 
 
 def forward_joint(
@@ -301,46 +215,27 @@ def forward_joint(
     else:
         mask, mask_cache = mask_net_forward(state.mask_params, bins)
 
-    phi_ss = masked_psd(bins, mask)
-    phi_nn = masked_psd(bins, 1.0 - mask)
-    loaded = load_noise_psd(phi_nn)
-    ratio = np.linalg.solve(loaded, phi_ss)
-    trace = np.trace(ratio, axis1=1, axis2=2)
-    weights = np.zeros_like(ratio)
-    nonzero = trace != 0
-    weights[nonzero] = ratio[nonzero] / trace[nonzero, None, None]
+    phi_ss, psd_ss_vjp = masked_psd_vjp(bins, mask)
+    phi_nn, psd_nn_vjp = masked_psd_vjp(bins, 1.0 - mask)
+    weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
     ref = int(ref_channel) if ref_channel is not None else select_reference(phi_ss)
     if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
     h = weights[:, :, ref]
     xhat = np.einsum("fc,tfc->tf", h.conj(), bins)
-
-    n_mels = _n_mels_for(state.am_params)
-    mel = mel_filterbank(n_mels, utt.freq_bins, utt.window_size, utt.sample_rate)
-    feats, feat_cache = _feature_forward(xhat, mel, subsample_factor)
-    log_probs, am_cache = am_forward_cached(feats, state.am_params)
-    loss, g_lattice = ctc_loss(log_probs, labels)
-
+    tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
     cache = {
         "kind": "joint",
         "state": state,
         "bins": bins,
-        "mask": mask,
         "mask_cache": mask_cache,
-        "phi_ss": phi_ss,
-        "phi_nn": phi_nn,
-        "loaded": loaded,
-        "ratio": ratio,
-        "trace": trace,
-        "nonzero": nonzero,
+        "psd_vjps": (psd_ss_vjp, psd_nn_vjp),
+        "ratio_vjp": ratio_vjp,
         "ref": ref,
         "h": h,
-        "feat": feat_cache,
-        "am": am_cache,
-        "g_lattice": g_lattice,
-        "loss": loss,
+        **tail,
     }
-    return loss, cache
+    return tail["loss"], cache
 
 
 # ---------------------------------------------------------------------------
@@ -357,42 +252,25 @@ def backward_joint(cache: dict) -> GradBundle:
 
     # Back-end and feature stages (real-valued until |z|^2).
     am_grads, g_feats = am_backward(state.am_params, cache["am"], cache["g_lattice"])
-    g_xhat = _feature_backward(g_feats, cache["feat"])
+    g_xhat = cache["feat_vjp"](g_feats)
 
-    # x_hat(t,f) = h(f)^H x(t,f):  g_h[f,c] = sum_t conj(g_xhat) * x.
-    g_h = np.einsum("tf,tfc->fc", g_xhat.conj(), bins)
+    # x_hat(t,f) = h(f)^H x(t,f):  g_h[f,c] = sum_t conj(g_xhat) * x;
+    # h = W[:, :, ref], so g_h lands in the ref column of g_W.
+    g_weights = np.zeros((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
+    g_weights[:, :, cache["ref"]] = np.einsum("tf,tfc->fc", g_xhat.conj(), bins)
+    g_phi_ss, g_phi_nn = cache["ratio_vjp"](g_weights)
 
-    # h = W[:, :, ref]; scatter into the ref column.
-    g_weights = np.zeros_like(cache["ratio"])
-    g_weights[:, :, cache["ref"]] = g_h
-
-    # W = G / tr(G):  g_G = g_W / conj(tau) - conj(<g_W, G> / tau^2) * I.
-    tau = cache["trace"]
-    ratio = cache["ratio"]
-    nonzero = cache["nonzero"]
-    g_ratio = np.zeros_like(ratio)
-    inner = np.einsum("fij,fij->f", g_weights.conj(), ratio)
-    diag_term = np.conj(inner / np.where(nonzero, tau, 1.0) ** 2)
-    g_ratio[nonzero] = g_weights[nonzero] / np.conj(tau[nonzero, None, None])
-    idx = np.arange(ratio.shape[1])
-    g_ratio[:, idx, idx] -= np.where(nonzero, diag_term, 0.0)[:, None]
-
-    # G = A^-1 B with A = loaded noise PSD (Hermitian), B = speech PSD:
-    #   g_B = A^-H g_G,   g_A = -g_B G^H.
-    g_phi_ss = np.linalg.solve(cache["loaded"], g_ratio)
-    g_phi_nn = -g_phi_ss @ ratio.conj().transpose(0, 2, 1)
-    # Diagonal loading is treated as a constant shift: g passes through.
-
-    # Masked PSDs: d(phi)/d(mask), noise mask = 1 - speech mask.
-    mask = cache["mask"]
-    g_mask = _psd_mask_grad(bins, cache["phi_ss"], mask.sum(axis=0), g_phi_ss)
-    g_mask -= _psd_mask_grad(bins, cache["phi_nn"], (1.0 - mask).sum(axis=0), g_phi_nn)
+    # The mask feeds both PSDs; the noise mask is 1 - speech mask.
+    psd_ss_vjp, psd_nn_vjp = cache["psd_vjps"]
+    g_mask = psd_ss_vjp(g_phi_ss)
+    g_mask -= psd_nn_vjp(g_phi_nn)
 
     if cache["mask_cache"] is None:  # clamped masks: net detached
-        mask_grads = {n: np.zeros_like(getattr(state.mask_params, n))
-                      for n in ("w1", "b1", "w2", "b2")}
-    else:
-        mask_grads = _mask_net_backward(state.mask_params, cache["mask_cache"], g_mask)
+        mask_grads = zeros_bundle(state).mask
+    else:  # sigmoid, then the mask net's 2-layer MLP
+        mc = cache["mask_cache"]
+        g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
+        mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit)
     return GradBundle(mask=mask_grads, am=am_grads)
 
 
@@ -453,7 +331,7 @@ def finite_diff_check(
         ("am", state.am_params, bundle.am),
     ]
     for group_name, params, grads in groups:
-        for name in ("w1", "b1", "w2", "b2"):
+        for name in PARAM_NAMES:
             array = getattr(params, name)
             analytic = grads[name]
             group_worst = 0.0
@@ -478,10 +356,9 @@ def save_checkpoint(state: TrainState, path) -> None:
         "step": state.step,
         "seed": state.seed,
         "moments": {k: np.asarray(v).tolist() for k, v in state.moments.items()},
-        "mask_params": {n: getattr(state.mask_params, n).tolist()
-                        for n in ("w1", "b1", "w2", "b2")},
+        "mask_params": {n: getattr(state.mask_params, n).tolist() for n in PARAM_NAMES},
         "am_params": {
-            **{n: getattr(state.am_params, n).tolist() for n in ("w1", "b1", "w2", "b2")},
+            **{n: getattr(state.am_params, n).tolist() for n in PARAM_NAMES},
             "context": state.am_params.context,
         },
     }
@@ -498,15 +375,9 @@ def load_checkpoint(path) -> TrainState:
     try:
         mp = payload["mask_params"]
         ap = payload["am_params"]
-        mask_params = MaskNetParams(
-            w1=np.asarray(mp["w1"]), b1=np.asarray(mp["b1"]),
-            w2=np.asarray(mp["w2"]), b2=np.asarray(mp["b2"]),
-        )
-        am_params = AmParams(
-            w1=np.asarray(ap["w1"]), b1=np.asarray(ap["b1"]),
-            w2=np.asarray(ap["w2"]), b2=np.asarray(ap["b2"]),
-            context=int(ap["context"]),
-        )
+        mask_params = MaskNetParams(**{n: np.asarray(mp[n]) for n in PARAM_NAMES})
+        am_params = AmParams(**{n: np.asarray(ap[n]) for n in PARAM_NAMES},
+                             context=int(ap["context"]))
         return TrainState(
             mask_params=mask_params,
             am_params=am_params,

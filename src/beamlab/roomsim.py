@@ -127,21 +127,28 @@ def array_preset(name: str, center) -> MicArray:
     raise ValueError(f"unknown array preset '{name}'")
 
 
+def room_from_dict(d: dict) -> RoomSpec:
+    """RoomSpec from the "room" object of a room config (schema in README)."""
+    return RoomSpec(
+        dims=d["dims"],
+        source_pos=d["source_pos"],
+        absorption=d.get("absorption", DEFAULT_ABSORPTION),
+        sound_speed=d.get("sound_speed", SOUND_SPEED),
+    )
+
+
+def array_from_dict(d: dict) -> MicArray:
+    """MicArray from explicit "positions", else from a "preset" and "center"."""
+    if "positions" in d:
+        return MicArray(positions=d["positions"], preset=d.get("preset", "custom"))
+    return array_preset(d["preset"], d["center"])
+
+
 def load_room_config(path) -> tuple[RoomSpec, MicArray, dict]:
     """Read room/array specs from a JSON file (schema in README)."""
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    room = RoomSpec(
-        dims=cfg["room"]["dims"],
-        source_pos=cfg["room"]["source_pos"],
-        absorption=cfg["room"].get("absorption", DEFAULT_ABSORPTION),
-        sound_speed=cfg["room"].get("sound_speed", SOUND_SPEED),
-    )
-    acfg = cfg["array"]
-    if "positions" in acfg:
-        array = MicArray(positions=acfg["positions"], preset=acfg.get("preset", "custom"))
-    else:
-        array = array_preset(acfg["preset"], acfg["center"])
+    room, array = room_from_dict(cfg["room"]), array_from_dict(cfg["array"])
     extras = {
         "max_order": int(cfg.get("max_order", DEFAULT_MAX_ORDER)),
         "sample_rate": int(cfg.get("sample_rate", 16000)),

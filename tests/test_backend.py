@@ -1,6 +1,7 @@
 """backend tests: AM, exact CTC vs brute force, decoding, scoring, vocab."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +24,12 @@ from beamlab.backend import (
     init_am_params,
     load_vocab,
     min_frames,
+    mlp2_backward,
+    mlp2_forward,
+    mlp2_init,
     tokens_to_ids,
 )
+from beamlab.pipeline import REL_ERROR_FLOOR, central_difference
 
 
 def _rng(seed=0):
@@ -83,6 +88,39 @@ class TestContainers:
         with pytest.raises(ValueError):
             AmParams(w1=rng.normal(size=(13, 8)), b1=np.zeros(8),
                      w2=rng.normal(size=(8, 4)), b2=np.zeros(4))  # 13 % 7 != 0
+
+
+def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon=1e-5) -> float:
+    """Worst relative error of `analytic` against central differences of
+    loss_fn over every entry of `array` (perturbed in place). Complex arrays
+    are perturbed on Re and Im through their float64 view, which matches
+    the Wirtinger gradient g = dL/dRe + i dL/dIm entry for entry."""
+    if np.iscomplexobj(array):
+        array, analytic = array.view(np.float64), analytic.view(np.float64)
+    worst = 0.0
+    for index in np.ndindex(array.shape):
+        numeric = central_difference(loss_fn, array, index, epsilon)
+        err = abs(analytic[index] - numeric) / max(abs(analytic[index]), abs(numeric),
+                                                   REL_ERROR_FLOOR)
+        worst = max(worst, err)
+    return worst
+
+
+class TestMlp2:
+    def test_backward_matches_finite_differences(self):
+        rng = _rng(40)
+        params = SimpleNamespace(**mlp2_init(rng, in_dim=4, hidden_dim=5, out_dim=3))
+        x = rng.normal(size=(6, 4))
+        g_out = rng.normal(size=(6, 3))  # L = sum(g_out * out)
+
+        def loss_fn():
+            return float(np.sum(mlp2_forward(params, x)[0] * g_out))
+
+        _, hidden = mlp2_forward(params, x)
+        grads, g_x = mlp2_backward(params, x, hidden, g_out)
+        for name in backend.PARAM_NAMES:
+            assert max_fd_error(loss_fn, getattr(params, name), grads[name]) < 1e-4, name
+        assert max_fd_error(loss_fn, x, g_x) < 1e-4
 
 
 class TestAmForward:

@@ -13,12 +13,15 @@ from beamlab.beamform import (
     estimate_psd,
     load_noise_psd,
     masked_psd,
+    masked_psd_vjp,
     mvdr_weights,
     normalized_psd_ratio,
+    normalized_psd_ratio_vjp,
     oracle_masks,
     select_reference,
 )
 from beamlab.dsp import Spectrogram
+from test_backend import max_fd_error
 
 
 def _rng(seed=0):
@@ -110,6 +113,36 @@ class TestPsd:
     def test_load_noise_psd_zero_trace_passthrough(self):
         phi = np.zeros((2, 3, 3), complex)
         np.testing.assert_array_equal(load_noise_psd(phi), phi)
+
+
+class TestAdjoints:
+    def test_masked_psd_vjp_matches_finite_differences(self):
+        rng = _rng(40)
+        bins = _random_spec(rng, frames=8, window=8, channels=3).bins
+        mask = rng.uniform(0.05, 0.95, size=bins.shape[:2])
+        g_phi = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+
+        def loss_fn():  # L = Re <g_phi, phi>
+            return float(np.sum(g_phi.conj() * masked_psd(bins, mask)).real)
+
+        phi, vjp = masked_psd_vjp(bins, mask)
+        np.testing.assert_array_equal(phi, masked_psd(bins, mask))
+        assert max_fd_error(loss_fn, mask, vjp(g_phi)) < 1e-4
+
+    def test_normalized_psd_ratio_vjp_matches_finite_differences(self):
+        rng = _rng(41)
+        phi_ss = _random_psd(rng, 4, 3)
+        phi_nn = _random_psd(rng, 4, 3)  # A A^H + I: well conditioned
+        g_w = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+
+        def loss_fn():  # L = Re <g_W, W>
+            return float(np.sum(g_w.conj() * normalized_psd_ratio(phi_ss, phi_nn)).real)
+
+        w, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
+        np.testing.assert_array_equal(w, normalized_psd_ratio(phi_ss, phi_nn))
+        g_phi_ss, g_phi_nn = vjp(g_w)
+        assert max_fd_error(loss_fn, phi_ss, g_phi_ss) < 1e-4
+        assert max_fd_error(loss_fn, phi_nn, g_phi_nn) < 1e-4
 
 
 class TestMvdr:

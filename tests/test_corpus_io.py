@@ -11,6 +11,7 @@ from beamlab.corpus_io import (
     Utterance,
     load_manifest,
     read_wav,
+    resolve_audio_path,
     save_manifest,
     write_wav,
 )
@@ -183,6 +184,15 @@ class TestManifest:
         save_manifest(good, tmp_path / "ok.jsonl")
         loaded = load_manifest(tmp_path / "ok.jsonl", verify_audio=True)
         assert len(loaded) == 1
+        # Relative paths resolve against the manifest's directory; absolute
+        # paths are kept, wherever the manifest lives.
+        assert resolve_audio_path(tmp_path / "ok.jsonl", "u1.wav") == wav_path
+        assert resolve_audio_path("elsewhere/m.jsonl", str(wav_path)) == wav_path
+        (tmp_path / "sub").mkdir()
+        absolute = Manifest(utterances=[_utt("u1", audio_path=str(wav_path), channels=2,
+                                             sample_rate=8000)])
+        save_manifest(absolute, tmp_path / "sub" / "abs.jsonl")
+        assert len(load_manifest(tmp_path / "sub" / "abs.jsonl", verify_audio=True)) == 1
         bad = Manifest(utterances=[_utt("u1", channels=3, sample_rate=8000)])
         save_manifest(bad, tmp_path / "bad.jsonl")
         with pytest.raises(ValueError, match="channel"):

@@ -13,6 +13,7 @@ from beamlab.dsp import (
     cmvn,
     delta_features,
     delta_features_adjoint,
+    fbank_chain_vjp,
     istft,
     log_fbank,
     mel_filterbank,
@@ -21,6 +22,7 @@ from beamlab.dsp import (
     stft,
     subsample,
 )
+from test_backend import max_fd_error
 
 
 def _rng(seed=0):
@@ -212,6 +214,29 @@ class TestDeltas:
     def test_add_deltas_needs_five_frames(self):
         with pytest.raises(ValueError, match="insufficient frames"):
             add_deltas(FeatureMatrix(values=np.ones((4, 2))))
+
+
+class TestFbankChain:
+    def test_forward_equals_public_chain(self):
+        rng = _rng(40)
+        bins = rng.normal(size=(11, 9)) + 1j * rng.normal(size=(11, 9))
+        spec = Spectrogram(bins=bins, sample_rate=16000, window_size=16, hop=8)
+        filters = mel_filterbank(4, 9, 16, 16000)
+        feats, _ = fbank_chain_vjp(bins, filters, 2)
+        public = subsample(add_deltas(cmvn(log_fbank(spec, n_mels=4))), 2)
+        np.testing.assert_array_equal(feats, public.values)
+
+    def test_vjp_matches_finite_differences(self):
+        rng = _rng(41)
+        bins = rng.normal(size=(10, 9)) + 1j * rng.normal(size=(10, 9))
+        filters = mel_filterbank(4, 9, 16, 16000)
+        g_feats = rng.normal(size=(5, 12))  # L = sum(g_feats * feats)
+
+        def loss_fn():
+            return float(np.sum(fbank_chain_vjp(bins, filters, 2)[0] * g_feats))
+
+        _, vjp = fbank_chain_vjp(bins, filters, 2)
+        assert max_fd_error(loss_fn, bins, vjp(g_feats)) < 1e-4
 
 
 class TestSubsample:

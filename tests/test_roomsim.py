@@ -68,6 +68,12 @@ class TestSpecs:
         room, array, extras = load_room_config(path)
         assert room.dims[0] == 5.0 and array.channels == 4
         assert extras["max_order"] == 4
+        positions = [[1.0, 1.0, 1.0], [1.1, 1.0, 1.0], [1.2, 1.0, 1.0]]
+        cfg["array"] = {"positions": positions}
+        path.write_text(json.dumps(cfg))
+        _, array, _ = load_room_config(path)
+        np.testing.assert_array_equal(array.positions, positions)
+        assert array.preset == "custom"
 
 
 class TestImages:
