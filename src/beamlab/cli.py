@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -214,30 +214,17 @@ def cmd_simulate(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+# Every ScheduleConfig default, plus the entries only the CLI has. room and
+# array are JSON objects here; vocab_size is the size of the --vocab file.
 TRAIN_DEFAULTS = {
+    **{f.name: f.default for f in fields(sched.ScheduleConfig) if f.name != "vocab_size"},
     "mode": "JO_ONLY",
     "epochs": 10,
     "multi_batch_size": 10,
-    "learning_rate": 0.05,
-    "seed": 0,
-    "pretrain_epochs": 0,
-    "snr_db": 10.0,
-    "max_order": 2,
-    "window_size": 256,
-    "hop": 128,
-    "n_mels": 10,
-    "am_hidden": 48,
-    "mask_hidden": 8,
-    "context": 3,
-    "subsample": 3,
-    "speed_perturb": False,
-    "wav_augment": False,
     "multi_manifest": None,
     "single_manifest": None,
     "vocab": None,
     "report": "report.json",
-    "room": None,
-    "array": None,
     "workers": 1,
 }
 
@@ -276,26 +263,9 @@ def cmd_train(args) -> int:
         room, array = sched.toy_room(), sched.toy_array()
 
     schedule = sched.ScheduleConfig(
-        mode=cfg["mode"],
-        epochs=int(cfg["epochs"]),
-        multi_batch_size=int(cfg["multi_batch_size"]),
-        learning_rate=float(cfg["learning_rate"]),
-        seed=int(cfg["seed"]),
-        pretrain_epochs=int(cfg["pretrain_epochs"]),
-        room=room,
-        array=array,
-        snr_db=float(cfg["snr_db"]),
-        max_order=int(cfg["max_order"]),
-        window_size=int(cfg["window_size"]),
-        hop=int(cfg["hop"]),
-        n_mels=int(cfg["n_mels"]),
-        am_hidden=int(cfg["am_hidden"]),
-        mask_hidden=int(cfg["mask_hidden"]),
-        context=int(cfg["context"]),
-        subsample=int(cfg["subsample"]),
-        vocab_size=len(tokens),
-        speed_perturb=bool(cfg["speed_perturb"]),
-        wav_augment=bool(cfg["wav_augment"]),
+        **{f.name: f.type(cfg[f.name]) for f in fields(sched.ScheduleConfig)
+           if f.name not in ("room", "array", "vocab_size")},
+        room=room, array=array, vocab_size=len(tokens),
     )
     multi_set = _load_utt_set(multi_path, len(tokens))
     single_set = (

@@ -265,6 +265,7 @@ def fbank_chain_vjp(bins: np.ndarray, filters: np.ndarray, factor: int):
     Returns (features, vjp); vjp(g_features) -> g_bins, complex, under the
     Wirtinger convention of `pipeline`.
     """
+    check_subsample_factor(factor)
     logf, energies = _log_mel(bins, filters)
     normed, sigma, active = _cmvn(logf)
     feats = _stack_deltas(normed)[::factor].copy()
@@ -307,10 +308,15 @@ def delta_features_adjoint(grad: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_subsample_factor(factor: int) -> None:
+    """A factor below 1 would reverse the frames (< 0) or fail to slice (0)."""
+    if factor < 1:
+        raise ValueError(f"subsample factor must be >= 1, got {factor}")
+
+
 def subsample(feat: FeatureMatrix, factor: int = 3) -> FeatureMatrix:
     """Keep frames 0, factor, 2*factor, ... (frame count = ceil(frames/factor))."""
-    if factor < 1:
-        raise ValueError("subsample factor must be >= 1")
+    check_subsample_factor(factor)
     return FeatureMatrix(values=feat.values[::factor].copy(), meta="subsampled")
 
 

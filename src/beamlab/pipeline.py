@@ -122,11 +122,11 @@ def zeros_bundle(state: TrainState) -> GradBundle:
 
 
 def bundle_add(acc: GradBundle, other: GradBundle) -> None:
-    """In-place acc += other (deterministic ordered sum)."""
-    for name in acc.mask:
-        acc.mask[name] += other.mask[name]
-    for name in acc.am:
-        acc.am[name] += other.am[name]
+    """In-place acc += other (deterministic ordered sum); names absent from other add 0."""
+    for name, grad in other.mask.items():
+        acc.mask[name] += grad
+    for name, grad in other.am.items():
+        acc.am[name] += grad
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,13 @@ def bundle_add(acc: GradBundle, other: GradBundle) -> None:
 
 
 def _backend_tail(am_params: AmParams, spec: Spectrogram, xhat: np.ndarray,
-                  labels: LabelSequence, subsample_factor: int) -> dict:
-    """mel -> feature chain -> AM -> CTC on single-channel bins [T, F]."""
+                  labels: LabelSequence | None, subsample_factor: int) -> dict:
+    """mel -> feature chain -> AM -> CTC on single-channel bins [T, F]; labels None skips CTC."""
     mel = mel_filterbank(_n_mels_for(am_params), spec.freq_bins, spec.window_size,
                          spec.sample_rate)
     feats, feat_vjp = fbank_chain_vjp(xhat, mel, subsample_factor)
     log_probs, am_cache = am_forward_cached(feats, am_params)
-    loss, g_lattice = ctc_loss(log_probs, labels)
+    loss, g_lattice = (None, None) if labels is None else ctc_loss(log_probs, labels)
     return {"feat_vjp": feat_vjp, "am": am_cache, "g_lattice": g_lattice, "loss": loss}
 
 
@@ -193,12 +193,12 @@ def mask_net_forward(mask_params: MaskNetParams, bins: np.ndarray):
 def forward_joint(
     state: TrainState,
     utt: Spectrogram,
-    labels: LabelSequence,
+    labels: LabelSequence | None,
     subsample_factor: int = DEFAULT_SUBSAMPLE,
     ref_channel: int | None = None,
     mask_override: float | None = None,
 ):
-    """Joint loss L = -log p(l | Feature(x_hat)) plus the backward cache.
+    """Joint loss L = -log p(l | Feature(x_hat)) and the backward cache; labels None: decode only.
 
     ref_channel pins the reference microphone (otherwise select_reference
     chooses it from the speech PSD); mask_override clamps the speech mask to

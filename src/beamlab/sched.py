@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .backend import LabelSequence, edit_distance, greedy_decode
-from .dsp import Waveform, stft
+from .dsp import Waveform, check_subsample_factor, stft
 from .pipeline import (
     GradBundle,
     TrainState,
@@ -93,6 +93,7 @@ class ScheduleConfig:
     context: int = 3
     subsample: int = 3
     vocab_size: int = 6
+    # Single-channel augmentation; only PT pretraining applies it.
     speed_perturb: bool = False
     wav_augment: bool = False
 
@@ -109,6 +110,7 @@ class ScheduleConfig:
             raise ValueError("SIMU mode requires room and array settings")
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
+        check_subsample_factor(self.subsample)
 
 
 @dataclass
@@ -238,34 +240,22 @@ def _check_finite_loss(loss: float, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _spec_cache(utts, cfg: ScheduleConfig) -> dict:
-    return {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in utts}
-
-
-def _run_multi_batch(state, batch, specs, labels, cfg) -> float:
+def _run_batch(state, batch, specs, labels, cfg) -> float:
+    """One SGD step: MULTI batches take the joint path, SINGLE batches the
+    back end alone (the mask net gets no gradient)."""
+    joint = batch.kind == MULTI
     total = zeros_bundle(state)
     loss_sum = 0.0
     for utt_id in batch.utt_ids:
-        loss, cache = forward_joint(
-            state, specs[utt_id], labels[utt_id], subsample_factor=cfg.subsample
-        )
-        _check_finite_loss(loss, f"utterance '{utt_id}' (joint path)")
-        bundle_add(total, backward_joint(cache))
-        loss_sum += loss
-    apply_sgd(state, total, cfg.learning_rate, len(batch.utt_ids))
-    return loss_sum / len(batch.utt_ids)
-
-
-def _run_single_batch(state, batch, specs, labels, cfg) -> float:
-    total = zeros_bundle(state)
-    loss_sum = 0.0
-    for utt_id in batch.utt_ids:
-        loss, cache = forward_backend(
-            state.am_params, specs[utt_id], labels[utt_id], subsample_factor=cfg.subsample
-        )
-        _check_finite_loss(loss, f"utterance '{utt_id}' (single path)")
-        for name, grad in backward_backend(cache).items():
-            total.am[name] += grad
+        spec, utt_labels = specs[utt_id], labels[utt_id]
+        if joint:
+            loss, cache = forward_joint(state, spec, utt_labels, subsample_factor=cfg.subsample)
+        else:
+            loss, cache = forward_backend(state.am_params, spec, utt_labels,
+                                          subsample_factor=cfg.subsample)
+        _check_finite_loss(loss, f"utterance '{utt_id}' ({'joint' if joint else 'single'} path)")
+        bundle_add(total, backward_joint(cache) if joint
+                   else GradBundle(mask={}, am=backward_backend(cache)))
         loss_sum += loss
     apply_sgd(state, total, cfg.learning_rate, len(batch.utt_ids))
     return loss_sum / len(batch.utt_ids)
@@ -357,9 +347,7 @@ def _pretrain(state, cfg, single_set, rng, aug_rng) -> list:
                           cfg.window_size, cfg.hop)
                 for uid in ids
             }
-            epoch_losses.append(
-                _run_single_batch(state, Batch(SINGLE, ids), specs, labels, cfg)
-            )
+            epoch_losses.append(_run_batch(state, Batch(SINGLE, ids), specs, labels, cfg))
         losses.append(float(np.mean(epoch_losses)))
     return losses
 
@@ -372,25 +360,25 @@ def run_pretrain(cfg: ScheduleConfig, single_set) -> TrainState:
     return state
 
 
+def _render_noisy(clean: Waveform, rir, snr_db: float, rng) -> Waveform:
+    """Room render of a clean utterance plus spatially white noise at snr_db."""
+    rendered = simulate_multichannel(clean, rir)
+    noise = Waveform(samples=rng.normal(size=rendered.samples.shape),
+                     sample_rate=rendered.sample_rate)
+    return mix_at_snr(rendered, noise, snr_db)
+
+
 def _simulate_single_set(single_set, cfg: ScheduleConfig, rng) -> list:
     """Render single-channel utterances to multi-channel scenes (SIMU)."""
     if not single_set:
         return []
     rir = image_source_rir(cfg.room, cfg.array, cfg.max_order,
                            single_set[0].wave.sample_rate)
-    simulated = []
-    for utt in single_set:
-        rendered = simulate_multichannel(utt.wave, rir)
-        noise = Waveform(
-            samples=rng.normal(size=rendered.samples.shape),
-            sample_rate=rendered.sample_rate,
-        )
-        noisy = mix_at_snr(rendered, noise, cfg.snr_db)
-        simulated.append(
-            Utt(utt_id=f"{utt.utt_id}-sim", wave=noisy, labels=utt.labels,
-                origin="simulated")
-        )
-    return simulated
+    return [
+        Utt(utt_id=f"{utt.utt_id}-sim", wave=_render_noisy(utt.wave, rir, cfg.snr_db, rng),
+            labels=utt.labels, origin="simulated")
+        for utt in single_set
+    ]
 
 
 def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool = False):
@@ -414,10 +402,12 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
         jo_set = jo_set + _simulate_single_set(single_set, cfg, streams["simulate"])
     ds_single = list(single_set) if cfg.mode == "DS" else []
 
-    specs = _spec_cache(jo_set, cfg)
-    specs.update(_spec_cache(ds_single, cfg))
-    labels = {u.utt_id: u.labels for u in jo_set}
-    labels.update({u.utt_id: u.labels for u in ds_single})
+    pool = jo_set + ds_single
+    if len({u.utt_id for u in pool}) != len(pool):
+        raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
+    # One STFT per utterance per run: the epochs and the final decode share it.
+    specs = {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in pool}
+    labels = {u.utt_id: u.labels for u in pool}
     jo_ids = [u.utt_id for u in jo_set]
     single_ids = [u.utt_id for u in ds_single]
 
@@ -429,12 +419,13 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
         joint_losses, single_losses = [], []
         for batch in plan.batches:
             t0 = time.perf_counter()
+            loss = _run_batch(state, batch, specs, labels, cfg)
             if batch.kind == MULTI:
-                joint_losses.append(_run_multi_batch(state, batch, specs, labels, cfg))
+                joint_losses.append(loss)
                 multi_seconds += time.perf_counter() - t0
                 multi_utts += len(batch.utt_ids)
             else:
-                single_losses.append(_run_single_batch(state, batch, specs, labels, cfg))
+                single_losses.append(loss)
                 single_seconds += time.perf_counter() - t0
                 single_utts += len(batch.utt_ids)
         report.epoch_losses.append(float(np.mean(joint_losses)))
@@ -453,7 +444,7 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
         cfg, len(multi_set), len(single_set),
         multi_seconds / max(multi_utts, 1), single_seconds / max(single_utts, 1),
     )
-    report.toy_error = evaluate_token_error(state, multi_set, cfg)
+    report.toy_error = evaluate_token_error(state, multi_set, cfg, specs)
     if return_state:
         return report, state
     return report
@@ -475,26 +466,22 @@ def _cost_prediction(cfg, n_multi, n_single, sec_per_multi, sec_per_single) -> d
     }
 
 
-def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig) -> float:
-    """Token error rate (S+I+D)/#ref of greedy joint-path decoding."""
+def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig, specs: dict) -> float:
+    """Token error rate (S+I+D)/#ref of greedy joint-path decoding.
+
+    specs maps each utterance id to its STFT (run_training's epoch cache);
+    decoding runs the joint forward without labels, so no CTC pass.
+    """
     if not utts:
         return float("nan")
     total_err = total_ref = 0
     for utt in utts:
-        spec = stft(utt.wave, cfg.window_size, cfg.hop)
-        lattice = _decode_lattice(state, spec, cfg)
-        hyp = greedy_decode(lattice)
+        _, cache = forward_joint(state, specs[utt.utt_id], None, subsample_factor=cfg.subsample)
+        hyp = greedy_decode(cache["am"]["log_probs"])
         sub, ins, dele = edit_distance(hyp, utt.labels)
         total_err += sub + ins + dele
         total_ref += len(utt.labels)
     return total_err / max(total_ref, 1)
-
-
-def _decode_lattice(state: TrainState, spec, cfg: ScheduleConfig):
-    """Run the joint front-end + AM without a loss (decode only)."""
-    dummy = LabelSequence(ids=np.asarray([], dtype=np.int64), vocab_size=cfg.vocab_size)
-    _, cache = forward_joint(state, spec, dummy, subsample_factor=cfg.subsample)
-    return cache["am"]["log_probs"]
 
 
 # ---------------------------------------------------------------------------
@@ -558,39 +545,21 @@ def generate_toy_corpus(
     array = array if array is not None else toy_array()
     tokens = [chr(ord("a") + i) if vocab_size <= 26 else f"t{i}" for i in range(vocab_size)]
 
-    rir = None
-    multi_set = []
-    for i in range(n_multi):
+    def draw(utt_id: str, origin: str, rir) -> Utt:
+        # RNG order per utterance: label count, labels, then (rendered) noise.
         ids = rng.integers(1, vocab_size + 1, size=int(rng.integers(TOY_MIN_LABEL,
                                                                     TOY_MAX_LABEL + 1)))
-        clean = Waveform(
-            samples=_toy_utterance(ids, vocab_size, sample_rate)[None, :],
-            sample_rate=sample_rate,
-        )
-        if rir is None:
-            rir = image_source_rir(room, array, max_order, sample_rate)
-        rendered = simulate_multichannel(clean, rir)
-        noise = Waveform(
-            samples=rng.normal(size=rendered.samples.shape), sample_rate=sample_rate
-        )
-        noisy = mix_at_snr(rendered, noise, snr_db)
+        wave = Waveform(samples=_toy_utterance(ids, vocab_size, sample_rate)[None, :],
+                        sample_rate=sample_rate)
+        if rir is not None:
+            wave = _render_noisy(wave, rir, snr_db, rng)
         labels = LabelSequence(ids=ids, vocab_size=vocab_size,
                                text=" ".join(tokens[t - 1] for t in ids))
-        multi_set.append(Utt(utt_id=f"toy-m{i:04d}", wave=noisy, labels=labels,
-                             origin="real"))
+        return Utt(utt_id=utt_id, wave=wave, labels=labels, origin=origin)
 
-    single_set = []
-    for i in range(n_single):
-        ids = rng.integers(1, vocab_size + 1, size=int(rng.integers(TOY_MIN_LABEL,
-                                                                    TOY_MAX_LABEL + 1)))
-        clean = Waveform(
-            samples=_toy_utterance(ids, vocab_size, sample_rate)[None, :],
-            sample_rate=sample_rate,
-        )
-        labels = LabelSequence(ids=ids, vocab_size=vocab_size,
-                               text=" ".join(tokens[t - 1] for t in ids))
-        single_set.append(Utt(utt_id=f"toy-s{i:04d}", wave=clean, labels=labels,
-                              origin="single"))
+    rir = image_source_rir(room, array, max_order, sample_rate) if n_multi else None
+    multi_set = [draw(f"toy-m{i:04d}", "real", rir) for i in range(n_multi)]
+    single_set = [draw(f"toy-s{i:04d}", "single", None) for i in range(n_single)]
     return multi_set, single_set, tokens
 
 

@@ -1,5 +1,6 @@
 """cli tests: subcommands end to end, exit codes, config precedence."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from beamlab import corpus_io, roomsim
 from beamlab.cli import main
 from beamlab.dsp import Waveform
+from beamlab.sched import ScheduleConfig
 
 
 def _rng(seed=0):
@@ -204,6 +206,54 @@ class TestMakeCorpusAndTrain:
         single = corpus_io.load_manifest(out / "single.jsonl")
         assert len(multi) == 1  # flag beat the file
         assert len(single) == 2  # file beat the default
+
+
+class TestTrainConfig:
+    @staticmethod
+    def _train(tmp_path, *extra):
+        out = tmp_path / "corpus"
+        if not out.exists():
+            main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+                  "--n-single", "2", "--seed", "4"])
+        report = tmp_path / "report.json"
+        code = main(["train", "--multi-manifest", str(out / "multi.jsonl"),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(report), *extra])
+        return code, json.loads(report.read_text()) if report.exists() else None
+
+    def test_config_file_keys_reach_report(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"n_mels": 6, "am_hidden": 12, "learning_rate": 0.02,
+                                   "wav_augment": True}))
+        code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1",
+                                   "--multi-batch-size", "2")
+        assert code == 0
+        config = report["config"]
+        assert (config["n_mels"], config["am_hidden"]) == (6, 12)
+        assert config["learning_rate"] == 0.02 and config["wav_augment"] is True
+        assert config["vocab_size"] == 6 and config["epochs"] == 1
+
+    def test_vocab_size_is_not_a_config_key(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"vocab_size": 3}))
+        code, report = self._train(tmp_path, "--config", str(cfg))
+        assert code == 1 and report is None
+
+    def test_bare_train_resolves_schedule_defaults(self, tmp_path):
+        code, report = self._train(tmp_path)
+        assert code == 0
+        config = report["config"]
+        for f in dataclasses.fields(ScheduleConfig):
+            if f.default is not dataclasses.MISSING and f.name != "vocab_size":
+                assert config[f.name] == f.default, f.name
+        # The CLI's own defaults for the fields ScheduleConfig leaves open.
+        assert (config["mode"], config["epochs"], config["multi_batch_size"]) == \
+               ("JO_ONLY", 10, 10)
+
+    def test_invalid_schedule_is_data_error(self, tmp_path):
+        # A negative factor would train on time-reversed frames.
+        for flags in (["--subsample", "-2"], ["--subsample", "0"], ["--epochs", "0"]):
+            code, report = self._train(tmp_path, *flags)
+            assert code == 2 and report is None, flags
 
 
 class TestSimulate:

@@ -182,6 +182,27 @@ class TestForwardJoint:
         with pytest.raises(ValueError, match="single-channel"):
             forward_backend(state.am_params, utt, labels)
 
+    def test_negative_subsample_rejected(self):
+        # [::-2] would silently feed time-reversed frames to the AM.
+        state, utt, labels = _tiny_instance(7)
+        with pytest.raises(ValueError, match="subsample factor must be >= 1"):
+            forward_joint(state, utt, labels, subsample_factor=-2)
+        state, mono, labels = _tiny_instance(7, channels=1)
+        with pytest.raises(ValueError, match="subsample factor must be >= 1"):
+            forward_backend(state.am_params, mono, labels, subsample_factor=-2)
+
+    def test_decode_without_labels_skips_ctc(self, monkeypatch):
+        state, utt, labels = _tiny_instance(8)
+        _, cache = forward_joint(state, utt, labels, subsample_factor=3)
+
+        def no_ctc(*args, **kwargs):
+            raise AssertionError("CTC ran without labels")
+
+        monkeypatch.setattr(pipeline, "ctc_loss", no_ctc)
+        loss, decode = forward_joint(state, utt, None, subsample_factor=3)
+        assert loss is None
+        np.testing.assert_array_equal(decode["am"]["log_probs"], cache["am"]["log_probs"])
+
 
 class TestBackwardJoint:
     def test_finite_difference_seeds(self):
@@ -265,6 +286,10 @@ class TestBundles:
         pipeline.bundle_add(acc, one)
         pipeline.bundle_add(acc, one)
         assert acc.am["b2"][0] == 4.0
+        assert acc.mask["b2"][0] == -2.0
+        # A back-end-only bundle carries no mask group; the mask sum is kept.
+        pipeline.bundle_add(acc, GradBundle(mask={}, am=one.am))
+        assert acc.am["b2"][0] == 6.0
         assert acc.mask["b2"][0] == -2.0
 
 

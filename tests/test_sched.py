@@ -1,9 +1,11 @@
 """sched tests: cost model, epoch planning, schemes, equivalences, toy corpus."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from beamlab import sched
+from beamlab import pipeline, sched
 from beamlab.dsp import Waveform
 from beamlab.sched import (
     MODES,
@@ -217,6 +219,72 @@ class TestSchemes:
         with pytest.raises(ValueError):
             ScheduleConfig(mode="XX", epochs=1, multi_batch_size=2, seed=0)
 
+    def test_subsample_below_one_rejected(self):
+        # -2 would train on time-reversed frames; 0 cannot slice.
+        for bad in (0, -2):
+            with pytest.raises(ValueError, match="subsample factor must be >= 1"):
+                _cfg(subsample=bad)
+
+    def test_utterance_ids_unique_across_sets(self):
+        # The spec and label caches are keyed by id: a clash would feed one
+        # utterance's audio to the other's batches and decode.
+        multi, single, _ = _toy_sets(n_multi=2, n_single=2, seed=8)
+        clash = [replace(single[0], utt_id=multi[0].utt_id)] + single[1:]
+        with pytest.raises(ValueError, match="unique"):
+            run_training(_cfg(mode="DS", epochs=1), multi, clash)
+
+    def test_epoch_stft_cache_serves_decoding(self, monkeypatch):
+        # One STFT per utterance per run, and CTC only on training passes:
+        # the final decode reads the epoch cache and skips CTC.
+        multi, _, _ = _toy_sets(n_multi=3, n_single=0, seed=8)
+        calls = {"stft": 0, "ctc": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sched, "stft", counted("stft", sched.stft))
+        monkeypatch.setattr(pipeline, "ctc_loss", counted("ctc", pipeline.ctc_loss))
+        report = run_training(_cfg(epochs=2), multi, [])
+        assert calls == {"stft": 3, "ctc": 2 * 3}
+        assert np.isfinite(report.toy_error)
+
+
+# Reports of the parent implementation of the harness (seed 0, 4/6 toy split
+# of corpus seed 21, 2 epochs, batch 2): epoch_losses, single_losses,
+# pretrain_losses, toy_error, counters. A refactor of the harness must
+# reproduce them.
+PINNED_RUNS = {
+    "PT": ([12.148988160796158, 6.932891288432719], [], [13.67218120645348],
+           0.2631578947368421, {"frontend_utts_per_epoch": 4, "single_utts_per_epoch": 0}),
+    "DS": ([14.736212738835333, 7.45358027151828], [12.93362018059274, 7.064210723065921], [],
+           0.21052631578947367, {"frontend_utts_per_epoch": 4, "single_utts_per_epoch": 6}),
+    "SIMU": ([13.63954783657704, 6.187410853192388], [], [],
+             0.21052631578947367, {"frontend_utts_per_epoch": 10, "single_utts_per_epoch": 0}),
+    "JO_ONLY": ([17.253464745803065, 9.721058398019974], [], [],
+                0.21052631578947367, {"frontend_utts_per_epoch": 4, "single_utts_per_epoch": 0}),
+}
+
+
+class TestPinnedHarness:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_numbers(self, mode):
+        multi, single, _ = _toy_sets(n_multi=4, n_single=6, seed=21)
+        cfg = _cfg(mode=mode, epochs=2, multi_batch_size=2,
+                   pretrain_epochs=1 if mode == "PT" else 0)
+        report = run_training(cfg, multi, single)
+        epoch, single_losses, pretrain, toy_error, counters = PINNED_RUNS[mode]
+        np.testing.assert_allclose(report.epoch_losses, epoch, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(report.single_losses, single_losses, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(report.pretrain_losses, pretrain, rtol=1e-9, atol=0)
+        assert len(report.single_losses) == len(single_losses)
+        assert len(report.pretrain_losses) == len(pretrain)
+        assert report.toy_error == toy_error
+        assert report.counters == {"epochs": 2, "multi_set_size": 4, "single_set_size": 6,
+                                   **counters}
+
 
 class TestAugmentation:
     def test_speed_perturb_changes_length(self):
@@ -226,6 +294,25 @@ class TestAugmentation:
         fast = speed_perturb(wave, 1.1)
         assert slow.n_samples > wave.n_samples > fast.n_samples
         assert speed_perturb(wave, 1.0).n_samples == wave.n_samples
+
+    def test_augmented_pretraining_run(self):
+        # speed_perturb/wav_augment act on PT's pretraining batches only.
+        multi, single, _ = _toy_sets(n_multi=4, n_single=6, seed=9)
+        plain = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=2), multi, single)
+        aug = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=2,
+                                speed_perturb=True, wav_augment=True), multi, single)
+        assert len(aug.pretrain_losses) == 2
+        assert all(np.isfinite(aug.pretrain_losses))
+        assert aug.pretrain_losses != plain.pretrain_losses
+
+    def test_augmented_pt_without_single_data_is_jo_only(self):
+        multi, _, _ = _toy_sets(n_multi=4, n_single=0, seed=10)
+        jo, jo_state = run_training(_cfg(mode="JO_ONLY"), multi, [], return_state=True)
+        pt, pt_state = run_training(_cfg(mode="PT", pretrain_epochs=2, speed_perturb=True,
+                                         wav_augment=True), multi, [], return_state=True)
+        assert _states_equal(pt_state, jo_state)
+        assert pt.epoch_losses == jo.epoch_losses
+        assert pt.toy_error == jo.toy_error
 
     def test_wav_augment_deterministic(self):
         wave = Waveform(samples=_rng(8).normal(size=(1, 600)), sample_rate=8000)
