@@ -19,6 +19,8 @@ MASK_EPS = 1e-10
 # Relative diagonal loading applied to Phi_NN before inversion.
 DIAGONAL_LOADING = 1e-6
 HERMITIAN_TOL = 1e-8
+# Frequency bins per batched matmul in the PSD kernels; bounds their temporaries.
+PSD_BLOCK_BINS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -101,25 +103,41 @@ def oracle_masks(clean: Spectrogram, noise: Spectrogram, ref_channel: int = 0):
 
 
 def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Raw-array core of estimate_psd: bins [T,F,C], mask [T,F] -> [F,C,C]."""
-    numer = np.einsum("tf,tfi,tfj->fij", mask, bins, bins.conj())
+    """Raw-array core of estimate_psd: bins [T,F,C], mask [T,F] -> [F,C,C].
+    Per bin, sum_t m x x^H = X^T (m conj X): one batched matmul per block of bins."""
+    numer = np.empty((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
+    for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
+        block = slice(f0, f0 + PSD_BLOCK_BINS)
+        x = bins[:, block].transpose(1, 0, 2)  # [f, T, C] view
+        numer[block] = np.swapaxes(x, 1, 2) @ (x.conj() * mask[:, block].T[:, :, None])
     denom = np.maximum(mask.sum(axis=0), MASK_EPS)
     return numer / denom[:, None, None]
 
 
-def masked_psd_vjp(bins: np.ndarray, mask: np.ndarray):
-    """masked_psd plus its adjoint: (phi, vjp) with vjp(g_phi) -> g_mask [T, F]."""
-    phi = masked_psd(bins, mask)
+def masked_psd_pair_vjp(bins: np.ndarray, mask: np.ndarray):
+    """PSDs of masks m, 1 - m and their adjoint: (phi_ss, phi_nn, vjp(g_ss, g_nn) -> g_mask).
+    Re x^H g x is linear in g: one quadratic form on g_ss / d_ss - g_nn / d_nn (d: mask sums)."""
+    noise_mask = 1.0 - mask
+    phi_ss = masked_psd(bins, mask)
+    phi_nn = masked_psd(bins, noise_mask)
 
-    def vjp(g_phi: np.ndarray) -> np.ndarray:
-        mask_sum = mask.sum(axis=0)
-        denom = np.maximum(mask_sum, MASK_EPS)
-        quad = np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
-        inner = np.einsum("fij,fij->f", g_phi.conj(), phi).real
-        active = mask_sum > MASK_EPS  # denominator depends on the mask only here
-        return (quad - np.where(active, inner, 0.0)[None, :]) / denom[None, :]
+    def vjp(g_ss: np.ndarray, g_nn: np.ndarray) -> np.ndarray:
+        # Per PSD: (Re x^H g x - <g, phi>) / d; <g, phi> only where d is unclamped.
+        g_quad, offset = 0.0, 0.0
+        for sign, m, g, phi in ((1.0, mask, g_ss, phi_ss), (-1.0, noise_mask, g_nn, phi_nn)):
+            mask_sum = m.sum(axis=0)
+            denom = np.maximum(mask_sum, MASK_EPS)
+            inner = np.einsum("fij,fij->f", g.conj(), phi).real
+            g_quad = g_quad + sign * g / denom[:, None, None]
+            offset = offset + sign * np.where(mask_sum > MASK_EPS, inner, 0.0) / denom
+        quad = np.empty(mask.shape)
+        for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
+            block = slice(f0, f0 + PSD_BLOCK_BINS)
+            gx = bins[:, block].transpose(1, 0, 2) @ np.swapaxes(g_quad[block], 1, 2)  # [f, T, C]
+            quad[:, block] = np.einsum("tfk,ftk->tf", bins[:, block].conj(), gx).real
+        return quad - offset
 
-    return phi, vjp
+    return phi_ss, phi_nn, vjp
 
 
 def estimate_psd(spec: Spectrogram, mask) -> np.ndarray:

@@ -249,6 +249,15 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
     return utts
 
 
+def _coerce_field(name: str, kind: type, value):
+    """value as a ScheduleConfig field: bools only for bool, integral numbers for int."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {int: number and value % 1 == 0, float: number}.get(kind, isinstance(value, kind))
+    if not ok:
+        raise UsageError(f"config key '{name}' must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args, TRAIN_DEFAULTS)
     if cfg["workers"] != 1:
@@ -263,7 +272,7 @@ def cmd_train(args) -> int:
         room, array = sched.toy_room(), sched.toy_array()
 
     schedule = sched.ScheduleConfig(
-        **{f.name: f.type(cfg[f.name]) for f in fields(sched.ScheduleConfig)
+        **{f.name: _coerce_field(f.name, f.type, cfg[f.name]) for f in fields(sched.ScheduleConfig)
            if f.name not in ("room", "array", "vocab_size")},
         room=room, array=array, vocab_size=len(tokens),
     )

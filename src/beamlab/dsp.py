@@ -6,6 +6,7 @@ Shape conventions used throughout the package:
     features      [T, D]               (frames, feature dims)
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,8 +201,9 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=32)
 def mel_filterbank(n_mels: int, n_fft_bins: int, window_size: int, sample_rate: int) -> np.ndarray:
-    """Triangular HTK-mel filters spanning 0 Hz to Nyquist. Shape [n_mels, F]."""
+    """Triangular HTK-mel filters spanning 0 Hz to Nyquist, [n_mels, F]; cached, read-only."""
     nyquist = sample_rate / 2.0
     mel_points = np.linspace(_hz_to_mel(0.0), _hz_to_mel(nyquist), n_mels + 2)
     hz_points = _mel_to_hz(mel_points)
@@ -212,6 +214,7 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, window_size: int, sample_rate: 
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         filters[m] = np.maximum(0.0, np.minimum(rising, falling))
+    filters.flags.writeable = False
     return filters
 
 

@@ -11,7 +11,7 @@ with <A, B> = sum conj(A) * B. The two identities doing the heavy lifting
 are d(A^-1) = -A^-1 dA A^-1 and the conjugate pairing of a real loss.
 
 Each differentiable operation's adjoint lives beside its forward
-(`beamform.masked_psd_vjp`, `beamform.normalized_psd_ratio_vjp`,
+(`beamform.masked_psd_pair_vjp`, `beamform.normalized_psd_ratio_vjp`,
 `dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`);
 this module wires them into the joint graph.
 
@@ -32,7 +32,7 @@ from scipy.special import expit
 from . import backend as _backend
 from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
     am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
-from .beamform import masked_psd_vjp, normalized_psd_ratio_vjp, select_reference
+from .beamform import masked_psd_pair_vjp, normalized_psd_ratio_vjp, select_reference
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
 DEFAULT_SUBSAMPLE = 3
@@ -215,8 +215,7 @@ def forward_joint(
     else:
         mask, mask_cache = mask_net_forward(state.mask_params, bins)
 
-    phi_ss, psd_ss_vjp = masked_psd_vjp(bins, mask)
-    phi_nn, psd_nn_vjp = masked_psd_vjp(bins, 1.0 - mask)
+    phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
     weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
     ref = int(ref_channel) if ref_channel is not None else select_reference(phi_ss)
     if not 0 <= ref < bins.shape[2]:
@@ -229,7 +228,7 @@ def forward_joint(
         "state": state,
         "bins": bins,
         "mask_cache": mask_cache,
-        "psd_vjps": (psd_ss_vjp, psd_nn_vjp),
+        "psd_vjp": psd_vjp,
         "ratio_vjp": ratio_vjp,
         "ref": ref,
         "h": h,
@@ -261,9 +260,7 @@ def backward_joint(cache: dict) -> GradBundle:
     g_phi_ss, g_phi_nn = cache["ratio_vjp"](g_weights)
 
     # The mask feeds both PSDs; the noise mask is 1 - speech mask.
-    psd_ss_vjp, psd_nn_vjp = cache["psd_vjps"]
-    g_mask = psd_ss_vjp(g_phi_ss)
-    g_mask -= psd_nn_vjp(g_phi_nn)
+    g_mask = cache["psd_vjp"](g_phi_ss, g_phi_nn)
 
     if cache["mask_cache"] is None:  # clamped masks: net detached
         mask_grads = zeros_bundle(state).mask

@@ -334,6 +334,9 @@ def _pretrain(state, cfg, single_set, rng, aug_rng) -> list:
     losses = []
     by_id = {u.utt_id: u for u in single_set}
     labels = {u.utt_id: u.labels for u in single_set}
+    # Unaugmented waves, so their STFTs, are the same every epoch: one each per run.
+    fixed = {} if cfg.speed_perturb or cfg.wav_augment or not cfg.pretrain_epochs else {
+        u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in single_set}
     for _ in range(cfg.pretrain_epochs):
         if not single_set:
             losses.append(float("nan"))
@@ -342,7 +345,7 @@ def _pretrain(state, cfg, single_set, rng, aug_rng) -> list:
         epoch_losses = []
         for i in range(0, len(order), cfg.multi_batch_size):
             ids = [single_set[j].utt_id for j in order[i : i + cfg.multi_batch_size]]
-            specs = {
+            specs = fixed or {
                 uid: stft(_maybe_augment(by_id[uid].wave, cfg, aug_rng),
                           cfg.window_size, cfg.hop)
                 for uid in ids

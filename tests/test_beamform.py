@@ -13,7 +13,7 @@ from beamlab.beamform import (
     estimate_psd,
     load_noise_psd,
     masked_psd,
-    masked_psd_vjp,
+    masked_psd_pair_vjp,
     mvdr_weights,
     normalized_psd_ratio,
     normalized_psd_ratio_vjp,
@@ -32,6 +32,33 @@ def _random_spec(rng, frames=20, window=16, channels=3):
     f = window // 2 + 1
     bins = rng.normal(size=(frames, f, channels)) + 1j * rng.normal(size=(frames, f, channels))
     return Spectrogram(bins=bins, sample_rate=16000, window_size=window, hop=window // 2)
+
+
+def _random_bins(rng, frames, n_bins, channels, layout):
+    """Complex bins [T, F, C]: C-contiguous, or a view of a [C, T, F] array,
+    whose frequency blocks numpy cannot hand to BLAS without a copy."""
+    shape = (frames, n_bins, channels) if layout == "tfc" else (channels, frames, n_bins)
+    bins = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return bins if layout == "tfc" else bins.transpose(1, 2, 0)
+
+
+# The 3-operand einsum kernels the batched matmuls replaced: the reference
+# oracle for masked_psd and its adjoint.
+def _einsum_psd(bins, mask):
+    numer = np.einsum("tf,tfi,tfj->fij", mask, bins, bins.conj())
+    return numer / np.maximum(mask.sum(axis=0), beamform.MASK_EPS)[:, None, None]
+
+
+def _einsum_psd_vjp(bins, mask, g_phi):
+    mask_sum = mask.sum(axis=0)
+    quad = np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
+    inner = np.einsum("fij,fij->f", g_phi.conj(), _einsum_psd(bins, mask)).real
+    active = mask_sum > beamform.MASK_EPS
+    return (quad - np.where(active, inner, 0.0)) / np.maximum(mask_sum, beamform.MASK_EPS)
+
+
+def _assert_rel_close(actual, oracle, rtol=1e-12):
+    np.testing.assert_allclose(actual, oracle, rtol=rtol, atol=rtol * np.abs(oracle).max())
 
 
 def _random_psd(rng, f, c, scale=1.0):
@@ -95,6 +122,27 @@ class TestPsd:
         phi = masked_psd(spec.bins, mask)
         np.testing.assert_array_equal(phi[2], np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("layout", ["tfc", "ctf"])
+    @pytest.mark.parametrize("frames,n_bins,channels", [(40, 257, 8), (9, 33, 3), (5, 7, 2)])
+    def test_masked_psd_matches_einsum_oracle_across_blocks(self, layout, frames, n_bins,
+                                                            channels):
+        # 257 and 33 bins span several PSD_BLOCK_BINS blocks and end in a partial one.
+        rng = _rng(7)
+        bins = _random_bins(rng, frames, n_bins, channels, layout)
+        mask = rng.uniform(size=(frames, n_bins))
+        _assert_rel_close(masked_psd(bins, mask), _einsum_psd(bins, mask))
+
+    @pytest.mark.parametrize("layout", ["tfc", "ctf"])
+    def test_zero_mask_column_on_block_boundary(self, layout):
+        rng = _rng(8)
+        block = beamform.PSD_BLOCK_BINS
+        bins = _random_bins(rng, 6, block + 1, 3, layout)
+        mask = rng.uniform(size=(6, block + 1))
+        mask[:, [block - 1, block]] = 0.0  # last bin of a full block, first of the next
+        phi = masked_psd(bins, mask)
+        np.testing.assert_array_equal(phi[block - 1:], np.zeros((2, 3, 3)))
+        assert np.all(phi[:block - 1] != 0.0)
+
     def test_estimate_psd_validates_mask_shape(self):
         spec = _random_spec(_rng(0))
         with pytest.raises(ValueError):
@@ -116,18 +164,54 @@ class TestPsd:
 
 
 class TestAdjoints:
-    def test_masked_psd_vjp_matches_finite_differences(self):
+    def test_masked_psd_pair_vjp_matches_finite_differences(self):
         rng = _rng(40)
-        bins = _random_spec(rng, frames=8, window=8, channels=3).bins
+        bins = _random_spec(rng, frames=8, window=16, channels=3).bins
         mask = rng.uniform(0.05, 0.95, size=bins.shape[:2])
-        g_phi = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        # Columns whose speech (1, 5) or noise (3, 7) mask sum is under the
+        # MASK_EPS clamp run each PSD's inactive branch; the all-0 and all-1
+        # columns give a zero PSD, the 5e-12 ones a nonzero one.
+        clamped = {1: 0.0, 3: 1.0, 5: 5e-12, 7: 1.0 - 5e-12}
+        for f, value in clamped.items():
+            mask[:, f] = value
+        g_ss = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
+        g_nn = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
 
-        def loss_fn():  # L = Re <g_phi, phi>
-            return float(np.sum(g_phi.conj() * masked_psd(bins, mask)).real)
+        def loss_fn():  # L = Re <g_ss, phi_ss> + Re <g_nn, phi_nn>
+            phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, mask)
+            return float(np.sum(g_ss.conj() * phi_ss).real + np.sum(g_nn.conj() * phi_nn).real)
 
-        phi, vjp = masked_psd_vjp(bins, mask)
-        np.testing.assert_array_equal(phi, masked_psd(bins, mask))
-        assert max_fd_error(loss_fn, mask, vjp(g_phi)) < 1e-4
+        phi_ss, phi_nn, vjp = masked_psd_pair_vjp(bins, mask)
+        np.testing.assert_array_equal(phi_ss, masked_psd(bins, mask))
+        np.testing.assert_array_equal(phi_nn, masked_psd(bins, 1.0 - mask))
+        g_mask = vjp(g_ss, g_nn)
+        for f in range(mask.shape[1]):
+            # A clamped sum is linear only while it stays under MASK_EPS; the
+            # step is a power of two so that 1 - (m + eps) is exact.
+            eps = 2.0 ** -36 if f in clamped else 1e-5
+            col = slice(f, f + 1)
+            assert max_fd_error(loss_fn, mask[:, col], g_mask[:, col], eps) < 1e-4, f
+
+    @pytest.mark.parametrize("layout", ["tfc", "ctf"])
+    @pytest.mark.parametrize("n_bins", [257, 33])
+    def test_masked_psd_pair_vjp_matches_einsum_oracle(self, layout, n_bins):
+        # Several PSD_BLOCK_BINS blocks, the last one partial.
+        rng = _rng(42)
+        bins = _random_bins(rng, 12, n_bins, 4, layout)
+        mask = rng.uniform(size=(12, n_bins))
+        mask[:, 31], mask[:, 32] = 0.0, 1.0  # an inactive speech and noise sum
+        g_ss = rng.normal(size=(n_bins, 4, 4)) + 1j * rng.normal(size=(n_bins, 4, 4))
+        g_nn = rng.normal(size=(n_bins, 4, 4)) + 1j * rng.normal(size=(n_bins, 4, 4))
+        phi_ss, phi_nn, vjp = masked_psd_pair_vjp(bins, mask)
+        _assert_rel_close(phi_ss, _einsum_psd(bins, mask))
+        _assert_rel_close(phi_nn, _einsum_psd(bins, 1.0 - mask))
+        oracle_ss = _einsum_psd_vjp(bins, mask, g_ss)
+        oracle_nn = _einsum_psd_vjp(bins, 1.0 - mask, g_nn)
+        # One quadratic form on g_ss/d_ss - g_nn/d_nn in place of two: the
+        # tolerance is relative to the terms, which may cancel.
+        scale = max(np.abs(oracle_ss).max(), np.abs(oracle_nn).max())
+        np.testing.assert_allclose(vjp(g_ss, g_nn), oracle_ss - oracle_nn, rtol=1e-12,
+                                   atol=1e-12 * scale)
 
     def test_normalized_psd_ratio_vjp_matches_finite_differences(self):
         rng = _rng(41)

@@ -232,6 +232,27 @@ class TestTrainConfig:
         assert config["learning_rate"] == 0.02 and config["wav_augment"] is True
         assert config["vocab_size"] == 6 and config["epochs"] == 1
 
+    def test_config_numbers_coerced_to_field_types(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"subsample": 2.0, "snr_db": 5, "speed_perturb": False}))
+        code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1")
+        assert code == 0
+        config = report["config"]
+        assert config["subsample"] == 2 and isinstance(config["subsample"], int)
+        assert config["snr_db"] == 5.0 and isinstance(config["snr_db"], float)
+        assert config["speed_perturb"] is False
+
+    @pytest.mark.parametrize("key,value", [
+        ("wav_augment", "false"), ("speed_perturb", 0), ("subsample", 2.7),
+        ("epochs", True), ("n_mels", "6"), ("learning_rate", "0.02"), ("mode", 1),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, key, value):
+        # Before: "false" enabled augmentation and 2.7 was truncated to 2.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, report = self._train(tmp_path, "--config", str(cfg))
+        assert code == 1 and report is None
+
     def test_vocab_size_is_not_a_config_key(self, tmp_path):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"vocab_size": 3}))

@@ -134,6 +134,17 @@ class TestMelFbank:
         # Triangles rise then fall; every filter has positive mass.
         assert np.all(fb.sum(axis=1) > 0.0)
 
+    def test_filterbank_cached_read_only(self):
+        first = mel_filterbank(10, 129, 256, 8000)
+        again = mel_filterbank(10, 129, 256, 8000)
+        np.testing.assert_array_equal(first, again)
+        assert not first.flags.writeable and not again.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            again *= 2.0
+        np.testing.assert_array_equal(mel_filterbank(10, 129, 256, 8000), first)
+
     def test_filter_peaks_increase(self):
         fb = mel_filterbank(8, 257, 512, 16000)
         peaks = fb.argmax(axis=1)

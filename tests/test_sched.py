@@ -251,6 +251,23 @@ class TestSchemes:
         assert calls == {"stft": 3, "ctc": 2 * 3}
         assert np.isfinite(report.toy_error)
 
+    @pytest.mark.parametrize("augment,stfts", [({}, 6 + 2), ({"wav_augment": True}, 3 * 6 + 2)])
+    def test_pretraining_stfts_once_unless_augmented(self, monkeypatch, augment, stfts):
+        # 6 single utterances, 3 pretrain epochs, then one STFT per multi utterance.
+        multi, single, _ = _toy_sets(n_multi=2, n_single=6, seed=8)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return stft(*args, **kwargs)
+
+        stft = sched.stft
+        monkeypatch.setattr(sched, "stft", counted)
+        report = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=3, **augment),
+                              multi, single)
+        assert len(calls) == stfts
+        assert len(report.pretrain_losses) == 3 and all(np.isfinite(report.pretrain_losses))
+
 
 # Reports of the parent implementation of the harness (seed 0, 4/6 toy split
 # of corpus seed 21, 2 epochs, batch 2): epoch_losses, single_losses,
