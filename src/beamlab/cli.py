@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import backend, beamform, corpus_io, pipeline, roomsim, sched
-from .dsp import Spectrogram, Waveform, istft, stft
+from .dsp import Spectrogram, istft, stft
 
 GRADCHECK_TOL = 1e-4
 
@@ -35,8 +35,24 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def _coerce_field(name: str, default, value):
+    """A config-file value as its default's JSON type.
+
+    true/false for a bool, an integral number for an int (2.0 -> 2), any
+    number for a float; a None default (a path) takes a string or null.
+    """
+    if default is None and value is None:
+        return None
+    kind = str if default is None else type(default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {int: number and value % 1 == 0, float: number}.get(kind, isinstance(value, kind))
+    if not ok:
+        raise UsageError(f"config key '{name}' must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _resolve_config(args, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags; BEAMLAB_SEED wins for seed."""
+    """defaults <- config file (typed by _coerce_field) <- flags; BEAMLAB_SEED wins for seed."""
     cfg = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
@@ -50,7 +66,7 @@ def _resolve_config(args, defaults: dict) -> dict:
         for key, value in file_cfg.items():
             if key not in defaults:
                 raise UsageError(f"unknown config key '{key}'")
-            cfg[key] = value
+            cfg[key] = _coerce_field(key, defaults[key], value)
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -60,6 +76,9 @@ def _resolve_config(args, defaults: dict) -> dict:
             cfg["seed"] = int(os.environ["BEAMLAB_SEED"])
         except ValueError:
             raise UsageError("BEAMLAB_SEED must be an integer") from None
+    # Only train has a workers key; the other subcommands take just the flag.
+    if cfg.get("workers", getattr(args, "workers", None)) not in (None, 1):
+        raise UsageError("only --workers 1 (deterministic mode) is supported")
     return cfg
 
 
@@ -98,7 +117,7 @@ def cmd_enhance(args) -> int:
             "(copy the file through unchanged instead)"
         )
     spec = stft(noisy, cfg["window_size"], cfg["hop"])
-    ref = int(cfg["ref_channel"])
+    ref = cfg["ref_channel"]
 
     clean_spec = None
     if cfg["clean"] is not None:
@@ -191,19 +210,9 @@ def cmd_simulate(args) -> int:
                 room, array, extras["max_order"], wave.sample_rate
             )
         rendered = roomsim.simulate_multichannel(wave, rir_cache[wave.sample_rate])
-        out_path = out_dir / f"{utt.utt_id}.wav"
-        corpus_io.write_wav(out_path, rendered, bit_depth=32)
-        records.append(
-            corpus_io.Utterance(
-                utt_id=utt.utt_id,
-                audio_path=str(out_path.name),
-                channels=rendered.channels,
-                sample_rate=rendered.sample_rate,
-                duration=rendered.n_samples / rendered.sample_rate,
-                transcript=utt.transcript,
-                origin="simulated",
-            )
-        )
+        records.append(corpus_io.write_utterance(
+            out_dir, f"{utt.utt_id}.wav", utt.utt_id, rendered, utt.transcript, "simulated"
+        ))
     manifest_out = cfg["manifest_out"] or str(out_dir / "manifest.jsonl")
     corpus_io.save_manifest(corpus_io.Manifest(utterances=records), manifest_out)
     print(f"simulated {len(records)} utterances ({array.channels} channels) -> {manifest_out}")
@@ -215,9 +224,12 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Every ScheduleConfig default, plus the entries only the CLI has. room and
-# array are JSON objects here; vocab_size is the size of the --vocab file.
+# array are JSON objects here ({} for none); vocab_size is the size of the
+# --vocab file.
 TRAIN_DEFAULTS = {
     **{f.name: f.default for f in fields(sched.ScheduleConfig) if f.name != "vocab_size"},
+    "room": {},
+    "array": {},
     "mode": "JO_ONLY",
     "epochs": 10,
     "multi_batch_size": 10,
@@ -249,30 +261,19 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
     return utts
 
 
-def _coerce_field(name: str, kind: type, value):
-    """value as a ScheduleConfig field: bools only for bool, integral numbers for int."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = {int: number and value % 1 == 0, float: number}.get(kind, isinstance(value, kind))
-    if not ok:
-        raise UsageError(f"config key '{name}' must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def cmd_train(args) -> int:
     cfg = _resolve_config(args, TRAIN_DEFAULTS)
-    if cfg["workers"] != 1:
-        raise UsageError("only --workers 1 (deterministic mode) is supported")
     multi_path = _require(cfg, "multi_manifest", "--multi-manifest")
     vocab_path = _require(cfg, "vocab", "--vocab")
     tokens = backend.load_vocab(vocab_path)
 
     room = roomsim.room_from_dict(cfg["room"]) if cfg["room"] else None
     array = roomsim.array_from_dict(cfg["array"]) if cfg["array"] else None
-    if cfg["mode"] == "SIMU" and room is None:
-        room, array = sched.toy_room(), sched.toy_array()
+    if cfg["mode"] == "SIMU":
+        room, array = sched.toy_scene(room, array)
 
     schedule = sched.ScheduleConfig(
-        **{f.name: _coerce_field(f.name, f.type, cfg[f.name]) for f in fields(sched.ScheduleConfig)
+        **{f.name: cfg[f.name] for f in fields(sched.ScheduleConfig)
            if f.name not in ("room", "array", "vocab_size")},
         room=room, array=array, vocab_size=len(tokens),
     )
@@ -351,16 +352,14 @@ def make_gradcheck_instance(preset: str, seed: int):
 
 def cmd_gradcheck(args) -> int:
     cfg = _resolve_config(args, GRADCHECK_DEFAULTS)
-    state, utt, labels, subsample_factor = make_gradcheck_instance(
-        cfg["preset"], int(cfg["seed"])
-    )
+    state, utt, labels, subsample_factor = make_gradcheck_instance(cfg["preset"], cfg["seed"])
     breakdown = {}
     err = pipeline.finite_diff_check(
         state, utt, labels,
-        epsilon=float(cfg["epsilon"]),
+        epsilon=cfg["epsilon"],
         subsample_factor=subsample_factor,
         breakdown=breakdown,
-        corrupt_adjoint=bool(cfg["corrupt_adjoint"]),
+        corrupt_adjoint=cfg["corrupt_adjoint"],
     )
     for name in sorted(breakdown):
         print(f"  {name:<10} {breakdown[name]:.3e}")
@@ -429,32 +428,21 @@ MAKE_CORPUS_DEFAULTS = {
 def cmd_make_corpus(args) -> int:
     cfg = _resolve_config(args, MAKE_CORPUS_DEFAULTS)
     out_dir = Path(_require(cfg, "out_dir", "--out-dir"))
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg["seed"])))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     multi_set, single_set, tokens = sched.generate_toy_corpus(
-        int(cfg["n_multi"]), int(cfg["n_single"]), int(cfg["vocab_size"]), rng,
-        snr_db=float(cfg["snr_db"]), max_order=int(cfg["max_order"]),
-        sample_rate=int(cfg["sample_rate"]),
+        cfg["n_multi"], cfg["n_single"], cfg["vocab_size"], rng, snr_db=cfg["snr_db"],
+        max_order=cfg["max_order"], sample_rate=cfg["sample_rate"],
     )
-    wav_dir = out_dir / "wav"
-    wav_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
     with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(tokens) + "\n")
 
     for name, utt_set in (("multi", multi_set), ("single", single_set)):
-        records = []
-        for utt in utt_set:
-            corpus_io.write_wav(wav_dir / f"{utt.utt_id}.wav", utt.wave, bit_depth=32)
-            records.append(
-                corpus_io.Utterance(
-                    utt_id=utt.utt_id,
-                    audio_path=f"wav/{utt.utt_id}.wav",
-                    channels=utt.wave.channels,
-                    sample_rate=utt.wave.sample_rate,
-                    duration=utt.wave.n_samples / utt.wave.sample_rate,
-                    transcript=[int(t) for t in utt.labels.ids],
-                    origin=utt.origin,
-                )
-            )
+        records = [
+            corpus_io.write_utterance(out_dir, f"wav/{utt.utt_id}.wav", utt.utt_id, utt.wave,
+                                      utt.labels.ids, utt.origin)
+            for utt in utt_set
+        ]
         corpus_io.save_manifest(
             corpus_io.Manifest(utterances=records), out_dir / f"{name}.jsonl"
         )
@@ -553,8 +541,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", None) not in (None, 1):
-            raise UsageError("only --workers 1 (deterministic mode) is supported")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

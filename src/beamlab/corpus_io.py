@@ -181,6 +181,16 @@ class Manifest:
         return iter(self.utterances)
 
 
+def write_utterance(root, audio_path: str, utt_id: str, wave: Waveform, transcript,
+                    origin: str) -> Utterance:
+    """Write wave as float32 to root/audio_path; return its record (audio_path as given)."""
+    record = Utterance(utt_id=utt_id, audio_path=audio_path, channels=wave.channels,
+                       sample_rate=wave.sample_rate, duration=wave.n_samples / wave.sample_rate,
+                       transcript=transcript, origin=origin)
+    write_wav(Path(root) / audio_path, wave, bit_depth=32)
+    return record
+
+
 def save_manifest(manifest: Manifest, path) -> None:
     """Write JSON-lines: a version header line, then one record per line."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ Shape conventions used throughout the package:
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

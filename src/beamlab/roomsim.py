@@ -8,7 +8,7 @@ sqrt(1 - absorption).
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve

@@ -124,13 +124,6 @@ class BatchPlan:
     """Ordered batches for one epoch; every utterance appears exactly once."""
 
     batches: list
-    n_ratio: float
-
-    def count(self, kind: str) -> int:
-        return sum(1 for b in self.batches if b.kind == kind)
-
-    def utts(self, kind: str) -> int:
-        return sum(len(b.utt_ids) for b in self.batches if b.kind == kind)
 
 
 @dataclass
@@ -210,7 +203,7 @@ def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Genera
     order = rng.permutation(len(tags))
     queues = {MULTI: iter(multi_batches), SINGLE: iter(single_batches)}
     batches = [next(queues[tags[i]]) for i in order]
-    return BatchPlan(batches=batches, n_ratio=n_ratio)
+    return BatchPlan(batches=batches)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +494,12 @@ def toy_array() -> MicArray:
     return array_preset("desk-4ch", center=[3.2, 2.6, 1.1])
 
 
+def toy_scene(room: RoomSpec | None, array: MicArray | None) -> tuple[RoomSpec, MicArray]:
+    """room and array, each one that is None replaced by its toy default."""
+    return (room if room is not None else toy_room(),
+            array if array is not None else toy_array())
+
+
 def _tone_burst(freq: float, sample_rate: int) -> np.ndarray:
     n = int(TOY_BURST_SECONDS * sample_rate)
     t = np.arange(n) / sample_rate
@@ -544,8 +543,7 @@ def generate_toy_corpus(
         raise ValueError("vocab_size must be >= 2")
     if n_multi < 0 or n_single < 0:
         raise ValueError("utterance counts must be >= 0")
-    room = room if room is not None else toy_room()
-    array = array if array is not None else toy_array()
+    room, array = toy_scene(room, array)
     tokens = [chr(ord("a") + i) if vocab_size <= 26 else f"t{i}" for i in range(vocab_size)]
 
     def draw(utt_id: str, origin: str, rir) -> Utt:
@@ -600,8 +598,8 @@ def compare_schemes(cfg: ScheduleConfig, multi_set, single_set, seeds) -> dict:
         errors = []
         for seed in seeds:
             changes = {"mode": mode, "seed": int(seed)}
-            if mode == "SIMU" and cfg.room is None:
-                changes["room"], changes["array"] = toy_room(), toy_array()
+            if mode == "SIMU":
+                changes["room"], changes["array"] = toy_scene(cfg.room, cfg.array)
             run_cfg = replace(cfg, **changes)
             report = run_training(run_cfg, multi_set, single_set)
             errors.append(report.toy_error)

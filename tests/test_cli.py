@@ -9,7 +9,7 @@ import pytest
 from beamlab import corpus_io, roomsim
 from beamlab.cli import main
 from beamlab.dsp import Waveform
-from beamlab.sched import ScheduleConfig
+from beamlab.sched import ScheduleConfig, toy_room
 
 
 def _rng(seed=0):
@@ -78,6 +78,7 @@ class TestExitCodes:
 
     def test_workers_must_be_one(self):
         assert main(["gradcheck", "--workers", "2"]) == 1
+        assert main(["gradcheck", "--workers", "0"]) == 1
         assert main(["gradcheck", "--workers", "1"]) == 0
 
 
@@ -253,6 +254,18 @@ class TestTrainConfig:
         code, report = self._train(tmp_path, "--config", str(cfg))
         assert code == 1 and report is None
 
+    def test_simu_keeps_the_given_array(self, tmp_path):
+        # Before: a room-less SIMU run replaced the array with desk-4ch.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"mode": "SIMU", "epochs": 1, "array": {
+            "preset": "chime4-6ch", "center": [3.0, 2.5, 1.1]}}))
+        code, report = self._train(tmp_path, "--config", str(cfg),
+                                   "--single-manifest", str(tmp_path / "corpus" / "single.jsonl"))
+        assert code == 0
+        assert report["config"]["array"]["preset"] == "chime4-6ch"
+        assert len(report["config"]["array"]["positions"]) == 6
+        assert report["config"]["room"]["dims"] == toy_room().dims.tolist()
+
     def test_vocab_size_is_not_a_config_key(self, tmp_path):
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({"vocab_size": 3}))
@@ -275,6 +288,88 @@ class TestTrainConfig:
         for flags in (["--subsample", "-2"], ["--subsample", "0"], ["--epochs", "0"]):
             code, report = self._train(tmp_path, *flags)
             assert code == 2 and report is None, flags
+
+
+def _command(command, tmp_path):
+    """Flags that run one subcommand to success, and the file it would write."""
+    if command == "gradcheck":
+        return ["gradcheck"], None
+    if command == "score":
+        utts = [corpus_io.Utterance(utt_id="u0", audio_path="u0.wav", channels=1,
+                                    sample_rate=8000, duration=1.0, transcript=[1, 2],
+                                    origin="real")]
+        manifest = tmp_path / "m.jsonl"
+        corpus_io.save_manifest(corpus_io.Manifest(utterances=utts), manifest)
+        return ["score", "--hyp", str(manifest), "--ref", str(manifest)], None
+    if command == "enhance":
+        noisy, clean = _make_scene(tmp_path)
+        out = tmp_path / "enh.wav"
+        return ["enhance", "--input", str(noisy), "--out", str(out), "--masks", "oracle",
+                "--clean", str(clean)], out
+    if command == "make-corpus":
+        out = tmp_path / "made"
+        return ["make-corpus", "--out-dir", str(out), "--n-single", "1"], out
+    corpus = tmp_path / "corpus"
+    main(["make-corpus", "--out-dir", str(corpus), "--n-multi", "2", "--n-single", "2",
+          "--seed", "4"])
+    report = tmp_path / "report.json"
+    return ["train", "--multi-manifest", str(corpus / "multi.jsonl"), "--vocab",
+            str(corpus / "vocab.txt"), "--report", str(report), "--epochs", "1"], report
+
+
+class TestConfigTypes:
+    """Every subcommand types a --config value by its key's default."""
+
+    @staticmethod
+    def _run(tmp_path, capsys, command, cfg_values):
+        argv, out = _command(command, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(cfg_values))
+        capsys.readouterr()
+        code = main([*argv, "--config", str(cfg)])
+        return code, capsys.readouterr(), out
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("gradcheck", "corrupt_adjoint", "false"),
+        ("score", "per_utt", "false"),
+        ("enhance", "one_hot_ref", "false"),
+        ("enhance", "ref_channel", 1.9),
+        ("enhance", "window_size", "256"),
+        ("enhance", "clean", 3),
+        ("make-corpus", "n_multi", 2.7),
+        ("make-corpus", "snr_db", None),
+        ("train", "room", "x"),
+        ("train", "array", [1, 2]),
+        ("train", "workers", 2),
+    ])
+    def test_wrong_type_is_usage_error(self, tmp_path, capsys, command, key, value):
+        # Before: "false" turned a flag on, 1.9 used channel 1, 2.7 wrote 2
+        # utterances, and "x" or [1, 2] escaped main as a TypeError.
+        code, captured, out = self._run(tmp_path, capsys, command, {key: value})
+        assert code == 1
+        assert captured.err.startswith("usage error") and key in captured.err
+        assert captured.out == ""
+        assert out is None or not out.exists()
+
+    def test_integral_float_window_size_equals_flag(self, tmp_path, capsys):
+        code, from_file, out = self._run(tmp_path, capsys, "enhance", {"window_size": 256.0})
+        assert code == 0
+        wav_from_file = out.read_bytes()
+        argv, _ = _command("enhance", tmp_path)
+        assert main([*argv, "--window-size", "256"]) == 0
+        assert out.read_bytes() == wav_from_file
+        assert capsys.readouterr().out == from_file.out
+
+    def test_integral_float_count_accepted(self, tmp_path, capsys):
+        code, _, out = self._run(tmp_path, capsys, "make-corpus", {"n_multi": 2.0})
+        assert code == 0
+        assert len(corpus_io.load_manifest(out / "multi.jsonl", verify_audio=True)) == 2
+
+    def test_float_epsilon_accepted(self, tmp_path, capsys):
+        code, from_file, _ = self._run(tmp_path, capsys, "gradcheck", {"epsilon": 1e-5})
+        assert code == 0
+        assert main(["gradcheck"]) == 0
+        assert capsys.readouterr().out == from_file.out
 
 
 class TestSimulate:

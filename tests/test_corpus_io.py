@@ -13,6 +13,7 @@ from beamlab.corpus_io import (
     read_wav,
     resolve_audio_path,
     save_manifest,
+    write_utterance,
     write_wav,
 )
 from beamlab.dsp import Waveform
@@ -201,3 +202,23 @@ class TestManifest:
         save_manifest(missing, tmp_path / "miss.jsonl")
         with pytest.raises(ValueError):
             load_manifest(tmp_path / "miss.jsonl", verify_audio=True)
+
+    def test_write_utterance_round_trip(self, tmp_path):
+        (tmp_path / "wav").mkdir()
+        wave = Waveform(samples=0.5 * np.sin(np.arange(3 * 800) / 7.0).reshape(3, 800),
+                        sample_rate=8000)
+        record = write_utterance(tmp_path, "wav/u1.wav", "u1", wave, np.array([2, 1]),
+                                 "simulated")
+        save_manifest(Manifest(utterances=[record]), tmp_path / "m.jsonl")
+        (back,) = load_manifest(tmp_path / "m.jsonl", verify_audio=True)
+        assert back == record
+        assert (back.audio_path, back.channels, back.sample_rate) == ("wav/u1.wav", 3, 8000)
+        assert back.duration == 0.1 and back.transcript == [2, 1]
+        np.testing.assert_array_equal(read_wav(tmp_path / "wav/u1.wav").samples,
+                                      wave.samples.astype(np.float32))
+
+    def test_write_utterance_rejects_bad_record_before_writing(self, tmp_path):
+        wave = Waveform(samples=np.zeros((1, 80)), sample_rate=8000)
+        with pytest.raises(ValueError, match="origin"):
+            write_utterance(tmp_path, "u1.wav", "u1", wave, [1], "synthetic")
+        assert not (tmp_path / "u1.wav").exists()

@@ -1,5 +1,6 @@
 """sched tests: cost model, epoch planning, schemes, equivalences, toy corpus."""
 
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from beamlab import pipeline, sched
 from beamlab.dsp import Waveform
+from beamlab.roomsim import RoomSpec, array_preset
 from beamlab.sched import (
     MODES,
     MULTI,
@@ -397,3 +399,22 @@ class TestCompareSchemes:
             assert np.isfinite(scheme["mean_error"])
         assert sorted(result["ordering_by_mean_error"]) == sorted(MODES)
         assert "seed-sensitive" in result["note"]
+
+    def test_simu_fills_in_only_the_missing_scene_field(self, monkeypatch):
+        seen = {}
+
+        def fake_run(cfg, multi_set, single_set):
+            seen[cfg.mode] = cfg
+            return types.SimpleNamespace(toy_error=0.0)
+
+        monkeypatch.setattr(sched, "run_training", fake_run)
+        room = RoomSpec(dims=[6.0, 5.0, 3.0], source_pos=[1.0, 1.0, 1.0])
+        array = array_preset("chime4-6ch", center=[3.0, 2.5, 1.1])
+        # Before: a given array was dropped when the room was absent, and a
+        # given room without an array made SIMU fail.
+        for given, (want_room, want_array) in (({"room": room}, (room, toy_array())),
+                                               ({"array": array}, (toy_room(), array))):
+            compare_schemes(_cfg(mode="JO_ONLY", **given), [], [], seeds=[0])
+            simu = seen["SIMU"]
+            assert simu.room.dims.tolist() == want_room.dims.tolist()
+            assert simu.array.positions.tolist() == want_array.positions.tolist()
