@@ -164,19 +164,22 @@ def mlp2_init(rng: np.random.Generator, in_dim: int, hidden_dim: int, out_dim: i
 
 
 def mlp2_forward(params, x: np.ndarray):
-    """affine -> tanh -> affine on rows of x; returns (outputs, hidden)."""
-    hidden = np.tanh(x @ params.w1 + params.b1)
-    return hidden @ params.w2 + params.b2, hidden
+    """affine -> tanh -> affine on rows of x [rows, in]: (outputs [rows, out], hidden [H, rows]).
+    Hidden-major, so the bias add, tanh derivative and bias sums run along contiguous rows."""
+    hidden = params.w1.T @ x.T
+    hidden += params.b1[:, None]
+    np.tanh(hidden, out=hidden)
+    return hidden.T @ params.w2 + params.b2, hidden
 
 
-def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray):
-    """Reverse pass of mlp2_forward: (grads keyed by PARAM_NAMES, g_x)."""
-    g_w2 = hidden.T @ g_out
-    g_b2 = g_out.sum(axis=0)
-    g_pre = (g_out @ params.w2.T) * (1.0 - hidden ** 2)
-    g_w1 = x.T @ g_pre
-    g_b1 = g_pre.sum(axis=0)
-    return dict(zip(PARAM_NAMES, (g_w1, g_b1, g_w2, g_b2))), g_pre @ params.w1.T
+def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray,
+                  input_grad: bool = True):
+    """Reverse pass of mlp2_forward: (grads keyed by PARAM_NAMES, g_x; None if not input_grad)."""
+    g_pre = hidden * hidden  # [H, rows]; in place: tanh' = 1 - hidden^2, times g_hidden
+    np.subtract(1.0, g_pre, out=g_pre)
+    g_pre *= np.dot(params.w2, g_out.T)
+    grads = (x.T @ g_pre.T, g_pre.sum(axis=1), hidden @ g_out, g_out.sum(axis=0))
+    return dict(zip(PARAM_NAMES, grads)), g_pre.T @ params.w1.T if input_grad else None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,8 @@ def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    return logits - logsumexp(logits, axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def am_forward_cached(features: np.ndarray, params: AmParams):
@@ -243,8 +247,10 @@ def min_frames(ids: np.ndarray) -> int:
 def ctc_loss(lattice, labels) -> tuple[float, np.ndarray]:
     """Exact CTC negative log-likelihood and its lattice gradient.
 
-    The gradient treats every lattice entry as a free variable (no softmax
-    coupling), so it is the plain adjoint of the forward-backward sum.
+    alpha and beta run in buffers padded with two -inf states, so each frame
+    is 3 calls on slices: logaddexp(stay, step), logaddexp with the skip where
+    allowed, add the emissions. The gradient treats every lattice entry as a
+    free variable (no softmax coupling): the plain adjoint of the sum.
     """
     log_probs = lattice.values if isinstance(lattice, LogProbLattice) else np.asarray(
         lattice, dtype=np.float64)
@@ -259,55 +265,38 @@ def ctc_loss(lattice, labels) -> tuple[float, np.ndarray]:
     ext = _extend_labels(ids)
     n_states = ext.size
     lp = log_probs[:, ext]  # [T, S] emission scores per extended state
-    # States allowed to skip from s-2: non-blank and different from l'_{s-2}.
-    can_skip = np.zeros(n_states, dtype=bool)
-    if n_states > 2:
-        can_skip[2:] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
+    # States allowed to skip from s-2: non-blank and different from l'_{s-2};
+    # can_skip[s + 2] also says whether beta's state s may skip from s+2.
+    can_skip = np.zeros(n_states + 2, dtype=bool)
+    can_skip[2:n_states] = (ext[2:] != BLANK_ID) & (ext[2:] != ext[:-2])
 
-    alpha = np.full((n_frames, n_states), NEG_INF)
-    alpha[0, 0] = lp[0, 0]
-    if n_states > 1:
-        alpha[0, 1] = lp[0, 1]
+    alpha = np.full((n_frames, n_states + 2), NEG_INF)  # state s at column s + 2
+    alpha[0, 2:4] = lp[0, :2]
     for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate(([NEG_INF], prev[:-1]))
-        acc = np.logaddexp(stay, step)
-        if n_states > 2:
-            skip = np.concatenate(([NEG_INF, NEG_INF], prev[:-2]))
-            acc = np.where(can_skip, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + lp[t]
+        prev, row = alpha[t - 1], alpha[t, 2:]
+        np.logaddexp(prev[2:], prev[1:-1], out=row)
+        np.logaddexp(row, prev[:-2], out=row, where=can_skip[:n_states])
+        row += lp[t]
+    loss = -float(np.logaddexp(alpha[-1, -2], alpha[-1, -1]))  # last blank or label
 
-    tail = alpha[n_frames - 1, n_states - 1]
-    if n_states > 1:
-        tail = np.logaddexp(tail, alpha[n_frames - 1, n_states - 2])
-    loss = -float(tail)
-
-    beta = np.full((n_frames, n_states), NEG_INF)
-    beta[n_frames - 1, n_states - 1] = lp[n_frames - 1, n_states - 1]
-    if n_states > 1:
-        beta[n_frames - 1, n_states - 2] = lp[n_frames - 1, n_states - 2]
+    beta = np.full((n_frames, n_states + 2), NEG_INF)  # state s at column s
+    beta[-1, max(n_states - 2, 0):n_states] = lp[-1, max(n_states - 2, 0):]
     for t in range(n_frames - 2, -1, -1):
-        nxt = beta[t + 1]
-        stay = nxt
-        step = np.concatenate((nxt[1:], [NEG_INF]))
-        acc = np.logaddexp(stay, step)
-        if n_states > 2:
-            skip = np.concatenate((nxt[2:], [NEG_INF, NEG_INF]))
-            allowed = np.zeros(n_states, dtype=bool)
-            allowed[: n_states - 2] = can_skip[2:]
-            acc = np.where(allowed, np.logaddexp(acc, skip), acc)
-        beta[t] = acc + lp[t]
+        nxt, row = beta[t + 1], beta[t, :n_states]
+        np.logaddexp(nxt[:-2], nxt[1:-1], out=row)
+        np.logaddexp(row, nxt[2:], out=row, where=can_skip[2:])
+        row += lp[t]
 
-    # alpha*beta counts the emission at (t, s) twice; collapse states by
-    # symbol, then dL/d log_probs[t,k] = -exp(lse - lp - log p).
-    gamma = alpha + beta  # [T, S]
+    # alpha*beta counts the emission at (t, s) twice. Collapse states to
+    # symbols with one logaddexp.reduceat over the states sorted by symbol
+    # (stable, so each symbol sums its states in state order); then
+    # dL/d log_probs[t,k] = -exp(lse - lp - log p).
+    gamma = alpha[:, 2:] + beta[:, :n_states]  # [T, S]
+    order = np.argsort(ext, kind="stable")
+    starts = np.flatnonzero(np.diff(ext[order], prepend=-1))
     grad_log = np.full((n_frames, n_symbols), NEG_INF)
-    for s in range(n_states):
-        k = ext[s]
-        grad_log[:, k] = np.logaddexp(grad_log[:, k], gamma[:, s])
-    grad = -np.exp(grad_log - log_probs + loss)
-    return loss, grad
+    grad_log[:, ext[order[starts]]] = np.logaddexp.reduceat(gamma[:, order], starts, axis=1)
+    return loss, -np.exp(grad_log - log_probs + loss)
 
 
 # ---------------------------------------------------------------------------

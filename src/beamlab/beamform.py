@@ -223,8 +223,17 @@ def apply_beamformer(weights: BeamWeights, spec: Spectrogram) -> Spectrogram:
         raise ValueError("beam weight channel count does not match spectrogram")
     if weights.h.shape[0] != spec.freq_bins:
         raise ValueError("beam weight bin count does not match spectrogram")
-    enhanced = np.einsum("fc,tfc->tf", weights.h.conj(), spec.bins)
+    enhanced, _ = apply_beamformer_vjp(weights.h, spec.bins)
     return replace(spec, bins=enhanced[:, :, None])
+
+
+def apply_beamformer_vjp(h: np.ndarray, bins: np.ndarray):
+    """Raw-array core of apply_beamformer plus its adjoint: (x_hat [T,F], vjp(g_xhat) -> g_h).
+    x_hat = h^H x is conjugate-linear in h, so g_h[f,c] = sum_t conj(g_xhat) x."""
+    def vjp(g_xhat: np.ndarray) -> np.ndarray:
+        return np.einsum("tf,tfc->fc", g_xhat.conj(), bins)
+
+    return np.einsum("fc,tfc->tf", h.conj(), bins), vjp
 
 
 def select_reference(phi_ss: np.ndarray) -> int:

@@ -16,13 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import backend, beamform, corpus_io, pipeline, roomsim, sched
+from .corpus_io import UsageError
 from .dsp import Spectrogram, istft, stft
 
 GRADCHECK_TOL = 1e-4
-
-
-class UsageError(Exception):
-    """Bad flags, bad config keys, or an unusable option combination."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,38 +32,11 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-def _coerce_field(name: str, default, value):
-    """A config-file value as its default's JSON type.
-
-    true/false for a bool, an integral number for an int (2.0 -> 2), any
-    number for a float; a None default (a path) takes a string or null.
-    """
-    if default is None and value is None:
-        return None
-    kind = str if default is None else type(default)
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = {int: number and value % 1 == 0, float: number}.get(kind, isinstance(value, kind))
-    if not ok:
-        raise UsageError(f"config key '{name}' must be {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def _resolve_config(args, defaults: dict) -> dict:
-    """defaults <- config file (typed by _coerce_field) <- flags; BEAMLAB_SEED wins for seed."""
+    """defaults <- config file (corpus_io.read_config) <- flags; BEAMLAB_SEED wins for seed."""
     cfg = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config file {config_path}: {exc.msg}") from None
-        if not isinstance(file_cfg, dict):
-            raise UsageError("config file must contain a JSON object")
-        for key, value in file_cfg.items():
-            if key not in defaults:
-                raise UsageError(f"unknown config key '{key}'")
-            cfg[key] = _coerce_field(key, defaults[key], value)
+    if getattr(args, "config", None):
+        cfg.update(corpus_io.read_config(args.config, defaults))
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -198,6 +168,10 @@ def cmd_simulate(args) -> int:
     room, array, extras = roomsim.load_room_config(room_path)
     manifest = corpus_io.load_manifest(manifest_path)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_out = cfg["manifest_out"] or str(out_dir / "manifest.jsonl")
+    # Records hold audio paths relative to the manifest, wherever it goes.
+    manifest_dir = Path(manifest_out).parent
+    audio_dir = os.path.relpath(out_dir.resolve(), manifest_dir.resolve())
 
     rir_cache = {}
     records = []
@@ -211,9 +185,9 @@ def cmd_simulate(args) -> int:
             )
         rendered = roomsim.simulate_multichannel(wave, rir_cache[wave.sample_rate])
         records.append(corpus_io.write_utterance(
-            out_dir, f"{utt.utt_id}.wav", utt.utt_id, rendered, utt.transcript, "simulated"
+            manifest_dir, str(Path(audio_dir, f"{utt.utt_id}.wav")), utt.utt_id,
+            rendered, utt.transcript, "simulated"
         ))
-    manifest_out = cfg["manifest_out"] or str(out_dir / "manifest.jsonl")
     corpus_io.save_manifest(corpus_io.Manifest(utterances=records), manifest_out)
     print(f"simulated {len(records)} utterances ({array.channels} channels) -> {manifest_out}")
     return 0

@@ -1,4 +1,4 @@
-"""WAV and manifest I/O.
+"""WAV, manifest and JSON config-file I/O.
 
 WAV support is deliberately narrow: RIFF/WAVE containing PCM 16-bit or
 IEEE-float 32-bit, the two codecs the rest of the package emits. Manifests
@@ -19,6 +19,10 @@ ORIGINS = ("real", "simulated", "single")
 
 _PCM16 = 1
 _IEEE_FLOAT = 3
+
+
+class UsageError(Exception):
+    """Bad flags, bad config keys, or an unusable option combination."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +254,39 @@ def load_manifest(path, verify_audio: bool = False) -> Manifest:
                     f"{utt.channels}, file has {wave.channels}"
                 )
     return manifest
+
+
+# ---------------------------------------------------------------------------
+# JSON config files
+# ---------------------------------------------------------------------------
+
+
+def _coerce_field(name: str, default, value):
+    """A config-file value as its default's JSON type.
+
+    true/false for a bool, an integral number for an int (2.0 -> 2), any
+    number for a float; a None default (a path) takes a string or null.
+    """
+    if default is None and value is None:
+        return None
+    kind = str if default is None else type(default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {int: number and value % 1 == 0, float: number}.get(kind, isinstance(value, kind))
+    if not ok:
+        raise UsageError(f"config key '{name}' must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def read_config(path, defaults: dict) -> dict:
+    """The keys a JSON config file sets, each typed by _coerce_field against its default."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed config file {path}: {exc.msg}") from None
+    if not isinstance(file_cfg, dict):
+        raise UsageError("config file must contain a JSON object")
+    for key in file_cfg:
+        if key not in defaults:
+            raise UsageError(f"unknown config key '{key}'")
+    return {key: _coerce_field(key, defaults[key], value) for key, value in file_cfg.items()}

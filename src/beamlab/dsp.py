@@ -151,12 +151,9 @@ def stft(wave: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_H
     if wave.n_samples < window_size:
         raise ValueError("input too short: need at least one full window")
 
-    n_frames = (wave.n_samples - window_size) // hop + 1
-    window = periodic_hann(window_size)
-    starts = np.arange(n_frames) * hop
-    # [C, T, window]
-    frames = wave.samples[:, starts[:, None] + np.arange(window_size)]
-    spec = np.fft.rfft(frames * window, axis=2)  # [C, T, F]
+    # [C, T, window] strided view of the frames; the product copies them once.
+    frames = np.lib.stride_tricks.sliding_window_view(wave.samples, window_size, axis=1)[:, ::hop]
+    spec = np.fft.rfft(frames * periodic_hann(window_size), axis=2)  # [C, T, F]
     return Spectrogram(
         bins=spec.transpose(1, 2, 0),
         sample_rate=wave.sample_rate,

@@ -12,8 +12,8 @@ are d(A^-1) = -A^-1 dA A^-1 and the conjugate pairing of a real loss.
 
 Each differentiable operation's adjoint lives beside its forward
 (`beamform.masked_psd_pair_vjp`, `beamform.normalized_psd_ratio_vjp`,
-`dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`);
-this module wires them into the joint graph.
+`beamform.apply_beamformer_vjp`, `dsp.fbank_chain_vjp`, `backend.mlp2_backward`,
+`backend.am_backward`); this module wires them into the joint graph.
 
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
@@ -32,7 +32,8 @@ from scipy.special import expit
 from . import backend as _backend
 from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
     am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
-from .beamform import masked_psd_pair_vjp, normalized_psd_ratio_vjp, select_reference
+from .beamform import apply_beamformer_vjp, masked_psd_pair_vjp, normalized_psd_ratio_vjp, \
+    select_reference
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
 DEFAULT_SUBSAMPLE = 3
@@ -51,8 +52,9 @@ REL_ERROR_FLOOR = 1e-5
 class MaskNetParams:
     """2-layer net from per-(t,f) log-magnitude context to a mask logit.
 
-    Input is the (f-1, f, f+1) log-magnitude triple of the first channel
-    (edges replicated); output is one sigmoid speech-mask logit.
+    Its first layer is a 3-tap filter over frequency: w1 [3, H] weighs the
+    (f-1, f, f+1) log magnitudes of the first channel (edges replicated);
+    output is one sigmoid speech-mask logit.
     """
 
     w1: np.ndarray
@@ -178,12 +180,16 @@ def _n_mels_for(am_params: AmParams) -> int:
 
 
 def mask_net_forward(mask_params: MaskNetParams, bins: np.ndarray):
-    """Speech mask in (0,1) from channel-0 log magnitudes, [T, F]."""
+    """Speech mask in (0,1) from channel-0 log magnitudes, [T, F].
+    The context is the edge-padded log magnitude at f-1, f, f+1: three [T, F]
+    planes, so the first layer is a 3-tap filter over frequency."""
     n_frames, n_bins = bins.shape[:2]
-    power = np.abs(bins[:, :, 0]) ** 2
-    logmag = 0.5 * np.log(power + LOG_FLOOR)  # smooth-floored log magnitude
-    idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
-    ctx = logmag[:, idx].reshape(n_frames * n_bins, 3)
+    x = bins[:, :, 0]
+    planes = np.empty((3, n_frames, n_bins))
+    planes[1] = 0.5 * np.log(x.real ** 2 + x.imag ** 2 + LOG_FLOOR)  # smooth-floored
+    planes[0, :, 1:], planes[0, :, 0] = planes[1, :, :-1], planes[1, :, 0]
+    planes[2, :, :-1], planes[2, :, -1] = planes[1, :, 1:], planes[1, :, -1]
+    ctx = planes.reshape(3, -1).T
     logits, hidden = mlp2_forward(mask_params, ctx)
     mask = expit(logits).reshape(n_frames, n_bins)
     cache = {"ctx": ctx, "hidden": hidden, "mask": mask}
@@ -221,7 +227,7 @@ def forward_joint(
     if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
     h = weights[:, :, ref]
-    xhat = np.einsum("fc,tfc->tf", h.conj(), bins)
+    xhat, beam_vjp = apply_beamformer_vjp(h, bins)
     tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
     cache = {
         "kind": "joint",
@@ -232,6 +238,7 @@ def forward_joint(
         "ratio_vjp": ratio_vjp,
         "ref": ref,
         "h": h,
+        "beam_vjp": beam_vjp,
         **tail,
     }
     return tail["loss"], cache
@@ -253,10 +260,9 @@ def backward_joint(cache: dict) -> GradBundle:
     am_grads, g_feats = am_backward(state.am_params, cache["am"], cache["g_lattice"])
     g_xhat = cache["feat_vjp"](g_feats)
 
-    # x_hat(t,f) = h(f)^H x(t,f):  g_h[f,c] = sum_t conj(g_xhat) * x;
     # h = W[:, :, ref], so g_h lands in the ref column of g_W.
     g_weights = np.zeros((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
-    g_weights[:, :, cache["ref"]] = np.einsum("tf,tfc->fc", g_xhat.conj(), bins)
+    g_weights[:, :, cache["ref"]] = cache["beam_vjp"](g_xhat)
     g_phi_ss, g_phi_nn = cache["ratio_vjp"](g_weights)
 
     # The mask feeds both PSDs; the noise mask is 1 - speech mask.
@@ -267,7 +273,8 @@ def backward_joint(cache: dict) -> GradBundle:
     else:  # sigmoid, then the mask net's 2-layer MLP
         mc = cache["mask_cache"]
         g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
-        mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit)
+        mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit,
+                                      input_grad=False)
     return GradBundle(mask=mask_grads, am=am_grads)
 
 

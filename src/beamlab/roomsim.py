@@ -7,12 +7,12 @@ sqrt(1 - absorption).
 """
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
 
+from .corpus_io import read_config
 from .dsp import Waveform
 
 SOUND_SPEED = 343.0
@@ -20,6 +20,10 @@ SOUND_SPEED = 343.0
 SINC_HALF_WIDTH = 40
 DEFAULT_MAX_ORDER = 10
 DEFAULT_ABSORPTION = 0.35
+# Room-config keys, typed by their defaults ("room", "array" required). sample_rate is
+# ignored (inputs render at their own rate) but older configs, perfbench's too, carry it.
+ROOM_CONFIG_DEFAULTS = {"room": {}, "array": {}, "max_order": DEFAULT_MAX_ORDER,
+                        "sample_rate": 16000}
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +149,10 @@ def array_from_dict(d: dict) -> MicArray:
 
 
 def load_room_config(path) -> tuple[RoomSpec, MicArray, dict]:
-    """Read room/array specs from a JSON file (schema in README)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    """Read room/array specs from a JSON file (schema in README), typed like a --config file."""
+    cfg = read_config(path, ROOM_CONFIG_DEFAULTS)
     room, array = room_from_dict(cfg["room"]), array_from_dict(cfg["array"])
-    extras = {
-        "max_order": int(cfg.get("max_order", DEFAULT_MAX_ORDER)),
-        "sample_rate": int(cfg.get("sample_rate", 16000)),
-    }
-    return room, array, extras
+    return room, array, {"max_order": cfg.get("max_order", DEFAULT_MAX_ORDER)}
 
 
 # ---------------------------------------------------------------------------

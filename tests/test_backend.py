@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax, logsumexp
 
 from beamlab import backend
 from beamlab.backend import (
@@ -29,6 +30,7 @@ from beamlab.backend import (
     mlp2_init,
     tokens_to_ids,
 )
+from beamlab.backend import _extend_labels, _log_softmax
 from beamlab.pipeline import REL_ERROR_FLOOR, central_difference
 
 
@@ -40,6 +42,62 @@ def _random_lattice(rng, frames, n_labels):
     logits = rng.normal(size=(frames, n_labels + 1))
     lp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
     return lp
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the concatenate-and-loop CTC recursion that the padded
+# buffers replaced, with the same floating-point operations in the same
+# order, so ctc_loss must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def loop_ctc(log_probs: np.ndarray, ids: np.ndarray):
+    n_frames, n_symbols = log_probs.shape
+    neg_inf = -np.inf
+    ext = _extend_labels(ids)
+    n_states = ext.size
+    lp = log_probs[:, ext]
+    can_skip = np.zeros(n_states, dtype=bool)
+    if n_states > 2:
+        can_skip[2:] = (ext[2:] != 0) & (ext[2:] != ext[:-2])
+
+    alpha = np.full((n_frames, n_states), neg_inf)
+    alpha[0, 0] = lp[0, 0]
+    if n_states > 1:
+        alpha[0, 1] = lp[0, 1]
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        acc = np.logaddexp(prev, np.concatenate(([neg_inf], prev[:-1])))
+        if n_states > 2:
+            skip = np.concatenate(([neg_inf, neg_inf], prev[:-2]))
+            acc = np.where(can_skip, np.logaddexp(acc, skip), acc)
+        alpha[t] = acc + lp[t]
+
+    tail = alpha[n_frames - 1, n_states - 1]
+    if n_states > 1:
+        tail = np.logaddexp(tail, alpha[n_frames - 1, n_states - 2])
+    loss = -float(tail)
+
+    beta = np.full((n_frames, n_states), neg_inf)
+    beta[n_frames - 1, n_states - 1] = lp[n_frames - 1, n_states - 1]
+    if n_states > 1:
+        beta[n_frames - 1, n_states - 2] = lp[n_frames - 1, n_states - 2]
+    for t in range(n_frames - 2, -1, -1):
+        nxt = beta[t + 1]
+        acc = np.logaddexp(nxt, np.concatenate((nxt[1:], [neg_inf])))
+        if n_states > 2:
+            skip = np.concatenate((nxt[2:], [neg_inf, neg_inf]))
+            allowed = np.zeros(n_states, dtype=bool)
+            allowed[: n_states - 2] = can_skip[2:]
+            acc = np.where(allowed, np.logaddexp(acc, skip), acc)
+        beta[t] = acc + lp[t]
+
+    gamma = alpha + beta
+    grad_log = np.full((n_frames, n_symbols), neg_inf)
+    for s in range(n_states):
+        k = ext[s]
+        grad_log[:, k] = np.logaddexp(grad_log[:, k], gamma[:, s])
+    return loss, -np.exp(grad_log - log_probs + loss)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +179,62 @@ class TestMlp2:
         for name in backend.PARAM_NAMES:
             assert max_fd_error(loss_fn, getattr(params, name), grads[name]) < 1e-4, name
         assert max_fd_error(loss_fn, x, g_x) < 1e-4
+
+    def test_hidden_major_matches_row_major_oracle(self):
+        # The row-major [rows, H] formulation the hidden-major layout replaced.
+        rng = _rng(41)
+        params = SimpleNamespace(**mlp2_init(rng, in_dim=7, hidden_dim=8, out_dim=3))
+        params.b1, params.b2 = rng.normal(size=8), rng.normal(size=3)
+        x, g_out = rng.normal(size=(50, 7)), rng.normal(size=(50, 3))
+        out, hidden = mlp2_forward(params, x)
+        row_hidden = np.tanh(x @ params.w1 + params.b1)
+        assert hidden.shape == (8, 50)
+        np.testing.assert_allclose(hidden, row_hidden.T, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(out, row_hidden @ params.w2 + params.b2, rtol=1e-13,
+                                   atol=1e-14)
+        grads, g_x = mlp2_backward(params, x, hidden, g_out)
+        g_pre = (g_out @ params.w2.T) * (1.0 - row_hidden ** 2)
+        oracle = (x.T @ g_pre, g_pre.sum(axis=0), row_hidden.T @ g_out, g_out.sum(axis=0))
+        for name, expected in zip(backend.PARAM_NAMES, oracle):
+            np.testing.assert_allclose(grads[name], expected, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(g_x, g_pre @ params.w1.T, rtol=1e-12, atol=1e-13)
+
+    def test_parameter_grads_identical_without_input_grad(self):
+        rng = _rng(42)
+        params = SimpleNamespace(**mlp2_init(rng, in_dim=3, hidden_dim=8, out_dim=1))
+        x, g_out = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
+        _, hidden = mlp2_forward(params, x)
+        with_x, g_x = mlp2_backward(params, x, hidden, g_out)
+        without_x, none = mlp2_backward(params, x, hidden, g_out, input_grad=False)
+        assert g_x.shape == x.shape and none is None
+        for name in backend.PARAM_NAMES:
+            np.testing.assert_array_equal(without_x[name], with_x[name])
+
+
+class TestLogSoftmax:
+    def test_rows_normalize(self):
+        rng = _rng(43)
+        for n_symbols in (2, 4, 7, 49):
+            out = _log_softmax(rng.normal(size=(40, n_symbols)))
+            assert np.abs(logsumexp(out, axis=1)).max() <= 1e-15
+
+    def test_matches_scipy_on_large_logits(self):
+        # Logits of size 1e3: exp would overflow without the max shift.
+        rng = _rng(44)
+        for n_symbols in (2, 4, 7, 49):
+            logits = 1e3 * rng.normal(size=(40, n_symbols))
+            out = _log_softmax(logits)
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out, log_softmax(logits, axis=1), rtol=0, atol=1e-14)
+            assert np.abs(np.log(np.exp(out).sum(axis=1))).max() <= 1e-15
+
+    def test_matches_logsumexp_form(self):
+        # The form it replaced, logits - logsumexp(logits), at unit scale.
+        rng = _rng(45)
+        logits = rng.normal(size=(60, 7))
+        np.testing.assert_allclose(_log_softmax(logits),
+                                   logits - logsumexp(logits, axis=1, keepdims=True),
+                                   rtol=0, atol=1e-14)
 
 
 class TestAmForward:
@@ -255,6 +369,25 @@ class TestCtc:
         loss, _ = ctc_loss(lp, np.array([], dtype=np.int64))
         oracle = -np.sum(lp[:, 0])
         assert abs(loss - oracle) < 1e-12
+
+    def test_matches_loop_recursion_bit_for_bit(self):
+        # Loss and gradient over a seeded grid: T <= 40, |l| <= 7, V in {2, 4, 7},
+        # with repeated labels (no skip allowed) drawn often at V = 2.
+        rng = _rng(46)
+        cases = 0
+        for n_labels in (2, 4, 7):
+            for label_len in range(8):
+                for rep in range(6):
+                    ids = rng.integers(1, n_labels + 1, size=label_len)
+                    shortest = max(min_frames(ids), 1)  # rep 0: the tightest lattice
+                    frames = shortest if rep == 0 else int(rng.integers(shortest, 41))
+                    lp = _random_lattice(rng, frames, n_labels)
+                    loss, grad = ctc_loss(lp, ids)
+                    oracle_loss, oracle_grad = loop_ctc(lp, ids)
+                    assert loss == oracle_loss, (n_labels, ids, frames)
+                    np.testing.assert_array_equal(grad, oracle_grad)
+                    cases += 1
+        assert cases == 3 * 8 * 6
 
     def test_gradient_is_prob_minus_expected(self):
         # Gradient rows sum to (posterior mass) bookkeeping check: each row of

@@ -9,6 +9,7 @@ from beamlab.beamform import (
     PsdPair,
     TFMask,
     apply_beamformer,
+    apply_beamformer_vjp,
     delay_and_sum,
     estimate_psd,
     load_noise_psd,
@@ -308,6 +309,23 @@ class TestApplyAndReference:
         w = BeamWeights(h=np.array([[1j, 0.0], [1.0, 0.0]]), ref_channel=0)
         out = apply_beamformer(w, spec)
         assert out.bins[0, 0, 0] == np.conj(1j) * 2.0
+
+    @pytest.mark.parametrize("channels", [1, 2, 4, 8])
+    def test_apply_beamformer_vjp_dot_product(self, channels):
+        # h -> h^H x is real-linear: <J v, u> = <v, J^H u> under Re <a, b>.
+        rng = _rng(50 + channels)
+        frames, n_bins = 11, 9
+        bins = rng.normal(size=(frames, n_bins, channels)) + 1j * rng.normal(
+            size=(frames, n_bins, channels))
+        h, v = (rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
+                for _ in range(2))
+        u = rng.normal(size=(frames, n_bins)) + 1j * rng.normal(size=(frames, n_bins))
+        xhat, vjp = apply_beamformer_vjp(h, bins)
+        np.testing.assert_allclose(xhat, np.einsum("fc,tfc->tf", h.conj(), bins), rtol=1e-14)
+        j_v, _ = apply_beamformer_vjp(v, bins)
+        lhs = np.vdot(j_v, u).real
+        rhs = np.vdot(v, vjp(u)).real
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_select_reference_prefers_loud_channel(self):
         phi = np.zeros((3, 2, 2), complex)

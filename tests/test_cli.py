@@ -395,6 +395,69 @@ class TestSimulate:
         assert all(u.channels == 4 for u in rendered)
         assert all(u.origin == "simulated" for u in rendered)
 
+    def _corpus_and_room(self, tmp_path, **room_top):
+        corpus = tmp_path / "c"
+        main(["make-corpus", "--out-dir", str(corpus), "--n-multi", "1",
+              "--n-single", "2", "--seed", "3"])
+        room_cfg = tmp_path / "room.json"
+        room_cfg.write_text(json.dumps({
+            "room": {"dims": [5.0, 4.0, 3.0], "source_pos": [2.0, 2.0, 1.5]},
+            "array": {"preset": "desk-4ch", "center": [3.0, 2.5, 1.1]},
+            "max_order": 2, **room_top,
+        }))
+        return corpus / "single.jsonl", room_cfg
+
+    def test_manifest_out_outside_out_dir_resolves(self, tmp_path, monkeypatch):
+        # simulate --manifest c/single.jsonl --room-config room.json --out-dir r
+        # --manifest-out m.jsonl, run from tmp_path with relative paths.
+        self._corpus_and_room(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
+                     "--out-dir", "r", "--manifest-out", "m.jsonl"])
+        assert code == 0
+        rendered = corpus_io.load_manifest("m.jsonl", verify_audio=True)
+        assert [u.audio_path for u in rendered] == ["r/toy-s0000.wav", "r/toy-s0001.wav"]
+        assert all(u.channels == 4 for u in rendered)
+        (tmp_path / "sub").mkdir()
+        code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
+                     "--out-dir", "r2", "--manifest-out", "sub/m.jsonl"])
+        assert code == 0
+        rendered = corpus_io.load_manifest("sub/m.jsonl", verify_audio=True)
+        assert rendered.utterances[0].audio_path == "../r2/toy-s0000.wav"
+        # A manifest in a symlinked directory: "link/.." is the target's parent.
+        (tmp_path / "deep" / "target").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "deep" / "target")
+        code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
+                     "--out-dir", "r3", "--manifest-out", "link/m.jsonl"])
+        assert code == 0
+        corpus_io.load_manifest("link/m.jsonl", verify_audio=True)
+        assert (tmp_path / "r3" / "toy-s0000.wav").exists()
+
+    def test_default_manifest_paths_are_file_names(self, tmp_path):
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        out = tmp_path / "r"
+        assert main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(out)]) == 0
+        lines = (out / "manifest.jsonl").read_text().splitlines()
+        assert [json.loads(line)["audio_path"] for line in lines[1:]] == [
+            "toy-s0000.wav", "toy-s0001.wav"]
+
+    @pytest.mark.parametrize("top", [{"max_order": 2.7}, {"max_order": "2"},
+                                     {"sample_rate": 8000.5}, {"maxorder": 2}])
+    def test_bad_room_config_is_usage_error(self, tmp_path, capsys, top):
+        single, room_cfg = self._corpus_and_room(tmp_path, **top)
+        capsys.readouterr()
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert f"'{next(iter(top))}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_integral_float_max_order_renders(self, tmp_path):
+        single, room_cfg = self._corpus_and_room(tmp_path, max_order=2.0)
+        assert main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+
     def test_multichannel_input_rejected(self, tmp_path):
         corpus = tmp_path / "corpus"
         main(["make-corpus", "--out-dir", str(corpus), "--n-multi", "1",

@@ -90,6 +90,25 @@ class TestStft:
                     oracle = np.sum(frame * np.exp(-2j * np.pi * k * np.arange(64) / 64))
                     assert abs(spec.bins[t, k, c] - oracle) < 1e-10
 
+    @pytest.mark.parametrize("channels", [1, 4, 8])
+    @pytest.mark.parametrize("n_samples, window, hop", [
+        (1000, 256, 128),  # 6 frames, 104 trailing samples dropped
+        (1000, 64, 27),    # 35 frames, 18 trailing samples dropped
+        (256, 256, 128),   # exactly one frame
+        (300, 256, 256),   # one frame plus 44 dropped samples
+        (517, 512, 1),     # hop 1: 6 frames
+    ])
+    def test_matches_gather_oracle_bit_for_bit(self, channels, n_samples, window, hop):
+        # The fancy-index frame gather the strided view replaced.
+        samples = _rng(channels).normal(size=(channels, n_samples))
+        n_frames = (n_samples - window) // hop + 1
+        starts = np.arange(n_frames) * hop
+        frames = samples[:, starts[:, None] + np.arange(window)]
+        oracle = np.fft.rfft(frames * periodic_hann(window), axis=2).transpose(1, 2, 0)
+        spec = stft(Waveform(samples=samples, sample_rate=8000), window, hop)
+        assert spec.bins.shape == oracle.shape == (n_frames, window // 2 + 1, channels)
+        np.testing.assert_array_equal(spec.bins, oracle)
+
     def test_rejects_non_power_of_two(self):
         wave = Waveform(samples=np.zeros((1, 1000)), sample_rate=8000)
         with pytest.raises(ValueError, match="power of two"):

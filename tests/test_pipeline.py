@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from beamlab import pipeline
 from beamlab.backend import LabelSequence
-from beamlab.dsp import Spectrogram, mel_filterbank
+from beamlab.dsp import LOG_FLOOR, Spectrogram, mel_filterbank
 from beamlab.pipeline import (
     GradBundle,
     MaskNetParams,
@@ -18,7 +18,9 @@ from beamlab.pipeline import (
     forward_backend,
     forward_joint,
     init_train_state,
+    init_mask_params,
     load_checkpoint,
+    mask_net_forward,
     save_checkpoint,
     zeros_bundle,
 )
@@ -202,6 +204,32 @@ class TestForwardJoint:
         loss, decode = forward_joint(state, utt, None, subsample_factor=3)
         assert loss is None
         np.testing.assert_array_equal(decode["am"]["log_probs"], cache["am"]["log_probs"])
+
+
+class TestMaskNet:
+    @pytest.mark.parametrize("n_bins", [1, 2, 9, 129])
+    def test_context_planes_match_clipped_gather(self, n_bins):
+        # The [T*F, 3] clipped-index gather the three shifted planes replaced.
+        rng = _rng(20 + n_bins)
+        bins = rng.normal(size=(7, n_bins, 2)) + 1j * rng.normal(size=(7, n_bins, 2))
+        _, cache = mask_net_forward(init_mask_params(rng), bins)
+        x = bins[:, :, 0]
+        logmag = 0.5 * np.log(x.real ** 2 + x.imag ** 2 + LOG_FLOOR)
+        idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
+        np.testing.assert_array_equal(cache["ctx"], logmag[:, idx].reshape(-1, 3))
+
+    def test_mask_matches_gather_formulation(self):
+        # The parent formulation end to end: |x|^2 via abs, gather, row-major MLP.
+        rng = _rng(30)
+        bins = rng.normal(size=(9, 17, 3)) + 1j * rng.normal(size=(9, 17, 3))
+        params = init_mask_params(rng, hidden_dim=8)
+        params.b1, params.b2 = rng.normal(size=8), rng.normal(size=1)
+        mask, _ = mask_net_forward(params, bins)
+        logmag = 0.5 * np.log(np.abs(bins[:, :, 0]) ** 2 + LOG_FLOOR)
+        idx = np.clip(np.arange(17)[:, None] + np.array([-1, 0, 1]), 0, 16)
+        hidden = np.tanh(logmag[:, idx].reshape(-1, 3) @ params.w1 + params.b1)
+        oracle = expit(hidden @ params.w2 + params.b2).reshape(9, 17)
+        np.testing.assert_allclose(mask, oracle, rtol=1e-12, atol=0)
 
 
 class TestBackwardJoint:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from beamlab import roomsim
+from beamlab.corpus_io import UsageError
 from beamlab.dsp import Waveform
 from beamlab.roomsim import (
     SOUND_SPEED,
@@ -74,6 +75,36 @@ class TestSpecs:
         _, array, _ = load_room_config(path)
         np.testing.assert_array_equal(array.positions, positions)
         assert array.preset == "custom"
+
+    def _write(self, tmp_path, **top):
+        cfg = {"room": {"dims": [5.0, 4.0, 3.0], "source_pos": [2.0, 2.0, 1.5]},
+               "array": {"preset": "desk-4ch", "center": [3.0, 2.0, 1.2]}, **top}
+        path = tmp_path / "room.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_room_config_max_order_typed_like_config(self, tmp_path):
+        _, _, extras = load_room_config(self._write(tmp_path, max_order=2.0))
+        assert extras == {"max_order": 2} and type(extras["max_order"]) is int
+        _, _, extras = load_room_config(self._write(tmp_path))
+        assert extras == {"max_order": roomsim.DEFAULT_MAX_ORDER}
+        for bad in (2.7, "2", True, None):
+            with pytest.raises(UsageError, match="config key 'max_order' must be int"):
+                load_room_config(self._write(tmp_path, max_order=bad))
+
+    def test_room_config_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(UsageError, match="unknown config key 'maxorder'"):
+            load_room_config(self._write(tmp_path, maxorder=2))
+        with pytest.raises(UsageError, match="config key 'room' must be dict"):
+            load_room_config(self._write(tmp_path, room=[5.0, 4.0, 3.0]))
+
+    def test_room_config_sample_rate_ignored(self, tmp_path):
+        # Accepted for older configs, typed, and not passed on: inputs render
+        # at their own rate.
+        _, _, extras = load_room_config(self._write(tmp_path, sample_rate=8000))
+        assert extras == {"max_order": roomsim.DEFAULT_MAX_ORDER}
+        with pytest.raises(UsageError, match="config key 'sample_rate' must be int"):
+            load_room_config(self._write(tmp_path, sample_rate=8000.5))
 
 
 class TestImages:
