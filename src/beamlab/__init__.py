@@ -1,8 +1,8 @@
 """beamlab: a desk-scale laboratory for multi-channel speech front-ends.
 
 Modules:
-    dsp        STFT/iSTFT, log-mel features, CMVN, deltas, SpecAugment.
-    beamform   Mask-based MVDR and delay-and-sum beamforming.
+    dsp        STFT/iSTFT, log-mel features, CMVN, deltas.
+    beamform   Mask-based MVDR beamforming.
     roomsim    Image-source room impulse responses and SNR mixing.
     backend    Tiny acoustic model, exact CTC, greedy decoding, scoring.
     pipeline   Differentiable joint front-end/back-end path (manual adjoints).

@@ -207,13 +207,6 @@ def am_forward_cached(features: np.ndarray, params: AmParams):
     return log_probs, cache
 
 
-def am_forward(features, params: AmParams) -> LogProbLattice:
-    """Context-windowed affine -> tanh -> affine -> log-softmax per frame."""
-    values = features.values if hasattr(features, "values") else features
-    log_probs, _ = am_forward_cached(values, params)
-    return LogProbLattice(values=log_probs)
-
-
 def am_backward(params: AmParams, cache: dict, g_log_probs: np.ndarray):
     """Reverse pass through the AM.
 
@@ -374,18 +367,3 @@ def load_vocab(path) -> list[str]:
     if not tokens:
         raise ValueError("vocabulary file is empty")
     return tokens
-
-
-def tokens_to_ids(text: str, tokens: list[str]) -> np.ndarray:
-    lookup = {tok: i + 1 for i, tok in enumerate(tokens)}
-    try:
-        return np.asarray([lookup[t] for t in text.split()], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"token {exc} not in vocabulary") from None
-
-
-def ids_to_tokens(ids, tokens: list[str]) -> str:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 1 or ids.max() > len(tokens)):
-        raise ValueError("id out of vocabulary range")
-    return " ".join(tokens[i - 1] for i in ids)

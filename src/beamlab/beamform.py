@@ -1,4 +1,4 @@
-"""Mask-based MVDR beamformer and a delay-and-sum baseline.
+"""Mask-based MVDR beamformer.
 
 The MVDR weights follow the masked-statistics formulation: per-frequency
 speech/noise cross-channel PSD matrices, filter
@@ -246,18 +246,3 @@ def select_reference(phi_ss: np.ndarray) -> int:
         raise ValueError("phi_ss must be [freq_bins, C, C] with >= 1 bin")
     power = np.einsum("fcc->c", phi_ss).real / phi_ss.shape[0]
     return int(np.argmax(power))
-
-
-def delay_and_sum(spec: Spectrogram, delays) -> Spectrogram:
-    """Phase-steered average: x_hat(t,f) = (1/C) sum_c e^{-j w_f tau_c} x(t,f,c).
-
-    delays are per-channel in samples (fractional allowed); w_f is the bin's
-    angular frequency in rad/sample.
-    """
-    delays = np.asarray(delays, dtype=np.float64)
-    if delays.shape != (spec.channels,):
-        raise ValueError("need exactly one delay per channel")
-    omega = 2.0 * np.pi * np.arange(spec.freq_bins) / spec.window_size
-    steer = np.exp(-1j * omega[:, None] * delays[None, :])  # [F, C]
-    summed = np.einsum("fc,tfc->tf", steer, spec.bins) / spec.channels
-    return replace(spec, bins=summed[:, :, None])

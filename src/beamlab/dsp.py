@@ -113,20 +113,6 @@ class FeatureMatrix:
     def frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dims(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
-class AugPolicy:
-    """SpecAugment policy: fixed-width masks at random positions."""
-
-    n_freq_masks: int = 0
-    freq_width: int = 0
-    n_time_masks: int = 0
-    time_width: int = 0
-
 
 # ---------------------------------------------------------------------------
 # STFT / iSTFT
@@ -319,18 +305,3 @@ def subsample(feat: FeatureMatrix, factor: int = 3) -> FeatureMatrix:
     check_subsample_factor(factor)
     return FeatureMatrix(values=feat.values[::factor].copy(), meta="subsampled")
 
-
-def spec_augment(feat: FeatureMatrix, policy: AugPolicy, rng: np.random.Generator) -> FeatureMatrix:
-    """Zero out fixed-width frequency and time bands at rng-chosen positions."""
-    if policy.n_freq_masks > 0 and policy.freq_width >= feat.dims:
-        raise ValueError("freq mask width must be smaller than feature dims")
-    if policy.n_time_masks > 0 and policy.time_width >= feat.frames:
-        raise ValueError("time mask width must be smaller than frame count")
-    values = feat.values.copy()
-    for _ in range(policy.n_freq_masks):
-        start = int(rng.integers(0, feat.dims - policy.freq_width + 1))
-        values[:, start : start + policy.freq_width] = 0.0
-    for _ in range(policy.n_time_masks):
-        start = int(rng.integers(0, feat.frames - policy.time_width + 1))
-        values[start : start + policy.time_width, :] = 0.0
-    return FeatureMatrix(values=values, meta="specaug")

@@ -160,18 +160,6 @@ def load_room_config(path) -> tuple[RoomSpec, MicArray, dict]:
 # ---------------------------------------------------------------------------
 
 
-def first_order_images(room: RoomSpec) -> np.ndarray:
-    """The 6 single-reflection image positions (one per wall), [6, 3]."""
-    images = []
-    for axis in range(3):
-        low = room.source_pos.copy()
-        low[axis] = -room.source_pos[axis]
-        high = room.source_pos.copy()
-        high[axis] = 2.0 * room.dims[axis] - room.source_pos[axis]
-        images.extend([low, high])
-    return np.asarray(images)
-
-
 def _enumerate_images(room: RoomSpec, max_order: int):
     """All image positions and amplitudes (before 1/4pi*d) up to max_order.
 

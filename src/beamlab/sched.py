@@ -13,10 +13,17 @@ Modes:
 Reproducibility contract: one SeedSequence per run, spawned into independent
 streams (init, plan, pretrain, simulate, augment). A mode that does not use
 a stream never draws from it, so with an empty single-channel set every mode
-reduces to JO_ONLY bit-exactly under the same seed.
+reduces to JO_ONLY bit-exactly under the same seed. With two usable CPUs a
+forked helper computes half of every batch and of the decode, and Reports
+stay bit-identical to one process; `beamlab train --workers` must still be 1.
 """
 
+import ctypes
+import multiprocessing as mp
+import os
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -223,35 +230,95 @@ def apply_sgd(state: TrainState, bundle: GradBundle, lr: float, batch_size: int)
     state.step += 1
 
 
-def _check_finite_loss(loss: float, where: str) -> None:
-    if not np.isfinite(loss):
-        raise NumericalError(f"non-finite loss ({loss}) at {where}")
-
-
 # ---------------------------------------------------------------------------
 # Batch execution
 # ---------------------------------------------------------------------------
 
 
-def _run_batch(state, batch, specs, labels, cfg) -> float:
-    """One SGD step: MULTI batches take the joint path, SINGLE batches the
-    back end alone (the mask net gets no gradient)."""
-    joint = batch.kind == MULTI
-    total = zeros_bundle(state)
-    loss_sum = 0.0
-    for utt_id in batch.utt_ids:
-        spec, utt_labels = specs[utt_id], labels[utt_id]
-        if joint:
-            loss, cache = forward_joint(state, spec, utt_labels, subsample_factor=cfg.subsample)
-        else:
-            loss, cache = forward_backend(state.am_params, spec, utt_labels,
-                                          subsample_factor=cfg.subsample)
-        _check_finite_loss(loss, f"utterance '{utt_id}' ({'joint' if joint else 'single'} path)")
-        bundle_add(total, backward_joint(cache) if joint
-                   else GradBundle(mask={}, am=backward_backend(cache)))
+def _utt_grads(state, specs, labels, cfg, utt_id, joint):
+    """Loss and GradBundle of one utterance, joint or back end alone (no mask gradient)."""
+    spec, utt_labels = specs[utt_id], labels[utt_id]
+    if joint:
+        loss, cache = forward_joint(state, spec, utt_labels, subsample_factor=cfg.subsample)
+    else:
+        loss, cache = forward_backend(state.am_params, spec, utt_labels,
+                                      subsample_factor=cfg.subsample)
+    if not np.isfinite(loss):
+        raise NumericalError(f"non-finite loss ({loss}) at utterance '{utt_id}' "
+                             f"({'joint' if joint else 'single'} path)")
+    return loss, (backward_joint(cache) if joint
+                  else GradBundle(mask={}, am=backward_backend(cache)))
+
+
+def _add_grads(total, loss_sum, results):
+    for loss, grads in results:
+        bundle_add(total, grads)
         loss_sum += loss
+    return total, loss_sum
+
+
+def _sum_grads(state, specs, labels, cfg, utt_ids, joint):
+    """The ordered sum from zero of the utterances' gradients and losses."""
+    return _add_grads(zeros_bundle(state), 0.0,
+                      (_utt_grads(state, specs, labels, cfg, u, joint) for u in utt_ids))
+
+
+def _split(helper, state, ids, remote, local, *args):
+    """(remote(state, specs, labels, cfg, first ceil(n/2) ids, *args) from the helper or None,
+    local(the rest)); local gets all ids if n = 1. The helper's come first: its raise wins."""
+    share = (len(ids) + 1) // 2 if helper and len(ids) > 1 else 0
+    if share:
+        helper.send((remote, state, ids[:share], args))
+    try:
+        mine = local(ids[share:])
+    finally:
+        theirs = helper.recv() if share else None
+        if isinstance(theirs, Exception):
+            raise theirs
+    return theirs, mine
+
+
+def _run_batch(state, batch, specs, labels, cfg, helper=None) -> float:
+    """One SGD step (MULTI: joint path, SINGLE: back end). This process adds its utterances,
+    in order, onto the helper's sum of the first half: one process's float additions."""
+    joint = batch.kind == MULTI
+    theirs, own = _split(helper, state, batch.utt_ids, _sum_grads, lambda ids: [
+        _utt_grads(state, specs, labels, cfg, u, joint) for u in ids], joint)
+    total, loss_sum = _add_grads(*(theirs or (zeros_bundle(state), 0.0)), own)
     apply_sgd(state, total, cfg.learning_rate, len(batch.utt_ids))
     return loss_sum / len(batch.utt_ids)
+
+
+def _helper_loop(conn, specs, labels, cfg, cpus) -> None:
+    os.sched_setaffinity(0, cpus)  # without load balancing a fork stays on its parent's CPU
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    while True:  # until terminated
+        fn, state, ids, args = conn.recv()
+        try:
+            out = fn(state, specs, labels, cfg, ids, *args)
+        except Exception as exc:
+            out = exc
+        conn.send(out)
+
+
+@contextmanager
+def _helper_process(specs, labels, cfg):
+    """A pipe to a helper forked off our CPU (see _split) if two CPUs are usable, else None."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if len(cpus) < 2 or "fork" not in mp.get_all_start_methods() or mp.current_process().daemon:
+        yield None
+        return
+    cpus -= {ctypes.CDLL(None).sched_getcpu()}  # not ours: see _helper_loop
+    conn, child_conn = mp.Pipe()
+    proc = mp.get_context("fork").Process(target=_helper_loop, daemon=True,
+                                          args=(child_conn, specs, labels, cfg, cpus))
+    proc.start()
+    child_conn.close()  # so recv() sees the helper's death as EOFError
+    try:
+        yield conn
+    finally:
+        proc.terminate()
+        proc.join()
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +476,28 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
 
     multi_utts = single_utts = 0
     multi_seconds = single_seconds = 0.0
-    for epoch in range(cfg.epochs):
-        plan = plan_epoch(jo_ids, single_ids, cfg, streams["plan"])
-        t_epoch = time.perf_counter()
-        joint_losses, single_losses = [], []
-        for batch in plan.batches:
-            t0 = time.perf_counter()
-            loss = _run_batch(state, batch, specs, labels, cfg)
-            if batch.kind == MULTI:
-                joint_losses.append(loss)
-                multi_seconds += time.perf_counter() - t0
-                multi_utts += len(batch.utt_ids)
-            else:
-                single_losses.append(loss)
-                single_seconds += time.perf_counter() - t0
-                single_utts += len(batch.utt_ids)
-        report.epoch_losses.append(float(np.mean(joint_losses)))
-        if single_losses:
-            report.single_losses.append(float(np.mean(single_losses)))
-        report.wall_clock_per_epoch.append(time.perf_counter() - t_epoch)
+    with _helper_process(specs, labels, cfg) as helper:
+        for epoch in range(cfg.epochs):
+            plan = plan_epoch(jo_ids, single_ids, cfg, streams["plan"])
+            t_epoch = time.perf_counter()
+            joint_losses, single_losses = [], []
+            for batch in plan.batches:
+                t0 = time.perf_counter()
+                loss = _run_batch(state, batch, specs, labels, cfg, helper)
+                if batch.kind == MULTI:
+                    joint_losses.append(loss)
+                    multi_seconds += time.perf_counter() - t0
+                    multi_utts += len(batch.utt_ids)
+                else:
+                    single_losses.append(loss)
+                    single_seconds += time.perf_counter() - t0
+                    single_utts += len(batch.utt_ids)
+            report.epoch_losses.append(float(np.mean(joint_losses)))
+            if single_losses:
+                report.single_losses.append(float(np.mean(single_losses)))
+            report.wall_clock_per_epoch.append(time.perf_counter() - t_epoch)
+
+        report.toy_error = evaluate_token_error(state, multi_set, cfg, specs, helper)
 
     report.counters = {
         "epochs": cfg.epochs,
@@ -440,7 +510,6 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
         cfg, len(multi_set), len(single_set),
         multi_seconds / max(multi_utts, 1), single_seconds / max(single_utts, 1),
     )
-    report.toy_error = evaluate_token_error(state, multi_set, cfg, specs)
     if return_state:
         return report, state
     return report
@@ -462,22 +531,32 @@ def _cost_prediction(cfg, n_multi, n_single, sec_per_multi, sec_per_single) -> d
     }
 
 
-def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig, specs: dict) -> float:
+def _token_errors(state, specs, labels, cfg, utt_ids) -> tuple:
+    """(edit errors, reference tokens) of greedy joint-path decoding, summed."""
+    total_err = total_ref = 0
+    for utt_id in utt_ids:
+        _, cache = forward_joint(state, specs[utt_id], None, subsample_factor=cfg.subsample)
+        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]), labels[utt_id])
+        total_err += sub + ins + dele
+        total_ref += len(labels[utt_id])
+    return total_err, total_ref
+
+
+def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig, specs: dict,
+                         helper=None) -> float:
     """Token error rate (S+I+D)/#ref of greedy joint-path decoding.
 
     specs maps each utterance id to its STFT (run_training's epoch cache);
-    decoding runs the joint forward without labels, so no CTC pass.
+    decoding runs the joint forward without labels, so no CTC pass. The
+    counts are integers: their sum does not depend on a helper's split.
     """
     if not utts:
         return float("nan")
-    total_err = total_ref = 0
-    for utt in utts:
-        _, cache = forward_joint(state, specs[utt.utt_id], None, subsample_factor=cfg.subsample)
-        hyp = greedy_decode(cache["am"]["log_probs"])
-        sub, ins, dele = edit_distance(hyp, utt.labels)
-        total_err += sub + ins + dele
-        total_ref += len(utt.labels)
-    return total_err / max(total_ref, 1)
+    labels = {u.utt_id: u.labels for u in utts}
+    theirs, (err, ref) = _split(helper, state, [u.utt_id for u in utts], _token_errors,
+                                lambda ids: _token_errors(state, specs, labels, cfg, ids))
+    helper_err, helper_ref = theirs or (0, 0)
+    return (err + helper_err) / max(ref + helper_ref, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from beamlab.beamform import (
     TFMask,
     apply_beamformer,
     apply_beamformer_vjp,
-    delay_and_sum,
     estimate_psd,
     load_noise_psd,
     masked_psd,
@@ -342,35 +341,3 @@ class TestApplyAndReference:
         w = BeamWeights(h=np.ones((spec.freq_bins, 2), complex), ref_channel=0)
         with pytest.raises(ValueError):
             apply_beamformer(w, spec)
-
-
-class TestDelayAndSum:
-    def test_zero_delays_average_channels(self):
-        rng = _rng(12)
-        spec = _random_spec(rng, channels=3)
-        out = delay_and_sum(spec, np.zeros(3))
-        np.testing.assert_allclose(out.bins[:, :, 0], spec.bins.mean(axis=2), atol=1e-12)
-
-    def test_integer_delay_aligns_tone(self):
-        # Channel 1 lags channel 0 by 8 samples; compensating delays make DAS
-        # output match channel 0 on a pure tone (steady-state frames).
-        sr, win, hop, lag = 8000, 64, 32, 8
-        n = 800
-        t = np.arange(n + lag) / sr
-        tone = np.sin(2 * np.pi * 500.0 * t)
-        two = np.stack([tone[lag:], tone[:-lag]])
-        from beamlab.dsp import Waveform, stft
-
-        spec = stft(Waveform(samples=two, sample_rate=sr), win, hop)
-        aligned = delay_and_sum(spec, np.array([0.0, -float(lag)]))
-        ref = spec.bins[:, :, 0]
-        # On-bin tone (bin 4 = 500/8000*64): a shifted sinusoid's windowed DFT
-        # is an exact phase rotation, so interior frames align to roundoff.
-        k = int(500.0 / sr * win)
-        ratio = aligned.bins[3:-3, k, 0] / ref[3:-3, k]
-        np.testing.assert_allclose(ratio, 1.0, atol=1e-6)
-
-    def test_delay_count_checked(self):
-        spec = _random_spec(_rng(0), channels=3)
-        with pytest.raises(ValueError):
-            delay_and_sum(spec, np.zeros(2))

@@ -5,7 +5,6 @@ import pytest
 
 from beamlab.dsp import (
     CMVN_VAR_FLOOR,
-    AugPolicy,
     FeatureMatrix,
     Spectrogram,
     Waveform,
@@ -18,7 +17,6 @@ from beamlab.dsp import (
     log_fbank,
     mel_filterbank,
     periodic_hann,
-    spec_augment,
     stft,
     subsample,
 )
@@ -283,31 +281,3 @@ class TestSubsample:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             subsample(FeatureMatrix(values=np.ones((4, 2))), 0)
-
-
-class TestSpecAugment:
-    def test_masks_zero_bands(self):
-        feat = FeatureMatrix(values=np.ones((20, 10)))
-        policy = AugPolicy(n_freq_masks=1, freq_width=3, n_time_masks=1, time_width=4)
-        out = spec_augment(feat, policy, _rng(0))
-        zero_cols = np.where(np.all(out.values == 0.0, axis=0))[0]
-        zero_rows = np.where(np.all(out.values == 0.0, axis=1))[0]
-        assert len(zero_cols) == 3 and np.all(np.diff(zero_cols) == 1)
-        assert len(zero_rows) == 4 and np.all(np.diff(zero_rows) == 1)
-
-    def test_empty_policy_is_identity(self):
-        feat = FeatureMatrix(values=_rng(1).normal(size=(6, 4)))
-        out = spec_augment(feat, AugPolicy(), _rng(0))
-        np.testing.assert_array_equal(out.values, feat.values)
-
-    def test_deterministic_given_rng(self):
-        feat = FeatureMatrix(values=np.ones((30, 12)))
-        policy = AugPolicy(n_freq_masks=2, freq_width=2, n_time_masks=2, time_width=3)
-        a = spec_augment(feat, policy, _rng(9)).values
-        b = spec_augment(feat, policy, _rng(9)).values
-        np.testing.assert_array_equal(a, b)
-
-    def test_oversized_mask_rejected(self):
-        feat = FeatureMatrix(values=np.ones((5, 4)))
-        with pytest.raises(ValueError):
-            spec_augment(feat, AugPolicy(n_freq_masks=1, freq_width=4), _rng(0))

@@ -1,5 +1,9 @@
 """sched tests: cost model, epoch planning, schemes, equivalences, toy corpus."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
 
@@ -45,6 +49,15 @@ def _cfg(**kw):
 
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+
+def _usable_cpus(monkeypatch, n):
+    """run_training forks its batch helper only when two CPUs are usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _affinity(*args):
+    return os.sched_getaffinity(0)
 
 
 def _states_equal(a, b) -> bool:
@@ -237,7 +250,9 @@ class TestSchemes:
 
     def test_epoch_stft_cache_serves_decoding(self, monkeypatch):
         # One STFT per utterance per run, and CTC only on training passes:
-        # the final decode reads the epoch cache and skips CTC.
+        # the final decode reads the epoch cache and skips CTC. One CPU, so
+        # no helper process makes calls these counters cannot see.
+        _usable_cpus(monkeypatch, 1)
         multi, _, _ = _toy_sets(n_multi=3, n_single=0, seed=8)
         calls = {"stft": 0, "ctc": 0}
 
@@ -269,6 +284,117 @@ class TestSchemes:
                               multi, single)
         assert len(calls) == stfts
         assert len(report.pretrain_losses) == 3 and all(np.isfinite(report.pretrain_losses))
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper is pinned to a second CPU")
+class TestBatchSplit:
+    """With two usable CPUs a forked helper computes the first half of every
+    batch and of the decode; the Reports must equal the one-process run's."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_two_processes_equal_one(self, monkeypatch, mode, batch):
+        # DS with 4 multi / 6 single utterances has SINGLE batches; batch 1
+        # and the last batch of 3 leave a batch of one, which is not split;
+        # batch 4 leaves this process more than one utterance to add.
+        multi, single, _ = _toy_sets(n_multi=4, n_single=6, seed=21)
+        cfg = _cfg(mode=mode, epochs=2, multi_batch_size=batch,
+                   pretrain_epochs=1 if mode == "PT" else 0)
+        helped = {"_sum_grads": 0, "_token_errors": 0}  # calls the helper answered
+        split = sched._split
+
+        def spy(helper, state, ids, remote, local, *args):
+            theirs, mine = split(helper, state, ids, remote, local, *args)
+            helped[remote.__name__] += theirs is not None
+            return theirs, mine
+
+        monkeypatch.setattr(sched, "_split", spy)
+        runs = {}
+        for cpus in (2, 1):
+            _usable_cpus(monkeypatch, cpus)
+            runs[cpus] = run_training(cfg, multi, single, return_state=True)
+            assert multiprocessing.active_children() == []
+        # The helper decodes once; it trains on no batch when every batch has
+        # one utterance (DS's SINGLE batches hold 2 at batch 1).
+        assert helped["_token_errors"] == 1
+        assert (helped["_sum_grads"] == 0) == (batch == 1 and mode != "DS")
+        (two, two_state), (one, one_state) = runs[2], runs[1]
+        for name in ("mode", "seed", "config", "epoch_losses", "single_losses",
+                     "pretrain_losses", "toy_error", "counters"):
+            assert getattr(two, name) == getattr(one, name), name
+        assert two.cost_model["n_ratio"] == one.cost_model["n_ratio"]
+        assert _states_equal(two_state, one_state)
+
+    def test_helper_runs_off_this_process_cpu(self):
+        # The kernel may not balance load, so the helper must not share our CPU.
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        with sched._helper_process({}, {}, _cfg()) as helper:
+            theirs, _ = sched._split(helper, None, ["a", "b"], _affinity, lambda ids: None)
+        assert len(theirs) == len(cpus) - 1 and theirs < cpus
+
+    def test_ctrl_c_raises_keyboard_interrupt(self):
+        # SIGINT reaches the whole process group; the helper ignores it, so the
+        # parent raises KeyboardInterrupt, not the EOFError of a dead helper.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two usable CPUs")
+        script = """if True:
+            import multiprocessing, os, signal, time, numpy as np
+            from beamlab import sched
+            multi, _, _ = sched.generate_toy_corpus(8, 0, 6, np.random.default_rng(0))
+            main, utt_grads = os.getpid(), sched._utt_grads
+            def slow_helper_or_ctrl_c(state, *args):
+                if os.getpid() != main:
+                    time.sleep(0.2)  # the helper is busy when Ctrl-C comes
+                elif state.step == 1:
+                    os.killpg(0, signal.SIGINT)
+                return utt_grads(state, *args)
+            sched._utt_grads = slow_helper_or_ctrl_c
+            cfg = sched.ScheduleConfig(mode="JO_ONLY", epochs=5, multi_batch_size=4)
+            try:
+                sched.run_training(cfg, multi, [])
+            except KeyboardInterrupt:
+                print("KeyboardInterrupt", multiprocessing.active_children())
+            """
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             start_new_session=True, timeout=120)
+        assert (out.stdout, out.stderr) == ("KeyboardInterrupt []\n", "")
+
+    def test_runs_inside_a_pool_worker(self, monkeypatch):
+        # A daemonic pool worker may not fork a helper: it trains alone.
+        _usable_cpus(monkeypatch, 2)
+        multi, _, _ = _toy_sets(n_multi=4, n_single=0, seed=10)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pooled = pool.apply(run_training, (_cfg(), multi, []))
+        alone = run_training(_cfg(), multi, [])
+        assert (pooled.epoch_losses, pooled.toy_error) == (alone.epoch_losses, alone.toy_error)
+
+    @pytest.mark.parametrize("bad", [[0], [1], [2], [3], [0, 1, 2, 3]],
+                             ids=["utt0", "utt1", "utt2", "utt3", "all"])
+    def test_first_non_finite_utterance_is_named(self, monkeypatch, bad):
+        # One batch of 4: the helper computes the first 2 in batch order, so
+        # a NaN on either side, or on all, must name what one process names.
+        multi, _, _ = _toy_sets(n_multi=4, n_single=0, seed=9)
+        bad_labels = [multi[i].labels for i in bad]
+        forward_joint = sched.forward_joint
+
+        def nan_forward(state, spec, labels, **kwargs):
+            loss, cache = forward_joint(state, spec, labels, **kwargs)
+            return (float("nan") if any(labels is b for b in bad_labels) else loss), cache
+
+        # Patched before the run, so the forked helper inherits it.
+        monkeypatch.setattr(sched, "forward_joint", nan_forward)
+        messages = {}
+        for cpus in (2, 1):
+            _usable_cpus(monkeypatch, cpus)
+            with pytest.raises(sched.NumericalError) as err:
+                run_training(_cfg(epochs=1), multi, [])
+            assert multiprocessing.active_children() == []
+            messages[cpus] = str(err.value)
+        assert messages[2] == messages[1]
+        if len(bad) == 1:
+            assert f"utterance '{multi[bad[0]].utt_id}'" in messages[1]
 
 
 # Reports of the parent implementation of the harness (seed 0, 4/6 toy split
