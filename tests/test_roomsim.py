@@ -107,6 +107,24 @@ class TestSpecs:
 
 
 class TestImages:
+    def test_first_order_hand_enumeration(self):
+        # Hand-enumerated oracle: mirroring s across each of the 6 walls of a
+        # 10 x 7.5 x 3.5 room with s = [2.5, 3.73, 1.76] gives exactly these
+        # image coordinates; order 1 adds them to the direct path and nothing
+        # else.
+        positions, gains = roomsim._enumerate_images(REFERENCE_ROOM, 1)
+        expected = {
+            (-2.5, 3.73, 1.76),
+            (17.5, 3.73, 1.76),
+            (2.5, -3.73, 1.76),
+            (2.5, 11.27, 1.76),
+            (2.5, 3.73, -1.76),
+            (2.5, 3.73, 5.24),
+        }
+        got = {tuple(np.round(row, 9)) for row in positions}
+        assert got == expected | {(2.5, 3.73, 1.76)}
+        assert len(positions) == len(gains) == 7
+
     def test_first_order_delays_within_one_sample(self):
         # Delays of the six first-order pulses in the synthesized RIR agree
         # with hand-computed image distances to within one sample. The
