@@ -9,10 +9,8 @@ log space with blank id 0 and no rescaling.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 BLANK_ID = 0
-ROW_NORM_TOL = 1e-6
 DEFAULT_CONTEXT = 3
 NEG_INF = -np.inf
 # Array names of every 2-layer net (AM and mask net); also gradient dict keys.
@@ -43,29 +41,6 @@ class LabelSequence:
 
     def __len__(self) -> int:
         return int(self.ids.size)
-
-
-@dataclass
-class LogProbLattice:
-    """Per-frame log-probabilities, values [T, vocab_size + 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("lattice must be [frames, symbols]")
-        row_norm = logsumexp(self.values, axis=1)
-        if not np.all(np.abs(row_norm) <= ROW_NORM_TOL):
-            raise ValueError("lattice rows must log-sum-exp to 0")
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_symbols(self) -> int:
-        return self.values.shape[1]
 
 
 def coerce_finite_params(params, label: str) -> None:
@@ -237,7 +212,7 @@ def min_frames(ids: np.ndarray) -> int:
     return int(ids.size) + repeats
 
 
-def ctc_loss(lattice, labels) -> tuple[float, np.ndarray]:
+def ctc_loss(log_probs, labels) -> tuple[float, np.ndarray]:
     """Exact CTC negative log-likelihood and its lattice gradient.
 
     alpha and beta run in buffers padded with two -inf states, so each frame
@@ -245,8 +220,7 @@ def ctc_loss(lattice, labels) -> tuple[float, np.ndarray]:
     allowed, add the emissions. The gradient treats every lattice entry as a
     free variable (no softmax coupling): the plain adjoint of the sum.
     """
-    log_probs = lattice.values if isinstance(lattice, LogProbLattice) else np.asarray(
-        lattice, dtype=np.float64)
+    log_probs = np.asarray(log_probs, dtype=np.float64)
     ids = labels.ids if isinstance(labels, LabelSequence) else np.asarray(
         labels, dtype=np.int64)
     n_frames, n_symbols = log_probs.shape
@@ -307,11 +281,10 @@ def collapse_path(path: np.ndarray) -> np.ndarray:
     return dedup[dedup != BLANK_ID]
 
 
-def greedy_decode(lattice) -> LabelSequence:
-    """Per-frame argmax followed by the B mapping."""
-    values = lattice.values if isinstance(lattice, LogProbLattice) else np.asarray(lattice)
-    path = np.argmax(values, axis=1)
-    return LabelSequence(ids=collapse_path(path), vocab_size=values.shape[1] - 1)
+def greedy_decode(log_probs: np.ndarray) -> LabelSequence:
+    """Per-frame argmax of log_probs [T, vocab_size + 1] followed by the B mapping."""
+    path = np.argmax(log_probs, axis=1)
+    return LabelSequence(ids=collapse_path(path), vocab_size=log_probs.shape[1] - 1)
 
 
 def edit_distance(hyp, ref) -> tuple[int, int, int]:

@@ -88,16 +88,16 @@ class BeamWeights:
 # ---------------------------------------------------------------------------
 
 
-def oracle_masks(clean: Spectrogram, noise: Spectrogram, ref_channel: int = 0):
-    """Ideal ratio masks from known clean/noise components (reference channel).
+def oracle_masks(clean: Spectrogram, noise: Spectrogram):
+    """Ideal ratio masks from known clean/noise components (first channel).
 
     m_s = |S|^2 / (|S|^2 + |N|^2 + eps), m_n = 1 - m_s.
     Returns (speech TFMask, noise TFMask).
     """
     if clean.bins.shape != noise.bins.shape:
         raise ValueError("clean and noise spectrogram shapes must match")
-    s_pow = np.abs(clean.bins[:, :, ref_channel]) ** 2
-    n_pow = np.abs(noise.bins[:, :, ref_channel]) ** 2
+    s_pow = np.abs(clean.bins[:, :, 0]) ** 2
+    n_pow = np.abs(noise.bins[:, :, 0]) ** 2
     m_s = s_pow / (s_pow + n_pow + MASK_EPS)
     return TFMask(m_s, target="speech"), TFMask(1.0 - m_s, target="noise")
 

@@ -1,9 +1,8 @@
 """Command-line surface: enhance, simulate, train, gradcheck, score, make-corpus.
 
 Config precedence per subcommand: explicit flags > JSON config file >
-built-in defaults. The environment variable BEAMLAB_SEED, when set,
-overrides the resolved seed last. Exit codes: 0 ok, 1 usage error,
-2 data error, 3 numerical failure.
+built-in defaults. Exit codes: 0 ok, 1 usage error, 2 data error,
+3 numerical failure.
 """
 
 import argparse
@@ -33,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_config(args, defaults: dict) -> dict:
-    """defaults <- config file (corpus_io.read_config) <- flags; BEAMLAB_SEED wins for seed."""
+    """defaults <- config file (corpus_io.read_config) <- flags."""
     cfg = dict(defaults)
     if getattr(args, "config", None):
         cfg.update(corpus_io.read_config(args.config, defaults))
@@ -41,14 +40,6 @@ def _resolve_config(args, defaults: dict) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if "seed" in cfg and os.environ.get("BEAMLAB_SEED"):
-        try:
-            cfg["seed"] = int(os.environ["BEAMLAB_SEED"])
-        except ValueError:
-            raise UsageError("BEAMLAB_SEED must be an integer") from None
-    # Only train has a workers key; the other subcommands take just the flag.
-    if cfg.get("workers", getattr(args, "workers", None)) not in (None, 1):
-        raise UsageError("only --workers 1 (deterministic mode) is supported")
     return cfg
 
 
@@ -71,7 +62,6 @@ ENHANCE_DEFAULTS = {
     "ref_channel": -1,  # -1: select_reference
     "window_size": 512,
     "hop": 128,
-    "one_hot_ref": False,
     "seed": 0,
 }
 
@@ -112,12 +102,7 @@ def cmd_enhance(args) -> int:
 
     if ref < 0:
         ref = beamform.select_reference(phi_ss)
-    if cfg["one_hot_ref"]:
-        h = np.zeros((spec.freq_bins, spec.channels), dtype=np.complex128)
-        h[:, ref] = 1.0
-        weights = beamform.BeamWeights(h=h, ref_channel=ref)
-    else:
-        weights = beamform.mvdr_weights(beamform.PsdPair(phi_ss, phi_nn), ref)
+    weights = beamform.mvdr_weights(beamform.PsdPair(phi_ss, phi_nn), ref)
 
     enhanced = beamform.apply_beamformer(weights, spec)
     out_wave = istft(enhanced)
@@ -176,7 +161,7 @@ def cmd_simulate(args) -> int:
     rir_cache = {}
     records = []
     for utt in manifest:
-        wave = corpus_io.read_wav(corpus_io.resolve_audio_path(manifest_path, utt.audio_path))
+        wave = corpus_io.read_utterance(manifest_path, utt)
         if wave.channels != 1:
             raise ValueError(f"utterance '{utt.utt_id}' is not single-channel")
         if wave.sample_rate not in rir_cache:
@@ -211,7 +196,6 @@ TRAIN_DEFAULTS = {
     "single_manifest": None,
     "vocab": None,
     "report": "report.json",
-    "workers": 1,
 }
 
 TABLE1_ROWS = {
@@ -226,7 +210,7 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
     manifest = corpus_io.load_manifest(manifest_path)
     utts = []
     for record in manifest:
-        wave = corpus_io.read_wav(corpus_io.resolve_audio_path(manifest_path, record.audio_path))
+        wave = corpus_io.read_utterance(manifest_path, record)
         labels = backend.LabelSequence(
             ids=np.asarray(record.transcript, dtype=np.int64), vocab_size=vocab_size
         )
@@ -435,7 +419,6 @@ def cmd_make_corpus(args) -> int:
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (flags win)")
     parser.add_argument("--seed", type=int, help="rng seed")
-    parser.add_argument("--workers", type=int, help="worker count (must be 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,9 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-channel", dest="ref_channel", type=int)
     p.add_argument("--window-size", dest="window_size", type=int)
     p.add_argument("--hop", type=int)
-    p.add_argument("--one-hot-ref", dest="one_hot_ref",
-                   action=argparse.BooleanOptionalAction,
-                   help="debug: force h to the reference one-hot")
     _add_common(p)
     p.set_defaults(func=cmd_enhance)
 

@@ -77,20 +77,12 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=sample_rate)
 
 
-def write_wav(path, wave, bit_depth: int = 32, sample_rate: int | None = None) -> int:
+def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
     """Write PCM16 (bit_depth=16) or IEEE-float32 (bit_depth=32).
 
-    Accepts a Waveform or a raw [channels, n] array (then sample_rate is
-    required). Samples outside [-1, 1] are clipped; returns the count of
-    clipped samples.
+    Samples outside [-1, 1] are clipped; returns the count of clipped samples.
     """
-    if isinstance(wave, Waveform):
-        samples, rate = wave.samples, wave.sample_rate
-    else:
-        samples = np.atleast_2d(np.asarray(wave, dtype=np.float64))
-        if sample_rate is None:
-            raise ValueError("sample_rate is required for raw arrays")
-        rate = int(sample_rate)
+    samples, rate = wave.samples, wave.sample_rate
     if not np.all(np.isfinite(samples)):
         raise ValueError("waveform amplitudes must be finite")
     n_clipped = int(np.sum(np.abs(samples) > 1.0))
@@ -211,14 +203,8 @@ def resolve_audio_path(manifest_path, audio_path) -> Path:
     return audio
 
 
-def load_manifest(path, verify_audio: bool = False) -> Manifest:
-    """Read a JSON-lines manifest.
-
-    With verify_audio=True every audio path must exist and its header
-    channel count must match the record (load-time invariant check);
-    the default trusts the records, so manifests can be built before
-    their audio exists.
-    """
+def load_manifest(path) -> Manifest:
+    """Read a JSON-lines manifest; its audio is not opened (see read_utterance)."""
     utterances = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -241,19 +227,19 @@ def load_manifest(path, verify_audio: bool = False) -> Manifest:
                 utterances.append(Utterance(**record))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"malformed manifest line {lineno}: {exc}") from None
-    manifest = Manifest(utterances=utterances)
-    if verify_audio:
-        for utt in manifest:
-            audio = resolve_audio_path(path, utt.audio_path)
-            if not audio.exists():
-                raise ValueError(f"audio path not resolvable: {utt.audio_path}")
-            wave = read_wav(audio)
-            if wave.channels != utt.channels:
-                raise ValueError(
-                    f"channel count mismatch for '{utt.utt_id}': manifest says "
-                    f"{utt.channels}, file has {wave.channels}"
-                )
-    return manifest
+    return Manifest(utterances=utterances)
+
+
+def read_utterance(manifest_path, record: Utterance) -> Waveform:
+    """A record's audio, its path resolved against the manifest; the WAV must have the
+    record's channel count and sample rate."""
+    wave = read_wav(resolve_audio_path(manifest_path, record.audio_path))
+    for key, recorded, actual in (("channels", record.channels, wave.channels),
+                                  ("sample_rate", record.sample_rate, wave.sample_rate)):
+        if recorded != actual:
+            raise ValueError(f"utterance '{record.utt_id}': manifest says {key} "
+                             f"{recorded}, its WAV has {actual}")
+    return wave
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,11 @@ Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
     constant (the argmax is not differentiated);
   * the diagonal-loading term added to Phi_NN is treated as constant in
-    the adjoint (see `beamform.normalized_psd_ratio_vjp`);
-  * SpecAugment never appears on this path.
+    the adjoint (see `beamform.normalized_psd_ratio_vjp`).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +76,6 @@ class TrainState:
 
     mask_params: MaskNetParams
     am_params: AmParams
-    moments: dict = field(default_factory=dict)  # reserved; plain SGD keeps none
     step: int = 0
     seed: int = 0
 
@@ -201,24 +199,16 @@ def forward_joint(
     labels: LabelSequence | None,
     subsample_factor: int = DEFAULT_SUBSAMPLE,
     ref_channel: int | None = None,
-    mask_override: float | None = None,
 ):
     """Joint loss L = -log p(l | Feature(x_hat)) and the backward cache; labels None: decode only.
 
     ref_channel pins the reference microphone (otherwise select_reference
-    chooses it from the speech PSD); mask_override clamps the speech mask to
-    a constant, detaching the mask net (a test mode).
+    chooses it from the speech PSD).
     """
     bins = utt.bins
     if bins.shape[2] < 1:
         raise ValueError("need at least one channel")
-    if mask_override is not None:
-        if not 0.0 < mask_override < 1.0:
-            raise ValueError("mask_override must lie strictly in (0, 1)")
-        mask = np.full(bins.shape[:2], float(mask_override))
-        mask_cache = None
-    else:
-        mask, mask_cache = mask_net_forward(state.mask_params, bins)
+    mask, mask_cache = mask_net_forward(state.mask_params, bins)
 
     phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
     weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
@@ -267,13 +257,11 @@ def backward_joint(cache: dict) -> GradBundle:
     # The mask feeds both PSDs; the noise mask is 1 - speech mask.
     g_mask = cache["psd_vjp"](g_phi_ss, g_phi_nn)
 
-    if cache["mask_cache"] is None:  # clamped masks: net detached
-        mask_grads = zeros_bundle(state).mask
-    else:  # sigmoid, then the mask net's 2-layer MLP
-        mc = cache["mask_cache"]
-        g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
-        mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit,
-                                      input_grad=False)
+    # Sigmoid, then the mask net's 2-layer MLP.
+    mc = cache["mask_cache"]
+    g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
+    mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit,
+                                  input_grad=False)
     return GradBundle(mask=mask_grads, am=am_grads)
 
 
@@ -358,7 +346,6 @@ def save_checkpoint(state: TrainState, path) -> None:
         "checkpoint_version": CHECKPOINT_VERSION,
         "step": state.step,
         "seed": state.seed,
-        "moments": {k: np.asarray(v).tolist() for k, v in state.moments.items()},
         "mask_params": {n: getattr(state.mask_params, n).tolist() for n in PARAM_NAMES},
         "am_params": {
             **{n: getattr(state.am_params, n).tolist() for n in PARAM_NAMES},
@@ -370,6 +357,7 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
+    """A save_checkpoint file; a "moments" key (always empty, from older writers) is ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("checkpoint_version")
@@ -384,7 +372,6 @@ def load_checkpoint(path) -> TrainState:
         return TrainState(
             mask_params=mask_params,
             am_params=am_params,
-            moments={k: np.asarray(v) for k, v in payload["moments"].items()},
             step=int(payload["step"]),
             seed=int(payload["seed"]),
         )

@@ -15,7 +15,7 @@ streams (init, plan, pretrain, simulate, augment). A mode that does not use
 a stream never draws from it, so with an empty single-channel set every mode
 reduces to JO_ONLY bit-exactly under the same seed. With two usable CPUs a
 forked helper computes half of every batch and of the decode, and Reports
-stay bit-identical to one process; `beamlab train --workers` must still be 1.
+stay bit-identical to one process.
 """
 
 import ctypes
@@ -127,13 +127,6 @@ class Batch:
 
 
 @dataclass
-class BatchPlan:
-    """Ordered batches for one epoch; every utterance appears exactly once."""
-
-    batches: list
-
-
-@dataclass
 class Report:
     """Self-contained record of one training run."""
 
@@ -162,10 +155,10 @@ def epoch_cost_model(t1: float, t2: float, n: float, mode: str) -> float:
 
     T1 is one epoch over the multi-channel set (joint path), T2 one epoch
     over the single-channel set (back-end only), N the single/multi
-    utterance ratio.
+    utterance ratio. T2 is 0 when there is no single-channel set.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise ValueError("epoch times must be positive")
+    if t1 <= 0 or t2 < 0:
+        raise ValueError("epoch times must be T1 > 0 and T2 >= 0")
     if n < 0:
         raise ValueError("utterance ratio N must be >= 0")
     if mode in ("PT", "JO_ONLY"):
@@ -182,8 +175,8 @@ def epoch_cost_model(t1: float, t2: float, n: float, mode: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Generator) -> BatchPlan:
-    """Shuffled interleave of MULTI and SINGLE batches covering both sets.
+def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Generator) -> list:
+    """Shuffled interleave of MULTI and SINGLE batches; every utterance appears exactly once.
 
     SINGLE batch size is round(N * multi_batch_size), N = #single/#multi,
     so both sets are swept with (near-)equal batch counts per epoch.
@@ -209,8 +202,7 @@ def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Genera
     tags = np.array([MULTI] * len(multi_batches) + [SINGLE] * len(single_batches))
     order = rng.permutation(len(tags))
     queues = {MULTI: iter(multi_batches), SINGLE: iter(single_batches)}
-    batches = [next(queues[tags[i]]) for i in order]
-    return BatchPlan(batches=batches)
+    return [next(queues[tags[i]]) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -339,12 +331,11 @@ def speed_perturb(wave: Waveform, factor: float) -> Waveform:
     return Waveform(samples=out, sample_rate=wave.sample_rate)
 
 
-def wav_augment(wave: Waveform, rng: np.random.Generator,
-                gain_range=(0.5, 1.5), drop_fraction: float = 0.05) -> Waveform:
-    """Random gain plus one zeroed time span (a reduced WavAugment)."""
-    gain = rng.uniform(*gain_range)
+def wav_augment(wave: Waveform, rng: np.random.Generator) -> Waveform:
+    """Random gain in [0.5, 1.5) plus one zeroed span of 5% (a reduced WavAugment)."""
+    gain = rng.uniform(0.5, 1.5)
     out = wave.samples * gain
-    drop = int(drop_fraction * wave.n_samples)
+    drop = int(0.05 * wave.n_samples)
     if drop > 0:
         start = int(rng.integers(0, wave.n_samples - drop + 1))
         out = out.copy()
@@ -481,7 +472,7 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
             plan = plan_epoch(jo_ids, single_ids, cfg, streams["plan"])
             t_epoch = time.perf_counter()
             joint_losses, single_losses = [], []
-            for batch in plan.batches:
+            for batch in plan:
                 t0 = time.perf_counter()
                 loss = _run_batch(state, batch, specs, labels, cfg, helper)
                 if batch.kind == MULTI:
@@ -520,14 +511,11 @@ def _cost_prediction(cfg, n_multi, n_single, sec_per_multi, sec_per_single) -> d
     n_ratio = n_single / n_multi if n_multi else 0.0
     t1 = sec_per_multi * n_multi
     t2 = sec_per_single * n_single
-    prediction = None
-    if t1 > 0 and (cfg.mode != "DS" or t2 > 0):
-        prediction = epoch_cost_model(t1, max(t2, 1e-12), n_ratio, cfg.mode)
     return {
         "n_ratio": n_ratio,
         "t1_seconds": t1,
         "t2_seconds": t2,
-        "predicted_epoch_seconds": prediction,
+        "predicted_epoch_seconds": epoch_cost_model(t1, t2, n_ratio, cfg.mode),
     }
 
 
@@ -606,8 +594,6 @@ def generate_toy_corpus(
     n_single: int,
     vocab_size: int,
     rng: np.random.Generator,
-    room: RoomSpec | None = None,
-    array: MicArray | None = None,
     snr_db: float = 10.0,
     max_order: int = 2,
     sample_rate: int = TOY_SAMPLE_RATE,
@@ -615,14 +601,14 @@ def generate_toy_corpus(
     """Deterministic toy corpus: tokens are tone bursts separated by gaps.
 
     Returns (multi_set, single_set, tokens). Multi-channel utterances are
-    image-source renders of fresh clean utterances plus spatially-white
-    noise mixed at snr_db; single-channel utterances are clean.
+    image-source renders (toy_room, toy_array) of fresh clean utterances plus
+    spatially-white noise mixed at snr_db; single-channel utterances are clean.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
     if n_multi < 0 or n_single < 0:
         raise ValueError("utterance counts must be >= 0")
-    room, array = toy_scene(room, array)
+    room, array = toy_room(), toy_array()
     tokens = [chr(ord("a") + i) if vocab_size <= 26 else f"t{i}" for i in range(vocab_size)]
 
     def draw(utt_id: str, origin: str, rir) -> Utt:

@@ -11,7 +11,6 @@ from beamlab import backend
 from beamlab.backend import (
     AmParams,
     LabelSequence,
-    LogProbLattice,
     am_backward,
     am_forward_cached,
     collapse_path,
@@ -130,13 +129,6 @@ class TestContainers:
             LabelSequence(ids=np.array([4]), vocab_size=3)
         seq = LabelSequence(ids=np.array([1, 3]), vocab_size=3)
         assert len(seq) == 2
-
-    def test_lattice_rows_must_normalize(self):
-        bad = np.log(np.full((3, 4), 0.3))
-        with pytest.raises(ValueError, match="log-sum-exp"):
-            LogProbLattice(values=bad)
-        good = _random_lattice(_rng(0), 3, 3)
-        LogProbLattice(values=good)
 
     def test_am_params_validated(self):
         rng = _rng(1)

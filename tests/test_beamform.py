@@ -1,4 +1,4 @@
-"""beamform tests: masks, PSD estimation, MVDR, reference selection, DAS."""
+"""beamform tests: masks, PSD estimation, MVDR, reference selection, apply."""
 
 import numpy as np
 import pytest
@@ -256,6 +256,23 @@ class TestMvdr:
             out = apply_beamformer(w, spec)
             err = np.max(np.abs(out.bins[:, :, 0] - bins[:, :, ref]))
             assert err < 1e-8, err
+
+    def test_rank1_noiseless_recovers_reference(self):
+        # Point source with no noise: for any constant mask level the joint
+        # path's chain (PSD pair -> loaded ratio -> apply) reproduces the
+        # reference channel (loading cancels in the trace normalization).
+        rng = _rng(4)
+        frames, f, c = 12, 9, 3
+        steer = rng.normal(size=(f, c)) + 1j * rng.normal(size=(f, c))
+        src = rng.normal(size=(frames, f)) + 1j * rng.normal(size=(frames, f))
+        bins = src[:, :, None] * steer[None, :, :]
+        for level in (0.2, 0.5, 0.9):
+            phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, np.full((frames, f), level))
+            weights, _ = normalized_psd_ratio_vjp(phi_ss, phi_nn)
+            ref = select_reference(phi_ss)
+            xhat, _ = apply_beamformer_vjp(weights[:, :, ref], bins)
+            err = np.max(np.abs(xhat - bins[:, :, ref]))
+            assert err < 1e-8, (level, err)
 
     def test_single_channel_weight_is_unity(self):
         # x/x through the LAPACK solve (reciprocal then multiply) can sit

@@ -28,6 +28,22 @@ def _sparse_source(rng, sr, n):
     return out
 
 
+def _read_all(manifest_path):
+    """The manifest, after reading every record's audio through read_utterance."""
+    manifest = corpus_io.load_manifest(manifest_path)
+    for utt in manifest:
+        corpus_io.read_utterance(manifest_path, utt)
+    return manifest
+
+
+def _rewrite_first_record(manifest_path, **changes):
+    """Change fields of the manifest's first record in place; its audio is kept."""
+    manifest = corpus_io.load_manifest(manifest_path)
+    manifest.utterances[0] = dataclasses.replace(manifest.utterances[0], **changes)
+    corpus_io.save_manifest(manifest, manifest_path)
+    return manifest.utterances[0].utt_id
+
+
 def _make_scene(tmp_path, seed=0, channels=4):
     """Noisy 4-channel scene + matching clean reference on disk."""
     rng = _rng(seed)
@@ -76,10 +92,11 @@ class TestExitCodes:
     def test_corrupt_adjoint_is_numerical_error(self):
         assert main(["gradcheck", "--corrupt-adjoint"]) == 3
 
-    def test_workers_must_be_one(self):
-        assert main(["gradcheck", "--workers", "2"]) == 1
-        assert main(["gradcheck", "--workers", "0"]) == 1
-        assert main(["gradcheck", "--workers", "1"]) == 0
+    def test_workers_flag_is_gone(self, capsys):
+        # No subcommand takes --workers: run_training picks one or two processes itself.
+        for argv in (["gradcheck"], ["score"], ["make-corpus"]):
+            assert main([*argv, "--workers", "1"]) == 1
+            assert "--workers" in capsys.readouterr().err
 
 
 class TestEnhance:
@@ -97,26 +114,10 @@ class TestEnhance:
         enhanced = corpus_io.read_wav(out)
         assert enhanced.channels == 1
 
-    def test_one_hot_ref_is_passthrough(self, tmp_path):
-        noisy, clean = _make_scene(tmp_path, seed=1)
-        out = tmp_path / "ref.wav"
-        code = main(["enhance", "--input", str(noisy), "--out", str(out),
-                     "--masks", "oracle", "--clean", str(clean),
-                     "--ref-channel", "2", "--one-hot-ref",
-                     "--window-size", "256", "--hop", "64"])
-        assert code == 0
-        back = corpus_io.read_wav(out)
-        src = corpus_io.read_wav(noisy)
-        n = back.n_samples
-        # Interior of the WOLA resynthesis reproduces the chosen channel.
-        lo, hi = 256, n - 256
-        np.testing.assert_allclose(back.samples[0, lo:hi],
-                                   src.samples[2, lo:hi], atol=1e-5)
-
     def test_mono_input_is_data_error(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"
-        corpus_io.write_wav(mono, _rng(0).normal(size=(1, 8000)) * 0.1,
-                            sample_rate=16000)
+        corpus_io.write_wav(mono, Waveform(samples=_rng(0).normal(size=(1, 8000)) * 0.1,
+                                           sample_rate=16000))
         code = main(["enhance", "--input", str(mono),
                      "--out", str(tmp_path / "o.wav"),
                      "--masks", "oracle", "--clean", str(mono)])
@@ -144,8 +145,8 @@ class TestMakeCorpusAndTrain:
                      "--n-single", "4", "--seed", "5"])
         assert code == 0
         assert (out / "vocab.txt").exists()
-        multi = corpus_io.load_manifest(out / "multi.jsonl", verify_audio=True)
-        single = corpus_io.load_manifest(out / "single.jsonl", verify_audio=True)
+        multi = _read_all(out / "multi.jsonl")
+        single = _read_all(out / "single.jsonl")
         assert len(multi) == 3 and len(single) == 4
         assert all(u.channels == 4 for u in multi)
         assert all(u.channels == 1 for u in single)
@@ -180,21 +181,57 @@ class TestMakeCorpusAndTrain:
         assert code == 0
         assert "ratio law" in capsys.readouterr().out
 
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BEAMLAB_SEED", "7")
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["make-corpus", "--out-dir", str(a), "--n-multi", "2",
-              "--n-single", "1", "--seed", "1"])
-        main(["make-corpus", "--out-dir", str(b), "--n-multi", "2",
-              "--n-single", "1", "--seed", "2"])
-        wav_a = sorted((a / "wav").iterdir())[0]
-        wav_b = sorted((b / "wav").iterdir())[0]
-        assert wav_a.read_bytes() == wav_b.read_bytes()
+    def test_train_ds_without_single_manifest(self, tmp_path, capsys):
+        # Before: the Report was written, then printing a None prediction
+        # escaped main as a TypeError. With no single-channel set T2 = 0.
+        out = tmp_path / "corpus"
+        main(["make-corpus", "--out-dir", str(out), "--n-multi", "4",
+              "--n-single", "0", "--seed", "2"])
+        capsys.readouterr()
+        code = main(["train", "--mode", "DS", "--epochs", "1", "--multi-batch-size", "2",
+                     "--multi-manifest", str(out / "multi.jsonl"),
+                     "--vocab", str(out / "vocab.txt"),
+                     "--report", str(tmp_path / "r.json"), "--seed", "2"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "DS" in printed and "ratio law" not in printed
+        cost = json.loads((tmp_path / "r.json").read_text())["cost_model"]
+        assert cost["t2_seconds"] == 0.0
+        assert cost["predicted_epoch_seconds"] == cost["t1_seconds"] > 0
 
-    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BEAMLAB_SEED", "not-a-number")
-        assert main(["make-corpus", "--out-dir", str(tmp_path / "x"),
-                     "--n-multi", "1", "--n-single", "1"]) == 1
+    @pytest.mark.parametrize("field,value", [("channels", 1), ("sample_rate", 16000)])
+    def test_train_record_disagreeing_with_wav_is_data_error(self, tmp_path, capsys,
+                                                             field, value):
+        # Before: a record saying 1 channel (or 16 kHz) for a 4-channel 8 kHz
+        # WAV trained and exited 0.
+        out = tmp_path / "corpus"
+        main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+              "--n-single", "0", "--seed", "3"])
+        utt_id = _rewrite_first_record(out / "multi.jsonl", **{field: value})
+        capsys.readouterr()
+        code = main(["train", "--epochs", "1", "--multi-manifest", str(out / "multi.jsonl"),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{utt_id}'" in err and f"{field} {value}" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_env_seed_is_ignored(self, tmp_path, monkeypatch):
+        # Flags > config file > defaults is the whole rule: BEAMLAB_SEED,
+        # set or not, integral or not, changes nothing.
+        def wavs(name, env):
+            if env is None:
+                monkeypatch.delenv("BEAMLAB_SEED", raising=False)
+            else:
+                monkeypatch.setenv("BEAMLAB_SEED", env)
+            out = tmp_path / name
+            assert main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+                         "--n-single", "1", "--seed", "1"]) == 0
+            return [p.read_bytes() for p in sorted((out / "wav").iterdir())]
+
+        plain = wavs("plain", None)
+        assert wavs("seven", "7") == plain
+        assert wavs("text", "not-a-number") == plain
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "mk.json"
@@ -332,6 +369,8 @@ class TestConfigTypes:
     @pytest.mark.parametrize("command,key,value", [
         ("gradcheck", "corrupt_adjoint", "false"),
         ("score", "per_utt", "false"),
+        # one_hot_ref and workers are no longer keys: any value is a usage
+        # error that names the key.
         ("enhance", "one_hot_ref", "false"),
         ("enhance", "ref_channel", 1.9),
         ("enhance", "window_size", "256"),
@@ -363,7 +402,7 @@ class TestConfigTypes:
     def test_integral_float_count_accepted(self, tmp_path, capsys):
         code, _, out = self._run(tmp_path, capsys, "make-corpus", {"n_multi": 2.0})
         assert code == 0
-        assert len(corpus_io.load_manifest(out / "multi.jsonl", verify_audio=True)) == 2
+        assert len(_read_all(out / "multi.jsonl")) == 2
 
     def test_float_epsilon_accepted(self, tmp_path, capsys):
         code, from_file, _ = self._run(tmp_path, capsys, "gradcheck", {"epsilon": 1e-5})
@@ -389,8 +428,7 @@ class TestSimulate:
         code = main(["simulate", "--manifest", str(corpus / "single.jsonl"),
                      "--room-config", str(room_cfg), "--out-dir", str(out)])
         assert code == 0
-        rendered = corpus_io.load_manifest(out / "manifest.jsonl",
-                                           verify_audio=True)
+        rendered = _read_all(out / "manifest.jsonl")
         assert len(rendered) == 2
         assert all(u.channels == 4 for u in rendered)
         assert all(u.origin == "simulated" for u in rendered)
@@ -415,14 +453,14 @@ class TestSimulate:
         code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
                      "--out-dir", "r", "--manifest-out", "m.jsonl"])
         assert code == 0
-        rendered = corpus_io.load_manifest("m.jsonl", verify_audio=True)
+        rendered = _read_all("m.jsonl")
         assert [u.audio_path for u in rendered] == ["r/toy-s0000.wav", "r/toy-s0001.wav"]
         assert all(u.channels == 4 for u in rendered)
         (tmp_path / "sub").mkdir()
         code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
                      "--out-dir", "r2", "--manifest-out", "sub/m.jsonl"])
         assert code == 0
-        rendered = corpus_io.load_manifest("sub/m.jsonl", verify_audio=True)
+        rendered = _read_all("sub/m.jsonl")
         assert rendered.utterances[0].audio_path == "../r2/toy-s0000.wav"
         # A manifest in a symlinked directory: "link/.." is the target's parent.
         (tmp_path / "deep" / "target").mkdir(parents=True)
@@ -430,7 +468,7 @@ class TestSimulate:
         code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
                      "--out-dir", "r3", "--manifest-out", "link/m.jsonl"])
         assert code == 0
-        corpus_io.load_manifest("link/m.jsonl", verify_audio=True)
+        _read_all("link/m.jsonl")
         assert (tmp_path / "r3" / "toy-s0000.wav").exists()
 
     def test_default_manifest_paths_are_file_names(self, tmp_path):
@@ -452,6 +490,18 @@ class TestSimulate:
         assert code == 1
         assert f"'{next(iter(top))}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("field,value", [("channels", 2), ("sample_rate", 16000)])
+    def test_record_disagreeing_with_wav_is_data_error(self, tmp_path, capsys, field, value):
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        utt_id = _rewrite_first_record(single, **{field: value})
+        capsys.readouterr()
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{utt_id}'" in err and f"{field} {value}" in err
+        assert not (tmp_path / "r" / "manifest.jsonl").exists()
 
     def test_integral_float_max_order_renders(self, tmp_path):
         single, room_cfg = self._corpus_and_room(tmp_path, max_order=2.0)

@@ -10,6 +10,7 @@ from beamlab.corpus_io import (
     Manifest,
     Utterance,
     load_manifest,
+    read_utterance,
     read_wav,
     resolve_audio_path,
     save_manifest,
@@ -21,6 +22,10 @@ from beamlab.dsp import Waveform
 
 def _rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _wave(samples, sample_rate=8000):
+    return Waveform(samples=samples, sample_rate=sample_rate)
 
 
 def _utt(utt_id="u1", **kw):
@@ -85,16 +90,16 @@ class TestWavRoundTrip:
         assert abs(back.samples[0, 1] - 32767 / 32768.0) < 1e-6
         assert abs(back.samples[0, 2] + 1.0) < 1e-4
 
-    def test_raw_array_with_sample_rate(self, tmp_path):
-        write_wav(tmp_path / "r.wav", np.zeros((1, 10)), sample_rate=8000)
-        assert read_wav(tmp_path / "r.wav").n_samples == 10
-        with pytest.raises(ValueError):
-            write_wav(tmp_path / "r2.wav", np.zeros((1, 10)))  # rate required
-
     def test_bad_bit_depth(self, tmp_path):
         with pytest.raises(ValueError):
-            write_wav(tmp_path / "x.wav", np.zeros((1, 4)), bit_depth=24,
-                      sample_rate=8000)
+            write_wav(tmp_path / "x.wav", _wave(np.zeros((1, 4))), bit_depth=24)
+
+    def test_non_finite_rejected(self, tmp_path):
+        wave = _wave(np.zeros((1, 4)))
+        wave.samples[0, 1] = np.nan  # Waveform checks only at construction
+        with pytest.raises(ValueError, match="finite"):
+            write_wav(tmp_path / "x.wav", wave)
+        assert not (tmp_path / "x.wav").exists()
 
 
 class TestWavErrors:
@@ -106,7 +111,7 @@ class TestWavErrors:
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.wav"
-        write_wav(path, np.ones((1, 100)) * 0.1, bit_depth=16, sample_rate=8000)
+        write_wav(path, _wave(np.ones((1, 100)) * 0.1), bit_depth=16)
         blob = path.read_bytes()
         path.write_bytes(blob[:-50])
         with pytest.raises(ValueError, match="truncated"):
@@ -114,7 +119,7 @@ class TestWavErrors:
 
     def test_unsupported_format_tag(self, tmp_path):
         path = tmp_path / "u.wav"
-        write_wav(path, np.ones((1, 20)) * 0.1, bit_depth=16, sample_rate=8000)
+        write_wav(path, _wave(np.ones((1, 20)) * 0.1), bit_depth=16)
         blob = bytearray(path.read_bytes())
         blob[20:22] = (7).to_bytes(2, "little")  # mu-law tag
         path.write_bytes(bytes(blob))
@@ -179,29 +184,24 @@ class TestManifest:
             _utt("u1", origin="synthetic")
 
     def test_verify_audio(self, tmp_path):
+        # read_utterance checks each record against the WAV it points at.
         wav_path = tmp_path / "u1.wav"
-        write_wav(wav_path, np.zeros((2, 40)), sample_rate=8000)
-        good = Manifest(utterances=[_utt("u1", channels=2, sample_rate=8000)])
-        save_manifest(good, tmp_path / "ok.jsonl")
-        loaded = load_manifest(tmp_path / "ok.jsonl", verify_audio=True)
-        assert len(loaded) == 1
+        write_wav(wav_path, _wave(np.zeros((2, 40))))
+        good = _utt("u1", channels=2, sample_rate=8000)
+        assert read_utterance(tmp_path / "ok.jsonl", good).channels == 2
         # Relative paths resolve against the manifest's directory; absolute
         # paths are kept, wherever the manifest lives.
         assert resolve_audio_path(tmp_path / "ok.jsonl", "u1.wav") == wav_path
         assert resolve_audio_path("elsewhere/m.jsonl", str(wav_path)) == wav_path
-        (tmp_path / "sub").mkdir()
-        absolute = Manifest(utterances=[_utt("u1", audio_path=str(wav_path), channels=2,
-                                             sample_rate=8000)])
-        save_manifest(absolute, tmp_path / "sub" / "abs.jsonl")
-        assert len(load_manifest(tmp_path / "sub" / "abs.jsonl", verify_audio=True)) == 1
-        bad = Manifest(utterances=[_utt("u1", channels=3, sample_rate=8000)])
-        save_manifest(bad, tmp_path / "bad.jsonl")
-        with pytest.raises(ValueError, match="channel"):
-            load_manifest(tmp_path / "bad.jsonl", verify_audio=True)
-        missing = Manifest(utterances=[_utt("zz", channels=1)])
-        save_manifest(missing, tmp_path / "miss.jsonl")
-        with pytest.raises(ValueError):
-            load_manifest(tmp_path / "miss.jsonl", verify_audio=True)
+        absolute = _utt("u1", audio_path=str(wav_path), channels=2, sample_rate=8000)
+        assert read_utterance(tmp_path / "sub" / "abs.jsonl", absolute).n_samples == 40
+        with pytest.raises(ValueError, match="'u1': manifest says channels 3, its WAV has 2"):
+            read_utterance(tmp_path / "bad.jsonl", _utt("u1", channels=3, sample_rate=8000))
+        with pytest.raises(ValueError,
+                           match="'u1': manifest says sample_rate 16000, its WAV has 8000"):
+            read_utterance(tmp_path / "bad.jsonl", _utt("u1", channels=2, sample_rate=16000))
+        with pytest.raises(FileNotFoundError):
+            read_utterance(tmp_path / "miss.jsonl", _utt("zz", channels=1))
 
     def test_write_utterance_round_trip(self, tmp_path):
         (tmp_path / "wav").mkdir()
@@ -210,8 +210,9 @@ class TestManifest:
         record = write_utterance(tmp_path, "wav/u1.wav", "u1", wave, np.array([2, 1]),
                                  "simulated")
         save_manifest(Manifest(utterances=[record]), tmp_path / "m.jsonl")
-        (back,) = load_manifest(tmp_path / "m.jsonl", verify_audio=True)
+        (back,) = load_manifest(tmp_path / "m.jsonl")
         assert back == record
+        assert read_utterance(tmp_path / "m.jsonl", back).channels == 3
         assert (back.audio_path, back.channels, back.sample_rate) == ("wav/u1.wav", 3, 8000)
         assert back.duration == 0.1 and back.transcript == [2, 1]
         np.testing.assert_array_equal(read_wav(tmp_path / "wav/u1.wav").samples,

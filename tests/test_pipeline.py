@@ -146,30 +146,6 @@ class TestForwardJoint:
         np.testing.assert_allclose(cache["h"], np.ones_like(cache["h"]),
                                    rtol=0, atol=1e-12)
 
-    def test_rank1_noiseless_recovers_reference(self):
-        # Point source with no noise: for any clamped mask level the MVDR
-        # output reproduces the reference channel (loading cancels in the
-        # trace normalization).
-        rng = _rng(4)
-        frames, f, c = 12, 9, 3
-        steer = rng.normal(size=(f, c)) + 1j * rng.normal(size=(f, c))
-        src = rng.normal(size=(frames, f)) + 1j * rng.normal(size=(frames, f))
-        bins = src[:, :, None] * steer[None, :, :]
-        utt = Spectrogram(bins=bins, sample_rate=16000, window_size=16, hop=8)
-        state, _, labels = _tiny_instance(4, channels=3)
-        for level in (0.2, 0.5, 0.9):
-            _, cache = forward_joint(state, utt, labels, subsample_factor=3,
-                                     mask_override=level)
-            xhat = np.einsum("fc,tfc->tf", cache["h"].conj(), bins)
-            err = np.max(np.abs(xhat - bins[:, :, cache["ref"]]))
-            assert err < 1e-8, (level, err)
-
-    def test_mask_override_bounds(self):
-        state, utt, labels = _tiny_instance(5)
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError, match="mask_override"):
-                forward_joint(state, utt, labels, mask_override=bad)
-
     def test_ref_channel_pinning(self):
         state, utt, labels = _tiny_instance(6)
         loss0, c0 = forward_joint(state, utt, labels, ref_channel=0)
@@ -263,33 +239,6 @@ class TestBackwardJoint:
             with pytest.raises(ValueError, match="invalid epsilon"):
                 finite_diff_check(state, utt, labels, epsilon=eps)
 
-    def test_clamped_mask_detaches_mask_net(self):
-        state, utt, labels = _tiny_instance(11)
-        _, cache = forward_joint(state, utt, labels, mask_override=0.5)
-        bundle = backward_joint(cache)
-        for name, arr in bundle.mask.items():
-            assert np.all(arr == 0.0), name
-        assert any(np.any(arr != 0.0) for arr in bundle.am.values())
-
-    def test_clamped_mask_gradients_still_verify(self):
-        # The AM gradients must stay exact when the mask branch is detached.
-        state, utt, labels = _tiny_instance(12, frames=12, am_hidden=4, mask_hidden=3)
-        loss0, cache = forward_joint(state, utt, labels, subsample_factor=2,
-                                     mask_override=0.4)
-        bundle = backward_joint(cache)
-        ref = cache["ref"]
-
-        def loss_fn():
-            loss, _ = forward_joint(state, utt, labels, subsample_factor=2,
-                                    ref_channel=ref, mask_override=0.4)
-            return loss
-
-        arr = state.am_params.w2
-        for index in ((0, 0), (1, 1), (3, 2)):
-            numeric = pipeline.central_difference(loss_fn, arr, index, 1e-5)
-            denom = max(abs(numeric), abs(bundle.am["w2"][index]), 1e-5)
-            assert abs(bundle.am["w2"][index] - numeric) / denom < 1e-4
-
     def test_backward_kind_checked(self):
         state, utt, labels = _tiny_instance(13, channels=1)
         _, cache = forward_backend(state.am_params, utt, labels)
@@ -326,7 +275,6 @@ class TestCheckpoints:
         state, _, _ = _tiny_instance(15)
         state.step = 41
         state.seed = 9
-        state.moments = {"m_w1": np.full(3, 0.25)}
         path = tmp_path / "ck.json"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
@@ -337,7 +285,26 @@ class TestCheckpoints:
                 getattr(back.am_params, name), getattr(state.am_params, name))
         assert back.step == 41 and back.seed == 9
         assert back.am_params.context == state.am_params.context
-        np.testing.assert_array_equal(back.moments["m_w1"], state.moments["m_w1"])
+
+    def test_older_checkpoint_with_moments_key_loads(self, tmp_path):
+        # Earlier writers put an always-empty "moments" object after "seed".
+        state, _, _ = _tiny_instance(18)
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, path)
+        import json
+
+        payload = json.loads(path.read_text())
+        assert "moments" not in payload
+        older = {key: payload[key] for key in ("checkpoint_version", "step", "seed")}
+        older["moments"] = {}
+        older.update(mask_params=payload["mask_params"], am_params=payload["am_params"])
+        path.write_text(json.dumps(older))
+        back = load_checkpoint(path)
+        assert (back.step, back.seed) == (state.step, state.seed)
+        for group in ("mask_params", "am_params"):
+            for name in ("w1", "b1", "w2", "b2"):
+                np.testing.assert_array_equal(getattr(getattr(back, group), name),
+                                              getattr(getattr(state, group), name))
 
     def test_wrong_version_rejected(self, tmp_path):
         state, _, _ = _tiny_instance(16)

@@ -77,6 +77,11 @@ class TestCostModel:
         assert epoch_cost_model(2.0, 0.5, 1.5, "DS") == 2.5
         assert epoch_cost_model(2.0, 0.5, 1.5, "SIMU") == (1 + 1.5) * 2.0
 
+    def test_zero_t2_without_single_set(self):
+        # DS with no single-channel set: T2 = 0, the prediction is T1.
+        for mode in MODES:
+            assert epoch_cost_model(2.0, 0.0, 0.0, mode) == 2.0
+
     def test_caption_regime_exact(self):
         # T1 = 10*T2 and N = 1.2 must give DS = 1.1*T1 and SIMU = 2.2*T1
         # with exact float equality.
@@ -92,6 +97,8 @@ class TestCostModel:
         with pytest.raises(ValueError):
             epoch_cost_model(1.0, -1.0, 1.0, "DS")
         with pytest.raises(ValueError):
+            epoch_cost_model(-1.0, 0.0, 0.0, "JO_ONLY")
+        with pytest.raises(ValueError):
             epoch_cost_model(1.0, 1.0, -0.5, "SIMU")
         with pytest.raises(ValueError):
             epoch_cost_model(1.0, 1.0, 1.0, "nope")
@@ -105,8 +112,8 @@ class TestPlanEpoch:
         cfg = _cfg(mode="DS", multi_batch_size=10)
         plan = plan_epoch([f"m{i}" for i in range(100)],
                           [f"s{i}" for i in range(50)], cfg, _rng(1))
-        multi_batches = [b for b in plan.batches if b.kind == MULTI]
-        single_batches = [b for b in plan.batches if b.kind == SINGLE]
+        multi_batches = [b for b in plan if b.kind == MULTI]
+        single_batches = [b for b in plan if b.kind == SINGLE]
         assert len(multi_batches) == 10
         assert len(single_batches) == 10
         assert all(len(b.utt_ids) == 10 for b in multi_batches)
@@ -117,15 +124,15 @@ class TestPlanEpoch:
         multi = [f"m{i}" for i in range(7)]
         single = [f"s{i}" for i in range(5)]
         plan = plan_epoch(multi, single, cfg, _rng(2))
-        seen_m = [u for b in plan.batches if b.kind == MULTI for u in b.utt_ids]
-        seen_s = [u for b in plan.batches if b.kind == SINGLE for u in b.utt_ids]
+        seen_m = [u for b in plan if b.kind == MULTI for u in b.utt_ids]
+        seen_s = [u for b in plan if b.kind == SINGLE for u in b.utt_ids]
         assert sorted(seen_m) == sorted(multi)
         assert sorted(seen_s) == sorted(single)
 
     def test_empty_single_gives_multi_only(self):
         cfg = _cfg(mode="DS", multi_batch_size=4)
         plan = plan_epoch([f"m{i}" for i in range(8)], [], cfg, _rng(3))
-        assert all(b.kind == MULTI for b in plan.batches)
+        assert all(b.kind == MULTI for b in plan)
 
     def test_empty_multi_rejected(self):
         cfg = _cfg(mode="DS")
@@ -138,8 +145,7 @@ class TestPlanEpoch:
         single = [f"s{i}" for i in range(6)]
         a = plan_epoch(multi, single, cfg, _rng(5))
         b = plan_epoch(multi, single, cfg, _rng(5))
-        assert [(x.kind, x.utt_ids) for x in a.batches] == \
-               [(x.kind, x.utt_ids) for x in b.batches]
+        assert [(x.kind, x.utt_ids) for x in a] == [(x.kind, x.utt_ids) for x in b]
 
 
 class TestSchemes:
