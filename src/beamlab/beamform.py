@@ -173,7 +173,7 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
     passes to g_phi_nn unchanged, dropping the dependence of the loading on
     tr(Phi_NN). This is not negligible: the finite-difference check exceeds
     its 1e-4 tolerance on some inputs (`beamlab gradcheck --seed 17001`,
-    `--seed 28000`) and passes with DIAGONAL_LOADING = 0 (ROADMAP item 4).
+    `--seed 28000`) and passes with DIAGONAL_LOADING = 0 (ROADMAP item 1).
     """
     loaded = load_noise_psd(phi_nn)
     ratio = np.linalg.solve(loaded, phi_ss)

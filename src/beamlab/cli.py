@@ -62,7 +62,6 @@ ENHANCE_DEFAULTS = {
     "ref_channel": -1,  # -1: select_reference
     "window_size": 512,
     "hop": 128,
-    "seed": 0,
 }
 
 
@@ -76,21 +75,28 @@ def cmd_enhance(args) -> int:
             "input is single-channel: beamforming needs a microphone array "
             "(copy the file through unchanged instead)"
         )
+    # Two [T, F, C] spectrograms at most: noisy and clean. Each waveform is
+    # dropped once transformed, and no noise spectrogram is built.
+    shape = noisy.samples.shape
     spec = stft(noisy, cfg["window_size"], cfg["hop"])
+    del noisy
     ref = cfg["ref_channel"]
 
     clean_spec = None
     if cfg["clean"] is not None:
         clean = corpus_io.read_wav(cfg["clean"])
-        if clean.samples.shape != noisy.samples.shape:
+        if clean.samples.shape != shape:
             raise ValueError("clean reference must match the input shape exactly")
         clean_spec = stft(clean, cfg["window_size"], cfg["hop"])
-        noise_spec = replace(spec, bins=spec.bins - clean_spec.bins)
+        del clean
 
     if cfg["masks"] == "oracle":
         if clean_spec is None:
             raise UsageError("--masks oracle requires --clean")
-        mask = beamform.oracle_masks(clean_spec, noise_spec)[0].values
+        clean_0 = clean_spec.bins[:, :, 0]
+        mask = beamform.oracle_masks(
+            replace(clean_spec, bins=clean_0), replace(spec, bins=spec.bins[:, :, 0] - clean_0)
+        )[0].values
     elif cfg["masks"] == "checkpoint":
         ck_path = _require(cfg, "checkpoint", "--checkpoint")
         state = pipeline.load_checkpoint(ck_path)
@@ -112,17 +118,19 @@ def cmd_enhance(args) -> int:
     print(f"wrote {out_path} ({out_wave.n_samples} samples, ref channel {ref})")
 
     if clean_spec is not None:
-        gain = _snr_gain_db(weights, clean_spec, noise_spec, ref)
+        gain = _snr_gain_db(weights, spec, clean_spec, enhanced, ref)
         print(f"SNR gain: {gain:.2f} dB")
     return 0
 
 
-def _snr_gain_db(weights, clean_spec, noise_spec, ref: int) -> float:
-    """Beamformers are linear: pass clean and noise through separately."""
+def _snr_gain_db(weights, spec, clean_spec, enhanced, ref: int) -> float:
+    """Beamformers are linear: the noise output is the enhanced output minus
+    the clean one, and the noise input is noisy minus clean."""
     clean_out = beamform.apply_beamformer(weights, clean_spec).bins[:, :, 0]
-    noise_out = beamform.apply_beamformer(weights, noise_spec).bins[:, :, 0]
-    p_in_s = np.sum(np.abs(clean_spec.bins[:, :, ref]) ** 2)
-    p_in_n = np.sum(np.abs(noise_spec.bins[:, :, ref]) ** 2)
+    noise_out = enhanced.bins[:, :, 0] - clean_out
+    clean_ref = clean_spec.bins[:, :, ref]
+    p_in_s = np.sum(np.abs(clean_ref) ** 2)
+    p_in_n = np.sum(np.abs(spec.bins[:, :, ref] - clean_ref) ** 2)
     p_out_s = np.sum(np.abs(clean_out) ** 2)
     p_out_n = np.sum(np.abs(noise_out) ** 2)
     if min(p_in_s, p_in_n, p_out_s, p_out_n) <= 0:
@@ -141,7 +149,6 @@ SIMULATE_DEFAULTS = {
     "room_config": None,
     "out_dir": None,
     "manifest_out": None,
-    "seed": 0,
 }
 
 
@@ -331,7 +338,7 @@ def cmd_gradcheck(args) -> int:
 # score
 # ---------------------------------------------------------------------------
 
-SCORE_DEFAULTS = {"hyp": None, "ref": None, "per_utt": True, "seed": 0}
+SCORE_DEFAULTS = {"hyp": None, "ref": None, "per_utt": True}
 
 
 def cmd_score(args) -> int:
@@ -416,9 +423,10 @@ def cmd_make_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
+def _add_common(parser, seed: bool = False):
     parser.add_argument("--config", help="JSON config file (flags win)")
-    parser.add_argument("--seed", type=int, help="rng seed")
+    if seed:
+        parser.add_argument("--seed", type=int, help="rng seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=int)
     p.add_argument("--n-mels", dest="n_mels", type=int)
     p.add_argument("--subsample", type=int)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the joint path")
@@ -469,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-adjoint", dest="corrupt_adjoint",
                    action=argparse.BooleanOptionalAction,
                    help="negative control: corrupt one analytic gradient")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("score", help="token error rate between two manifests")
@@ -486,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", dest="vocab_size", type=int)
     p.add_argument("--snr-db", dest="snr_db", type=float)
     p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_make_corpus)
     return parser
 

@@ -20,11 +20,21 @@ DEFAULT_SAMPLE_RATE = 16000
 DEFAULT_WINDOW = 512
 DEFAULT_HOP = 128
 DEFAULT_N_MELS = 40
+# Windowed samples per rfft call in stft (more only when one frame of every
+# channel exceeds it); bounds its temporary. A toy utterance (4 channels x
+# <= 60 frames x 256) still takes one call.
+STFT_BLOCK_SAMPLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """A sum is finite unless an entry is not (or the sum overflows): the
+    elementwise check, with its full-size temporary, runs only then."""
+    return bool(np.isfinite(values.sum())) or bool(np.all(np.isfinite(values)))
 
 
 @dataclass
@@ -44,7 +54,7 @@ class Waveform:
             raise ValueError("waveform samples must be [channels, n_samples]")
         if self.samples.shape[1] == 0:
             raise ValueError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(self.samples)):
+        if not _all_finite(self.samples):
             raise ValueError("waveform amplitudes must be finite")
         self.sample_rate = int(self.sample_rate)
         if self.sample_rate <= 0:
@@ -79,7 +89,7 @@ class Spectrogram:
                 f"freq_bins {self.bins.shape[1]} inconsistent with window_size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
-        if not np.all(np.isfinite(self.bins)):
+        if not _all_finite(self.bins):
             raise ValueError("spectrogram entries must be finite")
 
     @property
@@ -106,7 +116,7 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be [frames, dims]")
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise ValueError("feature values must be finite")
 
     @property
@@ -137,9 +147,25 @@ def stft(wave: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_H
     if wave.n_samples < window_size:
         raise ValueError("input too short: need at least one full window")
 
-    # [C, T, window] strided view of the frames; the product copies them once.
+    # [C, T, window] strided view of the frames.
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, window_size, axis=1)[:, ::hop]
-    spec = np.fft.rfft(frames * periodic_hann(window_size), axis=2)  # [C, T, F]
+    window = periodic_hann(window_size)
+    if frames.size <= STFT_BLOCK_SAMPLES:
+        spec = np.fft.rfft(frames * window, axis=2)  # [C, T, F]
+    else:
+        # Blocks of frames, all channels, each windowed and transformed into a
+        # preallocated output. Its memory order is the one-call rfft's: channels
+        # innermost when they are in the samples (an interleaved WAV), which is
+        # how masked_psd reads [T, F, C] bins fastest.
+        n_channels, n_frames = frames.shape[:2]
+        n_bins = window_size // 2 + 1
+        if wave.samples.strides[0] < wave.samples.strides[1]:
+            spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
+        else:
+            spec = np.empty((n_channels, n_frames, n_bins), dtype=np.complex128)
+        step = max(1, STFT_BLOCK_SAMPLES // (n_channels * window_size))
+        for t in range(0, n_frames, step):
+            np.fft.rfft(frames[:, t : t + step] * window, axis=2, out=spec[:, t : t + step])
     return Spectrogram(
         bins=spec.transpose(1, 2, 0),
         sample_rate=wave.sample_rate,
@@ -157,18 +183,29 @@ def istft(spec: Spectrogram) -> Waveform:
     if spec.channels != 1:
         raise ValueError("istft requires a single-channel spectrogram")
     window = periodic_hann(spec.window_size)
-    n_frames = spec.frames
-    out_len = (n_frames - 1) * spec.hop + spec.window_size
-    out = np.zeros(out_len)
-    envelope = np.zeros(out_len)
     frames = np.fft.irfft(spec.bins[:, :, 0], n=spec.window_size, axis=1)
-    for t in range(n_frames):
-        start = t * spec.hop
-        out[start : start + spec.window_size] += frames[t] * window
-        envelope[start : start + spec.window_size] += window * window
+    out = _overlap_add(frames * window, spec.frames, spec.hop)
+    envelope = _overlap_add((window * window)[None, :], spec.frames, spec.hop)
     covered = envelope > 1e-12
     out[covered] /= envelope[covered]
     return Waveform(samples=out[None, :], sample_rate=spec.sample_rate)
+
+
+def _overlap_add(frames: np.ndarray, n_frames: int, hop: int) -> np.ndarray:
+    """Sum of frames[t] placed at t * hop for t < n_frames; a one-row frames is
+    placed at every t. [n_frames or 1, W] -> [(n_frames - 1) * hop + W].
+
+    Segment j (samples j*hop to (j+1)*hop) of frame t lands on output block
+    t + j. Adding the segments for j = k-1 down to 0 gives each block its
+    frames in increasing order, from +0.0: the per-frame loop's additions.
+    """
+    width = frames.shape[1]
+    k = -(-width // hop)
+    out = np.zeros((n_frames + k - 1, hop))
+    for j in range(k - 1, -1, -1):
+        segment = frames[:, j * hop : (j + 1) * hop]
+        out[j : j + n_frames, : segment.shape[1]] += segment
+    return out.reshape(-1)[: (n_frames - 1) * hop + width]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """cli tests: subcommands end to end, exit codes, config precedence."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +101,41 @@ class TestExitCodes:
             assert main([*argv, "--workers", "1"]) == 1
             assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["enhance", "simulate", "score"])
+    def test_seed_is_gone_from_seedless_commands(self, tmp_path, capsys, command):
+        # None of the three draws a random number: --seed and a "seed" config
+        # key are usage errors, named in the message, as on any unknown option.
+        assert main([command, "--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+
+def traced_enhance_peak(tmp_dir):
+    """(tracemalloc peak bytes, bytes of one [T, F, C] spectrogram) of an oracle
+    `enhance` on a synthetic 8-channel, 16 kHz, 4.5 s scene written to tmp_dir."""
+    rng = _rng(8)
+    sr, n, channels = 16000, 72000, 8
+    clean = 0.1 * rng.normal(size=(channels, n)) * np.sin(np.pi * np.arange(n) / n)
+    noisy = clean + 0.05 * rng.normal(size=(channels, n))
+    paths = {name: tmp_dir / f"{name}.wav" for name in ("clean", "noisy")}
+    corpus_io.write_wav(paths["clean"], Waveform(samples=clean, sample_rate=sr), bit_depth=32)
+    corpus_io.write_wav(paths["noisy"], Waveform(samples=noisy, sample_rate=sr), bit_depth=32)
+    argv = ["enhance", "--input", str(paths["noisy"]), "--out", str(tmp_dir / "enh.wav"),
+            "--masks", "oracle", "--clean", str(paths["clean"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0  # FFT plan caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    frames = (n - 512) // 128 + 1
+    return peak, frames * 257 * channels * 16
+
 
 class TestEnhance:
     def test_oracle_masks_report_gain(self, tmp_path, capsys):
@@ -113,6 +151,12 @@ class TestEnhance:
         assert gain >= 3.0
         enhanced = corpus_io.read_wav(out)
         assert enhanced.channels == 1
+
+    def test_oracle_peak_under_three_spectrograms(self, tmp_path):
+        # Noisy and clean spectrograms, the enhanced channel and the beamformer
+        # statistics; no noise spectrogram and no full-size STFT temporaries.
+        peak, spec_bytes = traced_enhance_peak(tmp_path)
+        assert peak < 3 * spec_bytes, peak / spec_bytes
 
     def test_mono_input_is_data_error(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"

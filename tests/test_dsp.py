@@ -1,10 +1,13 @@
-"""dsp tests: STFT/iSTFT, mel features, CMVN, deltas, subsampling, SpecAugment."""
+"""dsp tests: STFT/iSTFT, mel features, CMVN, deltas, subsampling."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamlab.dsp import (
     CMVN_VAR_FLOOR,
+    STFT_BLOCK_SAMPLES,
     FeatureMatrix,
     Spectrogram,
     Waveform,
@@ -107,6 +110,58 @@ class TestStft:
         assert spec.bins.shape == oracle.shape == (n_frames, window // 2 + 1, channels)
         np.testing.assert_array_equal(spec.bins, oracle)
 
+    @pytest.mark.parametrize("channels", [1, 2, 4, 8])
+    @pytest.mark.parametrize("hop", [512, 128, 96])
+    # One call holds 128 / channels frames of 512: each count on either side of it.
+    @pytest.mark.parametrize("n_frames", [1, 16, 17, 32, 33, 64, 65, 128, 129, 300])
+    def test_blocks_match_whole_array_formula(self, channels, hop, n_frames):
+        assert STFT_BLOCK_SAMPLES // 512 == 128
+        n_samples = (n_frames - 1) * hop + 512 + hop // 2  # trailing samples dropped
+        rng = _rng(n_frames)
+        # Row-major channels, and the interleaved [samples, C].T view read_wav returns.
+        for samples in (rng.normal(size=(channels, n_samples)),
+                        rng.normal(size=(n_samples, channels)).T):
+            # The whole-array formula stft used before its block loop.
+            frames = np.lib.stride_tricks.sliding_window_view(samples, 512, axis=1)[:, ::hop]
+            oracle = np.fft.rfft(frames * periodic_hann(512), axis=2).transpose(1, 2, 0)
+            spec = stft(Waveform(samples=samples, sample_rate=16000), 512, hop)
+            assert spec.bins.shape == (n_frames, 257, channels)
+            assert np.array_equal(spec.bins, oracle)
+            assert spec.bins.strides == oracle.strides  # the memory order too
+
+    def test_rfft_calls_per_block(self, monkeypatch):
+        # A toy utterance is one call; a long one takes blocks of frames.
+        calls, rfft = [], np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        for (channels, window, n_frames), expected in (((4, 256, 60), 1), ((8, 512, 16), 1),
+                                                       ((8, 512, 17), 2), ((8, 512, 559), 35)):
+            calls.clear()
+            n_samples = (n_frames - 1) * 128 + window
+            stft(Waveform(samples=np.ones((channels, n_samples)), sample_rate=16000), window, 128)
+            assert len(calls) == expected, (channels, window, n_frames)
+
+    def test_peak_is_output_plus_one_block(self):
+        # 8 channels, 16 kHz, 4.5 s, interleaved as read_wav gives them: a
+        # [C, T, window] copy of the frames would add 17.5 MiB. The blocks add
+        # one block of windowed samples, numpy's ufunc buffers for the window
+        # product, and 16 KiB for the window and Python objects.
+        wave = Waveform(samples=_rng(4).normal(size=(72000, 8)).T, sample_rate=16000)
+        stft(wave, 512, 128)  # the FFT plan cache stays out of the measurement
+        tracemalloc.start()
+        try:
+            spec = stft(wave, 512, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = STFT_BLOCK_SAMPLES * 8
+        extras = 2 * np.getbufsize() * 8 + 16 * 1024
+        assert peak <= spec.bins.nbytes + block + extras, (peak - spec.bins.nbytes) / 1024
+
     def test_rejects_non_power_of_two(self):
         wave = Waveform(samples=np.zeros((1, 1000)), sample_rate=8000)
         with pytest.raises(ValueError, match="power of two"):
@@ -141,6 +196,25 @@ class TestIstft:
         spec = stft(wave, 256, 128)
         with pytest.raises(ValueError, match="single-channel"):
             istft(spec)
+
+    @pytest.mark.parametrize("n_frames", [3, 64, 129, 300])
+    def test_overlap_add_matches_frame_loop(self, n_frames):
+        # Every hop: equal to the window (no overlap), dividing it, and not (96).
+        rng = _rng(n_frames)
+        window = periodic_hann(512)
+        for hop in (512, 256, 128, 96, 1):
+            bins = rng.normal(size=(n_frames, 257)) + 1j * rng.normal(size=(n_frames, 257))
+            spec = Spectrogram(bins=bins, sample_rate=16000, window_size=512, hop=hop)
+            # The per-frame loop istft used before the vectorized overlap-add.
+            frames = np.fft.irfft(bins, n=512, axis=1)
+            out_len = (n_frames - 1) * hop + 512
+            oracle, envelope = np.zeros(out_len), np.zeros(out_len)
+            for t in range(n_frames):
+                oracle[t * hop : t * hop + 512] += frames[t] * window
+                envelope[t * hop : t * hop + 512] += window * window
+            covered = envelope > 1e-12
+            oracle[covered] /= envelope[covered]
+            assert np.array_equal(istft(spec).samples[0], oracle), hop
 
 
 class TestMelFbank:
