@@ -423,10 +423,8 @@ def cmd_make_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, seed: bool = False):
+def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (flags win)")
-    if seed:
-        parser.add_argument("--seed", type=int, help="rng seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hop", type=int)
     p.add_argument("--n-mels", dest="n_mels", type=int)
     p.add_argument("--subsample", type=int)
-    _add_common(p, seed=True)
+    p.add_argument("--seed", type=int, help="rng seed")
+    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the joint path")
@@ -477,7 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrupt-adjoint", dest="corrupt_adjoint",
                    action=argparse.BooleanOptionalAction,
                    help="negative control: corrupt one analytic gradient")
-    _add_common(p, seed=True)
+    p.add_argument("--seed", type=int, help="rng seed")
+    _add_common(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("score", help="token error rate between two manifests")
@@ -494,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab-size", dest="vocab_size", type=int)
     p.add_argument("--snr-db", dest="snr_db", type=float)
     p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    _add_common(p, seed=True)
+    p.add_argument("--seed", type=int, help="rng seed")
+    _add_common(p)
     p.set_defaults(func=cmd_make_corpus)
     return parser
 

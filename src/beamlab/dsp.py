@@ -31,12 +31,6 @@ STFT_BLOCK_SAMPLES = 1 << 16
 # ---------------------------------------------------------------------------
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """A sum is finite unless an entry is not (or the sum overflows): the
-    elementwise check, with its full-size temporary, runs only then."""
-    return bool(np.isfinite(values.sum())) or bool(np.all(np.isfinite(values)))
-
-
 @dataclass
 class Waveform:
     """Sampled audio, one or more channels.
@@ -54,7 +48,7 @@ class Waveform:
             raise ValueError("waveform samples must be [channels, n_samples]")
         if self.samples.shape[1] == 0:
             raise ValueError("waveform must contain at least one sample")
-        if not _all_finite(self.samples):
+        if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform amplitudes must be finite")
         self.sample_rate = int(self.sample_rate)
         if self.sample_rate <= 0:
@@ -89,7 +83,7 @@ class Spectrogram:
                 f"freq_bins {self.bins.shape[1]} inconsistent with window_size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
-        if not _all_finite(self.bins):
+        if not np.all(np.isfinite(self.bins)):
             raise ValueError("spectrogram entries must be finite")
 
     @property
@@ -116,7 +110,7 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("feature values must be [frames, dims]")
-        if not _all_finite(self.values):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("feature values must be finite")
 
     @property
@@ -147,25 +141,28 @@ def stft(wave: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_H
     if wave.n_samples < window_size:
         raise ValueError("input too short: need at least one full window")
 
-    # [C, T, window] strided view of the frames.
+    # [C, T, window] strided view of the frames, windowed and transformed in
+    # blocks of frames over all channels into a preallocated output. The first
+    # block is windowed before the output is allocated (a toy utterance, one
+    # block, ran about 6% slower the other way round) and its buffer is reused
+    # by the rest. The output's memory order is the one-call rfft's: channels
+    # innermost when they are in the samples (an interleaved WAV), which is
+    # how masked_psd reads [T, F, C] bins fastest.
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, window_size, axis=1)[:, ::hop]
     window = periodic_hann(window_size)
-    if frames.size <= STFT_BLOCK_SAMPLES:
-        spec = np.fft.rfft(frames * window, axis=2)  # [C, T, F]
+    n_channels, n_frames = frames.shape[:2]
+    n_bins = window_size // 2 + 1
+    step = max(1, STFT_BLOCK_SAMPLES // (n_channels * window_size))
+    windowed = frames[:, :step] * window
+    if wave.samples.strides[0] < wave.samples.strides[1]:
+        spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
     else:
-        # Blocks of frames, all channels, each windowed and transformed into a
-        # preallocated output. Its memory order is the one-call rfft's: channels
-        # innermost when they are in the samples (an interleaved WAV), which is
-        # how masked_psd reads [T, F, C] bins fastest.
-        n_channels, n_frames = frames.shape[:2]
-        n_bins = window_size // 2 + 1
-        if wave.samples.strides[0] < wave.samples.strides[1]:
-            spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
-        else:
-            spec = np.empty((n_channels, n_frames, n_bins), dtype=np.complex128)
-        step = max(1, STFT_BLOCK_SAMPLES // (n_channels * window_size))
-        for t in range(0, n_frames, step):
-            np.fft.rfft(frames[:, t : t + step] * window, axis=2, out=spec[:, t : t + step])
+        spec = np.empty((n_channels, n_frames, n_bins), dtype=np.complex128)
+    for t in range(0, n_frames, step):
+        block = windowed[:, : n_frames - t]
+        if t:
+            np.multiply(frames[:, t : t + step], window, out=block)
+        np.fft.rfft(block, axis=2, out=spec[:, t : t + step])
     return Spectrogram(
         bins=spec.transpose(1, 2, 0),
         sample_rate=wave.sample_rate,
