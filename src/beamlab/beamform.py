@@ -1,110 +1,41 @@
 """Mask-based MVDR beamformer.
 
 The MVDR weights follow the masked-statistics formulation: per-frequency
-speech/noise cross-channel PSD matrices, filter
+speech/noise cross-channel PSD matrices of a speech mask m and of 1 - m,
+filter
     h(f) = (Phi_NN^-1(f) Phi_SS(f) / tr{Phi_NN^-1(f) Phi_SS(f)}) u
 with u one-hot at the reference microphone, applied as x_hat = h^H x.
+`mvdr_weights` is that chain, mask to filter, for both `enhance` and the
+joint training path.
 
 The `*_vjp` functions return their forward's output and its adjoint
 (vector-Jacobian product) under the Wirtinger convention of `pipeline`.
 """
 
-from dataclasses import dataclass, replace
-
 import numpy as np
-
-from .dsp import Spectrogram
 
 MASK_EPS = 1e-10
 # Relative diagonal loading applied to Phi_NN before inversion.
 DIAGONAL_LOADING = 1e-6
-HERMITIAN_TOL = 1e-8
 # Frequency bins per batched matmul in the PSD kernels; bounds their temporaries.
 PSD_BLOCK_BINS = 32
 
 
-# ---------------------------------------------------------------------------
-# Domain types
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TFMask:
-    """Per-(t,f) weight in [0,1]; target names what the mask selects."""
-
-    values: np.ndarray
-    target: str = "speech"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("mask values must be [frames, freq_bins]")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("mask values must lie in [0, 1]")
-        if self.target not in ("speech", "noise"):
-            raise ValueError("mask target must be 'speech' or 'noise'")
-
-
-@dataclass
-class PsdPair:
-    """Per-frequency C x C Hermitian PSD matrices for speech and noise."""
-
-    phi_ss: np.ndarray
-    phi_nn: np.ndarray
-
-    def __post_init__(self):
-        self.phi_ss = np.asarray(self.phi_ss, dtype=np.complex128)
-        self.phi_nn = np.asarray(self.phi_nn, dtype=np.complex128)
-        for name, phi in (("phi_ss", self.phi_ss), ("phi_nn", self.phi_nn)):
-            if phi.ndim != 3 or phi.shape[1] != phi.shape[2]:
-                raise ValueError(f"{name} must be [freq_bins, C, C]")
-        if self.phi_ss.shape != self.phi_nn.shape:
-            raise ValueError("phi_ss and phi_nn shapes must match")
-
-    @property
-    def channels(self) -> int:
-        return self.phi_ss.shape[1]
-
-
-@dataclass
-class BeamWeights:
-    """Per-frequency complex filter h(f) of length C plus the reference index."""
-
-    h: np.ndarray
-    ref_channel: int
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=np.complex128)
-        if self.h.ndim != 2:
-            raise ValueError("beam weights must be [freq_bins, C]")
-        if not np.all(np.isfinite(self.h)):
-            raise ValueError("beam weights must be finite")
-        if not 0 <= self.ref_channel < self.h.shape[1]:
-            raise ValueError("ref_channel out of range")
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def oracle_masks(clean: Spectrogram, noise: Spectrogram):
-    """Ideal ratio masks from known clean/noise components (first channel).
-
-    m_s = |S|^2 / (|S|^2 + |N|^2 + eps), m_n = 1 - m_s.
-    Returns (speech TFMask, noise TFMask).
-    """
-    if clean.bins.shape != noise.bins.shape:
+def oracle_masks(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Ideal ratio speech mask from known clean/noise bins [T, F] of one channel:
+    m_s = |S|^2 / (|S|^2 + |N|^2 + eps); the noise mask is 1 - m_s."""
+    if clean.shape != noise.shape:
         raise ValueError("clean and noise spectrogram shapes must match")
-    s_pow = np.abs(clean.bins[:, :, 0]) ** 2
-    n_pow = np.abs(noise.bins[:, :, 0]) ** 2
-    m_s = s_pow / (s_pow + n_pow + MASK_EPS)
-    return TFMask(m_s, target="speech"), TFMask(1.0 - m_s, target="noise")
+    s_pow = np.abs(clean) ** 2
+    n_pow = np.abs(noise) ** 2
+    return s_pow / (s_pow + n_pow + MASK_EPS)
 
 
 def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Raw-array core of estimate_psd: bins [T,F,C], mask [T,F] -> [F,C,C].
-    Per bin, sum_t m x x^H = X^T (m conj X): one batched matmul per block of bins."""
+    """Mask-weighted spatial covariance: bins [T,F,C], mask [T,F] -> [F,C,C],
+    Phi(f) = sum_t m x x^H / max(sum_t m, eps); an all-zero mask column gives a
+    zero matrix. Per bin, sum_t m x x^H = X^T (m conj X): one batched matmul per
+    block of bins, Hermitian by construction."""
     numer = np.empty((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
     for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
         block = slice(f0, f0 + PSD_BLOCK_BINS)
@@ -140,24 +71,6 @@ def masked_psd_pair_vjp(bins: np.ndarray, mask: np.ndarray):
     return phi_ss, phi_nn, vjp
 
 
-def estimate_psd(spec: Spectrogram, mask) -> np.ndarray:
-    """Mask-weighted spatial covariance per frequency.
-
-    Phi(f) = sum_t m(t,f) x(t,f) x(t,f)^H / max(sum_t m(t,f), eps).
-    Hermitian by construction; an all-zero mask column yields a zero matrix.
-    """
-    values = mask.values if isinstance(mask, TFMask) else np.asarray(mask, dtype=np.float64)
-    if values.shape != (spec.frames, spec.freq_bins):
-        raise ValueError("mask shape must match spectrogram frames x freq_bins")
-    return masked_psd(spec.bins, values)
-
-
-def _check_hermitian(phi: np.ndarray, name: str):
-    scale = max(1.0, float(np.abs(phi).max(initial=0.0)))
-    if np.abs(phi - phi.conj().transpose(0, 2, 1)).max(initial=0.0) > HERMITIAN_TOL * scale:
-        raise ValueError(f"invalid PSD: {name} is not Hermitian within tolerance")
-
-
 def load_noise_psd(phi_nn: np.ndarray) -> np.ndarray:
     """Diagonal loading Phi_NN + delta*(tr(Phi_NN)/C)*I, delta = 1e-6."""
     c = phi_nn.shape[-1]
@@ -167,7 +80,9 @@ def load_noise_psd(phi_nn: np.ndarray) -> np.ndarray:
 
 
 def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
-    """normalized_psd_ratio plus its adjoint: (W, vjp), vjp(g_W) -> (g_phi_ss, g_phi_nn).
+    """Trace-normalized W = G / tr(G), G = Phi_NN_loaded^-1 Phi_SS per frequency,
+    plus its adjoint: (W, vjp), vjp(g_W) -> (g_phi_ss, g_phi_nn). Where tr(G)
+    is exactly zero (Phi_SS identically zero), W is a zero matrix.
 
     The diagonal loading is treated as a constant shift in the adjoint: g_A
     passes to g_phi_nn unchanged, dropping the dependence of the loading on
@@ -198,42 +113,40 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
     return out, vjp
 
 
-def normalized_psd_ratio(phi_ss: np.ndarray, phi_nn: np.ndarray) -> np.ndarray:
-    """Trace-normalized G = Phi_NN_loaded^-1 Phi_SS per frequency.
+def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None = None):
+    """MVDR filter from a speech mask: (h [F, C], ref, vjp(g_h) -> g_mask).
 
-    tr of every returned matrix is 1 except where tr(G) is exactly zero
-    (Phi_SS identically zero), which yields a zero matrix.
+    Speech PSD of the mask, noise PSD of 1 - mask, loaded ratio normalized to
+    unit trace, column `ref`. ref None selects it from the speech PSD; the
+    selection is a constant of the adjoint (the argmax is not differentiated).
     """
-    return normalized_psd_ratio_vjp(phi_ss, phi_nn)[0]
-
-
-def mvdr_weights(psd: PsdPair, ref: int) -> BeamWeights:
-    """MVDR filter h(f) = (Phi_NN^-1 Phi_SS / tr{.}) u with diagonal loading."""
-    if not 0 <= ref < psd.channels:
+    phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
+    weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
+    ref = select_reference(phi_ss) if ref is None else int(ref)
+    if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
-    _check_hermitian(psd.phi_ss, "phi_ss")
-    _check_hermitian(psd.phi_nn, "phi_nn")
-    normalized = normalized_psd_ratio(psd.phi_ss, psd.phi_nn)
-    return BeamWeights(h=normalized[:, :, ref], ref_channel=ref)
+
+    def vjp(g_h: np.ndarray) -> np.ndarray:
+        # h = W[:, :, ref], so g_h lands in the ref column of g_W.
+        g_weights = np.zeros_like(weights)
+        g_weights[:, :, ref] = g_h
+        return psd_vjp(*ratio_vjp(g_weights))
+
+    return weights[:, :, ref], ref, vjp
 
 
-def apply_beamformer(weights: BeamWeights, spec: Spectrogram) -> Spectrogram:
-    """Enhanced single-channel spectrogram x_hat(t,f) = h(f)^H x(t,f)."""
-    if weights.h.shape[1] != spec.channels:
-        raise ValueError("beam weight channel count does not match spectrogram")
-    if weights.h.shape[0] != spec.freq_bins:
-        raise ValueError("beam weight bin count does not match spectrogram")
-    enhanced, _ = apply_beamformer_vjp(weights.h, spec.bins)
-    return replace(spec, bins=enhanced[:, :, None])
+def apply_beamformer(h: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Enhanced single channel x_hat(t,f) = h(f)^H x(t,f): h [F,C], bins [T,F,C] -> [T,F]."""
+    return np.einsum("fc,tfc->tf", h.conj(), bins)
 
 
 def apply_beamformer_vjp(h: np.ndarray, bins: np.ndarray):
-    """Raw-array core of apply_beamformer plus its adjoint: (x_hat [T,F], vjp(g_xhat) -> g_h).
+    """apply_beamformer plus its adjoint: (x_hat [T,F], vjp(g_xhat) -> g_h).
     x_hat = h^H x is conjugate-linear in h, so g_h[f,c] = sum_t conj(g_xhat) x."""
     def vjp(g_xhat: np.ndarray) -> np.ndarray:
         return np.einsum("tf,tfc->fc", g_xhat.conj(), bins)
 
-    return np.einsum("fc,tfc->tf", h.conj(), bins), vjp
+    return apply_beamformer(h, bins), vjp
 
 
 def select_reference(phi_ss: np.ndarray) -> int:

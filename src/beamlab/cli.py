@@ -94,40 +94,33 @@ def cmd_enhance(args) -> int:
         if clean_spec is None:
             raise UsageError("--masks oracle requires --clean")
         clean_0 = clean_spec.bins[:, :, 0]
-        mask = beamform.oracle_masks(
-            replace(clean_spec, bins=clean_0), replace(spec, bins=spec.bins[:, :, 0] - clean_0)
-        )[0].values
+        mask = beamform.oracle_masks(clean_0, spec.bins[:, :, 0] - clean_0)
     elif cfg["masks"] == "checkpoint":
         ck_path = _require(cfg, "checkpoint", "--checkpoint")
         state = pipeline.load_checkpoint(ck_path)
         mask, _ = pipeline.mask_net_forward(state.mask_params, spec.bins)
     else:
         raise UsageError("--masks must be 'oracle' or 'checkpoint'")
-    phi_ss = beamform.estimate_psd(spec, mask)
-    phi_nn = beamform.estimate_psd(spec, 1.0 - mask)
+    h, ref, _ = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)
 
-    if ref < 0:
-        ref = beamform.select_reference(phi_ss)
-    weights = beamform.mvdr_weights(beamform.PsdPair(phi_ss, phi_nn), ref)
-
-    enhanced = beamform.apply_beamformer(weights, spec)
-    out_wave = istft(enhanced)
+    enhanced = beamform.apply_beamformer(h, spec.bins)
+    out_wave = istft(replace(spec, bins=enhanced))
     clipped = corpus_io.write_wav(out_path, out_wave, bit_depth=32)
     if clipped:
         print(f"warning: clipped {clipped} samples on write")
     print(f"wrote {out_path} ({out_wave.n_samples} samples, ref channel {ref})")
 
     if clean_spec is not None:
-        gain = _snr_gain_db(weights, spec, clean_spec, enhanced, ref)
+        gain = _snr_gain_db(h, spec, clean_spec, enhanced, ref)
         print(f"SNR gain: {gain:.2f} dB")
     return 0
 
 
-def _snr_gain_db(weights, spec, clean_spec, enhanced, ref: int) -> float:
+def _snr_gain_db(h, spec, clean_spec, enhanced, ref: int) -> float:
     """Beamformers are linear: the noise output is the enhanced output minus
     the clean one, and the noise input is noisy minus clean."""
-    clean_out = beamform.apply_beamformer(weights, clean_spec).bins[:, :, 0]
-    noise_out = enhanced.bins[:, :, 0] - clean_out
+    clean_out = beamform.apply_beamformer(h, clean_spec.bins)
+    noise_out = enhanced - clean_out
     clean_ref = clean_spec.bins[:, :, ref]
     p_in_s = np.sum(np.abs(clean_ref) ** 2)
     p_in_n = np.sum(np.abs(spec.bins[:, :, ref] - clean_ref) ** 2)

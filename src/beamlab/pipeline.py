@@ -11,9 +11,10 @@ with <A, B> = sum conj(A) * B. The two identities doing the heavy lifting
 are d(A^-1) = -A^-1 dA A^-1 and the conjugate pairing of a real loss.
 
 Each differentiable operation's adjoint lives beside its forward
-(`beamform.masked_psd_pair_vjp`, `beamform.normalized_psd_ratio_vjp`,
-`beamform.apply_beamformer_vjp`, `dsp.fbank_chain_vjp`, `backend.mlp2_backward`,
-`backend.am_backward`); this module wires them into the joint graph.
+(`beamform.mvdr_weights`, which chains `beamform.masked_psd_pair_vjp` and
+`beamform.normalized_psd_ratio_vjp`, `beamform.apply_beamformer_vjp`,
+`dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`); this
+module wires them into the joint graph.
 
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
@@ -30,8 +31,7 @@ import numpy as np
 from . import backend as _backend
 from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
     am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
-from .beamform import apply_beamformer_vjp, masked_psd_pair_vjp, normalized_psd_ratio_vjp, \
-    select_reference
+from .beamform import apply_beamformer_vjp, mvdr_weights
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
 DEFAULT_SUBSAMPLE = 3
@@ -210,21 +210,14 @@ def forward_joint(
         raise ValueError("need at least one channel")
     mask, mask_cache = mask_net_forward(state.mask_params, bins)
 
-    phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
-    weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
-    ref = int(ref_channel) if ref_channel is not None else select_reference(phi_ss)
-    if not 0 <= ref < bins.shape[2]:
-        raise ValueError("ref channel out of range")
-    h = weights[:, :, ref]
+    h, ref, mvdr_vjp = mvdr_weights(bins, mask, ref_channel)
     xhat, beam_vjp = apply_beamformer_vjp(h, bins)
     tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
     cache = {
         "kind": "joint",
         "state": state,
-        "bins": bins,
         "mask_cache": mask_cache,
-        "psd_vjp": psd_vjp,
-        "ratio_vjp": ratio_vjp,
+        "mvdr_vjp": mvdr_vjp,
         "ref": ref,
         "h": h,
         "beam_vjp": beam_vjp,
@@ -243,19 +236,13 @@ def backward_joint(cache: dict) -> GradBundle:
     if cache.get("kind") != "joint":
         raise ValueError("cache was not produced by forward_joint")
     state = cache["state"]
-    bins = cache["bins"]
 
     # Back-end and feature stages (real-valued until |z|^2).
     am_grads, g_feats = am_backward(state.am_params, cache["am"], cache["g_lattice"])
     g_xhat = cache["feat_vjp"](g_feats)
 
-    # h = W[:, :, ref], so g_h lands in the ref column of g_W.
-    g_weights = np.zeros((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
-    g_weights[:, :, cache["ref"]] = cache["beam_vjp"](g_xhat)
-    g_phi_ss, g_phi_nn = cache["ratio_vjp"](g_weights)
-
-    # The mask feeds both PSDs; the noise mask is 1 - speech mask.
-    g_mask = cache["psd_vjp"](g_phi_ss, g_phi_nn)
+    # The beamformer, then the MVDR chain back to the speech mask.
+    g_mask = cache["mvdr_vjp"](cache["beam_vjp"](g_xhat))
 
     # Sigmoid, then the mask net's 2-layer MLP.
     mc = cache["mask_cache"]

@@ -5,17 +5,12 @@ import pytest
 
 from beamlab import beamform
 from beamlab.beamform import (
-    BeamWeights,
-    PsdPair,
-    TFMask,
     apply_beamformer,
     apply_beamformer_vjp,
-    estimate_psd,
     load_noise_psd,
     masked_psd,
     masked_psd_pair_vjp,
     mvdr_weights,
-    normalized_psd_ratio,
     normalized_psd_ratio_vjp,
     oracle_masks,
     select_reference,
@@ -72,22 +67,18 @@ class TestMasks:
     def test_oracle_masks_sum_to_one(self):
         rng = _rng(0)
         clean, noise = _random_spec(rng), _random_spec(rng)
-        ms, mn = oracle_masks(clean, noise)
-        np.testing.assert_allclose(ms.values + mn.values, 1.0, atol=1e-12)
-        assert np.all(ms.values >= 0) and np.all(ms.values <= 1)
-        assert ms.target == "speech" and mn.target == "noise"
+        ms = oracle_masks(clean.bins[:, :, 0], noise.bins[:, :, 0])
+        mn = 1.0 - ms  # the noise mask mvdr_weights weighs the noise PSD with
+        np.testing.assert_allclose(ms + mn, 1.0, atol=1e-12)
+        assert np.all(ms >= 0) and np.all(ms <= 1)
 
     def test_oracle_masks_irm_formula(self):
         rng = _rng(1)
         clean, noise = _random_spec(rng), _random_spec(rng)
-        ms, _ = oracle_masks(clean, noise)
+        ms = oracle_masks(clean.bins[:, :, 0], noise.bins[:, :, 0])
         s = np.abs(clean.bins[:, :, 0]) ** 2
         n = np.abs(noise.bins[:, :, 0]) ** 2
-        np.testing.assert_allclose(ms.values, s / (s + n + 1e-10), atol=1e-12)
-
-    def test_mask_range_validated(self):
-        with pytest.raises(ValueError):
-            TFMask(values=np.full((3, 4), 1.5))
+        np.testing.assert_allclose(ms, s / (s + n + 1e-10), atol=1e-12)
 
 
 class TestPsd:
@@ -142,11 +133,6 @@ class TestPsd:
         phi = masked_psd(bins, mask)
         np.testing.assert_array_equal(phi[block - 1:], np.zeros((2, 3, 3)))
         assert np.all(phi[:block - 1] != 0.0)
-
-    def test_estimate_psd_validates_mask_shape(self):
-        spec = _random_spec(_rng(0))
-        with pytest.raises(ValueError):
-            estimate_psd(spec, np.ones((3, 3)))
 
     def test_load_noise_psd_adds_relative_identity(self):
         rng = _rng(5)
@@ -220,10 +206,9 @@ class TestAdjoints:
         g_w = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
 
         def loss_fn():  # L = Re <g_W, W>
-            return float(np.sum(g_w.conj() * normalized_psd_ratio(phi_ss, phi_nn)).real)
+            return float(np.sum(g_w.conj() * normalized_psd_ratio_vjp(phi_ss, phi_nn)[0]).real)
 
-        w, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
-        np.testing.assert_array_equal(w, normalized_psd_ratio(phi_ss, phi_nn))
+        _, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
         g_phi_ss, g_phi_nn = vjp(g_w)
         assert max_fd_error(loss_fn, phi_ss, g_phi_ss) < 1e-4
         assert max_fd_error(loss_fn, phi_nn, g_phi_nn) < 1e-4
@@ -236,7 +221,7 @@ class TestMvdr:
         for c in (2, 4, 6):
             phi_ss = _random_psd(rng, 5, c)
             phi_nn = _random_psd(rng, 5, c)
-            ratio = normalized_psd_ratio(phi_ss, phi_nn)
+            ratio, _ = normalized_psd_ratio_vjp(phi_ss, phi_nn)
             traces = np.einsum("fcc->f", ratio)
             np.testing.assert_allclose(traces, 1.0, atol=1e-10)
 
@@ -248,29 +233,26 @@ class TestMvdr:
         steer = rng.normal(size=(f, c)) + 1j * rng.normal(size=(f, c))
         src = rng.normal(size=(frames, f)) + 1j * rng.normal(size=(frames, f))
         bins = src[:, :, None] * steer[None, :, :]
-        spec = Spectrogram(bins=bins, sample_rate=16000, window_size=16, hop=8)
-        phi_ss = estimate_psd(spec, np.ones((frames, f)))
+        phi_ss = masked_psd(bins, np.ones((frames, f)))
         phi_nn = np.tile(np.eye(c, dtype=complex) * 0.3, (f, 1, 1))
+        weights, _ = normalized_psd_ratio_vjp(phi_ss, phi_nn)
         for ref in (0, 2):
-            w = mvdr_weights(PsdPair(phi_ss, phi_nn), ref)
-            out = apply_beamformer(w, spec)
-            err = np.max(np.abs(out.bins[:, :, 0] - bins[:, :, ref]))
+            out = apply_beamformer(weights[:, :, ref], bins)
+            err = np.max(np.abs(out - bins[:, :, ref]))
             assert err < 1e-8, err
 
     def test_rank1_noiseless_recovers_reference(self):
-        # Point source with no noise: for any constant mask level the joint
-        # path's chain (PSD pair -> loaded ratio -> apply) reproduces the
-        # reference channel (loading cancels in the trace normalization).
+        # Point source with no noise: for any constant mask level the MVDR
+        # chain (PSD pair -> loaded ratio -> apply) reproduces the reference
+        # channel (loading cancels in the trace normalization).
         rng = _rng(4)
         frames, f, c = 12, 9, 3
         steer = rng.normal(size=(f, c)) + 1j * rng.normal(size=(f, c))
         src = rng.normal(size=(frames, f)) + 1j * rng.normal(size=(frames, f))
         bins = src[:, :, None] * steer[None, :, :]
         for level in (0.2, 0.5, 0.9):
-            phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, np.full((frames, f), level))
-            weights, _ = normalized_psd_ratio_vjp(phi_ss, phi_nn)
-            ref = select_reference(phi_ss)
-            xhat, _ = apply_beamformer_vjp(weights[:, :, ref], bins)
+            h, ref, _ = mvdr_weights(bins, np.full((frames, f), level))
+            xhat, _ = apply_beamformer_vjp(h, bins)
             err = np.max(np.abs(xhat - bins[:, :, ref]))
             assert err < 1e-8, (level, err)
 
@@ -278,53 +260,70 @@ class TestMvdr:
         # x/x through the LAPACK solve (reciprocal then multiply) can sit
         # one ulp off exact 1.
         rng = _rng(8)
-        phi_ss = _random_psd(rng, 6, 1)
-        phi_nn = _random_psd(rng, 6, 1)
-        w = mvdr_weights(PsdPair(phi_ss, phi_nn), 0)
-        np.testing.assert_allclose(w.h, np.ones((6, 1), complex), rtol=0, atol=1e-12)
+        bins = _random_spec(rng, frames=10, window=10, channels=1).bins
+        h, ref, _ = mvdr_weights(bins, rng.uniform(size=(10, 6)), 0)
+        assert ref == 0
+        np.testing.assert_allclose(h, np.ones((6, 1), complex), rtol=0, atol=1e-12)
 
     def test_ref_out_of_range(self):
         rng = _rng(9)
-        pair = PsdPair(_random_psd(rng, 3, 2), _random_psd(rng, 3, 2))
+        bins = _random_spec(rng, frames=6, window=4, channels=2).bins
         with pytest.raises(ValueError):
-            mvdr_weights(pair, 2)
-
-    def test_non_hermitian_rejected(self):
-        rng = _rng(10)
-        phi = _random_psd(rng, 3, 2)
-        bad = phi.copy()
-        bad[1, 0, 1] += 1.0
-        with pytest.raises(ValueError, match="invalid PSD"):
-            mvdr_weights(PsdPair(phi, bad), 0)
+            mvdr_weights(bins, rng.uniform(size=(6, 3)), 2)
 
     def test_zero_ratio_trace_gives_zero_weights(self):
-        phi_ss = np.zeros((2, 3, 3), complex)
-        phi_nn = np.tile(np.eye(3, dtype=complex), (2, 1, 1))
-        w = mvdr_weights(PsdPair(phi_ss, phi_nn), 0)
-        np.testing.assert_array_equal(w.h, np.zeros((2, 3)))
+        # An all-zero speech mask gives Phi_SS = 0, so tr(G) is exactly zero.
+        bins = _random_spec(_rng(10), frames=8, window=2, channels=3).bins
+        h, _, _ = mvdr_weights(bins, np.zeros((8, 2)), 0)
+        np.testing.assert_array_equal(h, np.zeros((2, 3)))
 
     def test_weights_match_formula_oracle(self):
         # Dual route: per-frequency explicit inverse and trace division.
         rng = _rng(11)
-        phi_ss = _random_psd(rng, 4, 3)
-        phi_nn = _random_psd(rng, 4, 3)
-        w = mvdr_weights(PsdPair(phi_ss, phi_nn), 1)
+        bins = _random_spec(rng, frames=20, window=6, channels=3).bins
+        mask = rng.uniform(size=(20, 4))
+        phi_ss, phi_nn = masked_psd(bins, mask), masked_psd(bins, 1.0 - mask)
+        h, _, _ = mvdr_weights(bins, mask, 1)
         for f in range(4):
             loading = 1e-6 * (np.trace(phi_nn[f]).real / 3) * np.eye(3)
             g = np.linalg.inv(phi_nn[f] + loading) @ phi_ss[f]
             oracle = (g / np.trace(g))[:, 1]
-            np.testing.assert_allclose(w.h[f], oracle, atol=1e-10)
+            np.testing.assert_allclose(h[f], oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("ref", [None, 1], ids=["auto", "pinned"])
+    @pytest.mark.parametrize("channels", [2, 4])
+    @pytest.mark.parametrize("n_bins", [beamform.PSD_BLOCK_BINS - 1, beamform.PSD_BLOCK_BINS + 3])
+    def test_mvdr_weights_vjp_matches_finite_differences(self, monkeypatch, n_bins, channels,
+                                                         ref):
+        # The composed chain mask -> PSD pair -> loaded ratio -> column ref,
+        # against central differences of L = Re <g_h, h> in every mask entry;
+        # 35 bins span two PSD_BLOCK_BINS blocks. The adjoint treats the
+        # diagonal loading as a constant (ROADMAP item 1), which alone puts
+        # these draws at up to 7e-4 with the default loading; without it the
+        # chain's adjoint is exact, so this checks how the stages compose.
+        monkeypatch.setattr(beamform, "DIAGONAL_LOADING", 0.0)
+        rng = _rng(60 + channels)
+        bins = _random_bins(rng, 6, n_bins, channels, "tfc")
+        mask = rng.uniform(0.05, 0.95, size=(6, n_bins))
+        g_h = rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
+        h0, ref0, vjp = mvdr_weights(bins, mask, ref)
+        assert ref0 == (select_reference(masked_psd(bins, mask)) if ref is None else ref)
+
+        def loss_fn():
+            h, ref_now, _ = mvdr_weights(bins, mask, ref)
+            assert ref_now == ref0  # the argmax holds across every difference
+            return float(np.sum(g_h.conj() * h).real)
+
+        assert max_fd_error(loss_fn, mask, vjp(g_h)) < 1e-4
 
 
 class TestApplyAndReference:
     def test_apply_beamformer_conjugates(self):
         # x_hat = h^H x, not h^T x.
-        spec = Spectrogram(bins=np.zeros((2, 2, 2), complex), sample_rate=8000,
-                           window_size=2, hop=1)
-        spec.bins[0, 0, 0] = 2.0
-        w = BeamWeights(h=np.array([[1j, 0.0], [1.0, 0.0]]), ref_channel=0)
-        out = apply_beamformer(w, spec)
-        assert out.bins[0, 0, 0] == np.conj(1j) * 2.0
+        bins = np.zeros((2, 2, 2), complex)
+        bins[0, 0, 0] = 2.0
+        out = apply_beamformer(np.array([[1j, 0.0], [1.0, 0.0]]), bins)
+        assert out[0, 0] == np.conj(1j) * 2.0
 
     @pytest.mark.parametrize("channels", [1, 2, 4, 8])
     def test_apply_beamformer_vjp_dot_product(self, channels):
@@ -355,6 +354,5 @@ class TestApplyAndReference:
 
     def test_channel_mismatch_rejected(self):
         spec = _random_spec(_rng(0), channels=3)
-        w = BeamWeights(h=np.ones((spec.freq_bins, 2), complex), ref_channel=0)
         with pytest.raises(ValueError):
-            apply_beamformer(w, spec)
+            apply_beamformer(np.ones((spec.freq_bins, 2), complex), spec.bins)
