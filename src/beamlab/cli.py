@@ -101,7 +101,8 @@ def cmd_enhance(args) -> int:
         mask, _ = pipeline.mask_net_forward(state.mask_params, spec.bins)
     else:
         raise UsageError("--masks must be 'oracle' or 'checkpoint'")
-    h, ref, _ = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)
+    # The adjoint is dropped at once: it holds the [T, F] noise mask.
+    h, ref = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)[:2]
 
     enhanced = beamform.apply_beamformer(h, spec.bins)
     out_wave = istft(replace(spec, bins=enhanced))

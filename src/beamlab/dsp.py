@@ -145,19 +145,15 @@ def stft(wave: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_H
     # blocks of frames over all channels into a preallocated output. The first
     # block is windowed before the output is allocated (a toy utterance, one
     # block, ran about 6% slower the other way round) and its buffer is reused
-    # by the rest. The output's memory order is the one-call rfft's: channels
-    # innermost when they are in the samples (an interleaved WAV), which is
-    # how masked_psd reads [T, F, C] bins fastest.
+    # by the rest. The output is a C-contiguous [T, F, C] array, channels
+    # innermost whatever the samples' order: the order masked_psd reads fastest.
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, window_size, axis=1)[:, ::hop]
     window = periodic_hann(window_size)
     n_channels, n_frames = frames.shape[:2]
     n_bins = window_size // 2 + 1
     step = max(1, STFT_BLOCK_SAMPLES // (n_channels * window_size))
     windowed = frames[:, :step] * window
-    if wave.samples.strides[0] < wave.samples.strides[1]:
-        spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
-    else:
-        spec = np.empty((n_channels, n_frames, n_bins), dtype=np.complex128)
+    spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
     for t in range(0, n_frames, step):
         block = windowed[:, : n_frames - t]
         if t:

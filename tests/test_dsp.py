@@ -127,11 +127,9 @@ class TestStft:
             spec = stft(Waveform(samples=samples, sample_rate=16000), 512, hop)
             assert spec.bins.shape == (n_frames, 257, channels)
             assert np.array_equal(spec.bins, oracle)
-            # The memory order too: strides of every axis that has more than one
-            # entry (a length-1 axis's stride addresses nothing).
-            assert [st for st, n in zip(spec.bins.strides, spec.bins.shape) if n > 1] == [
-                st for st, n in zip(oracle.strides, oracle.shape) if n > 1
-            ]
+            # The memory order too: [T, F, C] with channels innermost for
+            # either sample order.
+            assert spec.bins.flags.c_contiguous
 
     def test_rfft_calls_per_block(self, monkeypatch):
         # A toy utterance is one call; a long one takes blocks of frames.

@@ -345,8 +345,12 @@ class TestBatchSplit:
         # parent raises KeyboardInterrupt, not the EOFError of a dead helper.
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs two usable CPUs")
+        # The child installs Python's SIGINT handler itself: a process started
+        # with SIGINT ignored (a background job of a non-interactive shell)
+        # would otherwise inherit the ignore, and Ctrl-C would do nothing.
         script = """if True:
             import multiprocessing, os, signal, time, numpy as np
+            signal.signal(signal.SIGINT, signal.default_int_handler)
             from beamlab import sched
             multi, _, _ = sched.generate_toy_corpus(8, 0, 6, np.random.default_rng(0))
             main, utt_grads = os.getpid(), sched._utt_grads
@@ -366,6 +370,7 @@ class TestBatchSplit:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              start_new_session=True, timeout=120)
         assert (out.stdout, out.stderr) == ("KeyboardInterrupt []\n", "")
+        assert out.returncode == 0
 
     def test_runs_inside_a_pool_worker(self, monkeypatch):
         # A daemonic pool worker may not fork a helper: it trains alone.
