@@ -306,7 +306,7 @@ class TestMvdr:
         bins = _random_bins(rng, 6, n_bins, channels, "tfc")
         mask = rng.uniform(0.05, 0.95, size=(6, n_bins))
         g_h = rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
-        h0, ref0, vjp = mvdr_weights(bins, mask, ref)
+        _, ref0, vjp = mvdr_weights(bins, mask, ref)
         assert ref0 == (select_reference(masked_psd(bins, mask)) if ref is None else ref)
 
         def loss_fn():
