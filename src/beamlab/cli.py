@@ -103,6 +103,8 @@ def cmd_enhance(args) -> int:
         raise UsageError("--masks must be 'oracle' or 'checkpoint'")
     # The adjoint is dropped at once: it holds the [T, F] noise mask.
     h, ref = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)[:2]
+    if not np.isfinite(h).all():
+        raise sched.NumericalError(f"non-finite MVDR filter for '{in_path}'")
 
     enhanced = beamform.apply_beamformer(h, spec.bins)
     out_wave = istft(replace(spec, bins=enhanced))

@@ -3,14 +3,15 @@
 Shoebox rooms only. Each image source contributes a fractionally-delayed,
 Hann-windowed sinc pulse with amplitude (prod of wall reflection
 coefficients) / (4 pi distance); reflection coefficient per wall is
-sqrt(1 - absorption).
+sqrt(1 - absorption). Scenes are the source convolved with each RIR channel
+by numpy FFTs (rfft, product, irfft) at a 5-smooth length, the arithmetic of
+scipy.signal.fftconvolve without importing scipy.
 """
 
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .corpus_io import read_config
 from .dsp import Waveform
@@ -225,14 +226,37 @@ def image_source_rir(
 # ---------------------------------------------------------------------------
 
 
+def _fast_rfft_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n: scipy.fft.next_fast_len(n, real=True)."""
+    best, p5 = 1 << (n - 1).bit_length(), 1  # the smallest power of two >= n
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 * 2**j, with j the smallest that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def simulate_multichannel(source: Waveform, rir: RIR) -> Waveform:
-    """Convolve a single-channel source with each RIR channel (full length)."""
+    """Convolve a single-channel source with each RIR channel (full length).
+
+    numpy FFT convolution: irfft(rfft(taps, n) * rfft(source, n), n), cut to
+    n_taps + n_samples - 1 samples, with n the 5-smooth length of
+    _fast_rfft_len; a length-1 operand scales the other. These are the
+    operations of scipy.signal.fftconvolve, and the tests check its bits.
+    """
     if source.channels != 1:
         raise ValueError("source must be single-channel")
     if source.sample_rate != rir.sample_rate:
         raise ValueError("sample rate mismatch between source and RIR")
-    out = fftconvolve(rir.taps, source.samples, axes=1)
-    return Waveform(samples=out, sample_rate=source.sample_rate)
+    if min(rir.taps.shape[1], source.n_samples) == 1:  # a scaling: no FFT, exact products
+        return Waveform(samples=rir.taps * source.samples, sample_rate=source.sample_rate)
+    n_out = rir.taps.shape[1] + source.n_samples - 1
+    n = _fast_rfft_len(n_out)
+    out = np.fft.irfft(np.fft.rfft(rir.taps, n, axis=1) * np.fft.rfft(source.samples, n, axis=1),
+                       n, axis=1)
+    return Waveform(samples=np.ascontiguousarray(out[:, :n_out]), sample_rate=source.sample_rate)
 
 
 def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:

@@ -58,6 +58,10 @@ TOY_MIN_LABEL = 3
 TOY_MAX_LABEL = 6
 
 
+# A SIMU render's utterance id is its single-channel source's id plus this.
+SIM_SUFFIX = "-sim"
+
+
 class NumericalError(RuntimeError):
     """Training diverged or produced a non-finite quantity."""
 
@@ -422,17 +426,20 @@ def _render_noisy(clean: Waveform, rir, snr_db: float, rng) -> Waveform:
     return mix_at_snr(rendered, noise, snr_db)
 
 
-def _simulate_single_set(single_set, cfg: ScheduleConfig, rng) -> list:
-    """Render single-channel utterances to multi-channel scenes (SIMU)."""
+def _simulate_single_set(single_set, cfg: ScheduleConfig, rng):
+    """(utt_id, STFT, labels) of each single-channel utterance rendered to a
+    multi-channel scene (SIMU), one at a time: no render outlives its STFT.
+
+    Per utterance, in order: render, draw the noise, mix.
+    """
     if not single_set:
-        return []
+        return
     rir = image_source_rir(cfg.room, cfg.array, cfg.max_order,
                            single_set[0].wave.sample_rate)
-    return [
-        Utt(utt_id=f"{utt.utt_id}-sim", wave=_render_noisy(utt.wave, rir, cfg.snr_db, rng),
-            labels=utt.labels, origin="simulated")
-        for utt in single_set
-    ]
+    for utt in single_set:
+        yield (utt.utt_id + SIM_SUFFIX,
+               stft(_render_noisy(utt.wave, rir, cfg.snr_db, rng), cfg.window_size, cfg.hop),
+               utt.labels)
 
 
 def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool = False):
@@ -442,6 +449,13 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     batches skip the front-end. SIMU: JO over real + simulated multi-channel
     pool. JO_ONLY: JO on the multi set.
     """
+    sim_set = single_set if cfg.mode == "SIMU" else []
+    ds_single = list(single_set) if cfg.mode == "DS" else []
+    jo_ids = [u.utt_id for u in multi_set] + [u.utt_id + SIM_SUFFIX for u in sim_set]
+    single_ids = [u.utt_id for u in ds_single]
+    if len(set(jo_ids + single_ids)) != len(jo_ids) + len(single_ids):
+        raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
+
     streams = _spawn_streams(cfg.seed)
     state = _init_state(cfg, streams["init"])
     report = Report(mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg))
@@ -451,19 +465,12 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
             state, cfg, single_set, streams["pretrain"], streams["augment"]
         )
 
-    jo_set = list(multi_set)
-    if cfg.mode == "SIMU":
-        jo_set = jo_set + _simulate_single_set(single_set, cfg, streams["simulate"])
-    ds_single = list(single_set) if cfg.mode == "DS" else []
-
-    pool = jo_set + ds_single
-    if len({u.utt_id for u in pool}) != len(pool):
-        raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
     # One STFT per utterance per run: the epochs and the final decode share it.
-    specs = {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in pool}
-    labels = {u.utt_id: u.labels for u in pool}
-    jo_ids = [u.utt_id for u in jo_set]
-    single_ids = [u.utt_id for u in ds_single]
+    real = list(multi_set) + ds_single
+    specs = {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in real}
+    labels = {u.utt_id: u.labels for u in real}
+    for utt_id, spec, utt_labels in _simulate_single_set(sim_set, cfg, streams["simulate"]):
+        specs[utt_id], labels[utt_id] = spec, utt_labels
 
     multi_utts = single_utts = 0
     multi_seconds = single_seconds = 0.0

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamlab import corpus_io, roomsim
+from beamlab import beamform, corpus_io, roomsim
 from beamlab.cli import main
 from beamlab.dsp import Waveform
 from beamlab.sched import ScheduleConfig, toy_room
@@ -157,6 +157,25 @@ class TestEnhance:
         # statistics; no noise spectrogram and no full-size STFT temporaries.
         peak, spec_bytes = traced_enhance_peak(tmp_path)
         assert peak < 3 * spec_bytes, peak / spec_bytes
+
+    def test_non_finite_filter_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # A NaN in the MVDR filter is a numerical fault (exit 3), named with its
+        # input, and nothing is written.
+        noisy, clean = _make_scene(tmp_path)
+        mvdr_weights = beamform.mvdr_weights
+
+        def nan_filter(*args):
+            h, ref, vjp = mvdr_weights(*args)
+            h[3, 1] = np.nan
+            return h, ref, vjp
+
+        monkeypatch.setattr(beamform, "mvdr_weights", nan_filter)
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", "--input", str(noisy), "--out", str(out),
+                     "--masks", "oracle", "--clean", str(clean)])
+        assert code == 3
+        assert f"non-finite MVDR filter for '{noisy}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mono_input_is_data_error(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"

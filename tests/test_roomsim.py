@@ -198,6 +198,29 @@ class TestSimulate:
             oracle = np.convolve(src.samples[0], taps[c])
             np.testing.assert_allclose(out.samples[c], oracle, atol=1e-10)
 
+    @pytest.mark.parametrize("preset", ["desk-4ch", "aishell4-8ch-circular"])
+    @pytest.mark.parametrize("source_len", ["prime_output", "one_sample"])
+    def test_matches_scipy_fftconvolve_bit_for_bit(self, preset, source_len):
+        # scipy is a test-only oracle here: the numpy FFT convolution must give
+        # fftconvolve's exact bits, also where its length is not 5-smooth
+        # (10007 output samples, a prime) and where a 1-sample source makes
+        # it a scaling.
+        from scipy.signal import fftconvolve
+
+        array = array_preset(preset, [5.0, 3.0, 1.5])
+        rir = image_source_rir(REFERENCE_ROOM, array, max_order=3, sample_rate=16000)
+        n = 10008 - rir.taps.shape[1] if source_len == "prime_output" else 1
+        src = Waveform(samples=_rng(4).normal(size=(1, n)), sample_rate=16000)
+        out = simulate_multichannel(src, rir)
+        assert out.channels == array.channels
+        assert np.array_equal(out.samples, fftconvolve(rir.taps, src.samples, axes=1))
+
+    def test_fast_rfft_len_matches_scipy(self):
+        from scipy.fft import next_fast_len
+
+        assert [roomsim._fast_rfft_len(n) for n in range(1, 10001)] == \
+            [next_fast_len(n, real=True) for n in range(1, 10001)]
+
     def test_requires_single_channel_source(self):
         src = Waveform(samples=np.ones((2, 100)), sample_rate=8000)
         rir = roomsim.RIR(taps=np.ones((2, 10)), sample_rate=8000)

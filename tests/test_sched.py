@@ -254,6 +254,22 @@ class TestSchemes:
         with pytest.raises(ValueError, match="unique"):
             run_training(_cfg(mode="DS", epochs=1), multi, clash)
 
+    def test_simulated_ids_unique_across_sets(self, monkeypatch):
+        # A SIMU render takes its source's id plus "-sim", so a multi utterance
+        # "x-sim" clashes with the render of a single "x". The check comes
+        # before any render or training step, and no Report is made.
+        multi, single, _ = _toy_sets(n_multi=2, n_single=2, seed=8)
+        multi = [replace(multi[0], utt_id="x-sim")] + multi[1:]
+        single = [replace(single[0], utt_id="x")] + single[1:]
+
+        def past_the_check(*args, **kwargs):
+            raise AssertionError("run_training went past the id check")
+
+        for name in ("simulate_multichannel", "stft", "forward_joint", "Report"):
+            monkeypatch.setattr(sched, name, past_the_check)
+        with pytest.raises(ValueError, match="unique"):
+            run_training(_cfg(mode="SIMU", epochs=1), multi, single)
+
     def test_epoch_stft_cache_serves_decoding(self, monkeypatch):
         # One STFT per utterance per run, and CTC only on training passes:
         # the final decode reads the epoch cache and skips CTC. One CPU, so
@@ -450,6 +466,15 @@ class TestAugmentation:
         fast = speed_perturb(wave, 1.1)
         assert slow.n_samples > wave.n_samples > fast.n_samples
         assert speed_perturb(wave, 1.0).n_samples == wave.n_samples
+
+    def test_importing_beamlab_loads_no_scipy(self):
+        # scipy.signal costs a process tens of MB and over a second to import;
+        # only speed_perturb needs it, and imports it when called.
+        script = ("import sys, beamlab, beamlab.cli, beamlab.sched\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=60)
+        assert (out.stdout, out.stderr, out.returncode) == ("[]\n", "", 0)
 
     def test_augmented_pretraining_run(self):
         # speed_perturb/wav_augment act on PT's pretraining batches only.
