@@ -1,7 +1,7 @@
 """beamlab: a desk-scale laboratory for multi-channel speech front-ends.
 
 Modules:
-    dsp        STFT/iSTFT, log-mel features, CMVN, deltas.
+    dsp        STFT/iSTFT, mel filterbank, the feature chain and its adjoint.
     beamform   Mask-based MVDR beamforming.
     roomsim    Image-source room impulse responses and SNR mixing.
     backend    Tiny acoustic model, exact CTC, greedy decoding, scoring.

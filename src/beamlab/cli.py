@@ -69,6 +69,9 @@ def cmd_enhance(args) -> int:
     cfg = _resolve_config(args, ENHANCE_DEFAULTS)
     in_path = _require(cfg, "input", "--input")
     out_path = _require(cfg, "out", "--out")
+    ref = cfg["ref_channel"]
+    if ref < -1:
+        raise UsageError(f"--ref-channel must be -1 (select) or a channel index, got {ref}")
     noisy = corpus_io.read_wav(in_path)
     if noisy.channels < 2:
         raise ValueError(
@@ -80,7 +83,6 @@ def cmd_enhance(args) -> int:
     shape = noisy.samples.shape
     spec = stft(noisy, cfg["window_size"], cfg["hop"])
     del noisy
-    ref = cfg["ref_channel"]
 
     clean_spec = None
     if cfg["clean"] is not None:

@@ -16,10 +16,6 @@ LOG_FLOOR = 1e-10
 # Variance floor for per-utterance mean-variance normalization.
 CMVN_VAR_FLOOR = 1e-8
 
-DEFAULT_SAMPLE_RATE = 16000
-DEFAULT_WINDOW = 512
-DEFAULT_HOP = 128
-DEFAULT_N_MELS = 40
 # Windowed samples per rfft call in stft (more only when one frame of every
 # channel exceeds it); bounds its temporary. A toy utterance (4 channels x
 # <= 60 frames x 256) still takes one call.
@@ -99,25 +95,6 @@ class Spectrogram:
         return self.bins.shape[2]
 
 
-@dataclass
-class FeatureMatrix:
-    """Real feature array [frames, dims] with a provenance tag."""
-
-    values: np.ndarray
-    meta: str = "fbank"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("feature values must be [frames, dims]")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature values must be finite")
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # STFT / iSTFT
 # ---------------------------------------------------------------------------
@@ -128,7 +105,7 @@ def periodic_hann(window_size: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window_size)
 
 
-def stft(wave: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP) -> Spectrogram:
+def stft(wave: Waveform, window_size: int, hop: int) -> Spectrogram:
     """Per-channel framed, periodic-Hann-windowed real FFT. No center padding.
 
     Frame count is floor((n_samples - window_size) / hop) + 1; trailing
@@ -231,60 +208,26 @@ def mel_filterbank(n_mels: int, n_fft_bins: int, window_size: int, sample_rate: 
     return filters
 
 
-def _log_mel(bins: np.ndarray, filters: np.ndarray):
-    """Log mel energies of complex bins [T, F]: (log energies, energies)."""
-    energies = (np.abs(bins) ** 2) @ filters.T
-    return np.log(energies + LOG_FLOOR), energies
-
-
-def _cmvn(values: np.ndarray):
-    """(normalized values, per-dim sigma, mask of dims above the variance floor)."""
-    mean = values.mean(axis=0)
-    var = values.var(axis=0)
-    sigma = np.sqrt(np.maximum(var, CMVN_VAR_FLOOR))
-    return (values - mean) / sigma, sigma, var > CMVN_VAR_FLOOR
-
-
-def _stack_deltas(values: np.ndarray) -> np.ndarray:
-    if values.shape[0] < 5:
-        raise ValueError("insufficient frames: deltas need >= 5 frames")
-    d1 = delta_features(values)
-    return np.concatenate([values, d1, delta_features(d1)], axis=1)
-
-
-def log_fbank(spec: Spectrogram, n_mels: int = DEFAULT_N_MELS) -> FeatureMatrix:
-    """Log mel filterbank energies of the power spectrum, floor 1e-10."""
-    if spec.channels != 1:
-        raise ValueError("log_fbank requires a single-channel spectrogram")
-    filters = mel_filterbank(n_mels, spec.freq_bins, spec.window_size, spec.sample_rate)
-    return FeatureMatrix(values=_log_mel(spec.bins[:, :, 0], filters)[0], meta="fbank")
-
-
-def cmvn(feat: FeatureMatrix) -> FeatureMatrix:
-    """Per-utterance, per-dimension zero mean / unit variance."""
-    if feat.frames < 2:
-        raise ValueError("insufficient frames: cmvn needs >= 2 frames")
-    return FeatureMatrix(values=_cmvn(feat.values)[0], meta="cmvn")
-
-
-def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
-    """Append regression deltas and delta-deltas (window +-2, edges replicated).
-
-    Output dims = 3x input dims.
-    """
-    return FeatureMatrix(values=_stack_deltas(feat.values), meta="deltas")
-
-
 def fbank_chain_vjp(bins: np.ndarray, filters: np.ndarray, factor: int):
-    """log_fbank -> cmvn -> add_deltas -> subsample on complex bins [T, F].
+    """The feature chain on complex bins [T >= 5, F] and mel filters [M, F]:
+    log mel energies (floor LOG_FLOOR) -> per-utterance, per-dimension mean
+    and variance normalization (variance floor CMVN_VAR_FLOOR) -> features,
+    deltas and delta-deltas side by side -> frames 0, factor, 2*factor, ...
 
-    Returns (features, vjp); vjp(g_features) -> g_bins, complex, under the
-    Wirtinger convention of `pipeline`.
+    Returns (features [ceil(T / factor), 3M], vjp); vjp(g_features) -> g_bins,
+    complex, under the Wirtinger convention of `pipeline`.
     """
     check_subsample_factor(factor)
-    logf, energies = _log_mel(bins, filters)
-    normed, sigma, active = _cmvn(logf)
-    feats = _stack_deltas(normed)[::factor].copy()
+    if bins.shape[0] < 5:
+        raise ValueError("insufficient frames: deltas need >= 5 frames")
+    energies = (np.abs(bins) ** 2) @ filters.T
+    logf = np.log(energies + LOG_FLOOR)
+    var = logf.var(axis=0)
+    sigma = np.sqrt(np.maximum(var, CMVN_VAR_FLOOR))
+    active = var > CMVN_VAR_FLOOR
+    normed = (logf - logf.mean(axis=0)) / sigma
+    d1 = delta_features(normed)
+    feats = np.concatenate([normed, d1, delta_features(d1)], axis=1)[::factor].copy()
 
     def vjp(g_sub: np.ndarray) -> np.ndarray:
         g_feats = np.zeros((normed.shape[0], g_sub.shape[1]))
@@ -328,10 +271,3 @@ def check_subsample_factor(factor: int) -> None:
     """A factor below 1 would reverse the frames (< 0) or fail to slice (0)."""
     if factor < 1:
         raise ValueError(f"subsample factor must be >= 1, got {factor}")
-
-
-def subsample(feat: FeatureMatrix, factor: int = 3) -> FeatureMatrix:
-    """Keep frames 0, factor, 2*factor, ... (frame count = ceil(frames/factor))."""
-    check_subsample_factor(factor)
-    return FeatureMatrix(values=feat.values[::factor].copy(), meta="subsampled")
-

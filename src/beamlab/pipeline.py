@@ -34,7 +34,6 @@ from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
 from .beamform import apply_beamformer_vjp, mvdr_weights
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
-DEFAULT_SUBSAMPLE = 3
 CHECKPOINT_VERSION = 1
 # Denominator floor for finite-difference relative errors: differences below
 # this scale are dominated by roundoff in the central difference itself.
@@ -148,7 +147,7 @@ def forward_backend(
     am_params: AmParams,
     spec: Spectrogram,
     labels: LabelSequence,
-    subsample_factor: int = DEFAULT_SUBSAMPLE,
+    subsample_factor: int,
 ):
     """Single-channel loss: fbank -> cmvn -> deltas -> subsample -> AM -> CTC."""
     if spec.channels != 1:
@@ -197,7 +196,7 @@ def forward_joint(
     state: TrainState,
     utt: Spectrogram,
     labels: LabelSequence | None,
-    subsample_factor: int = DEFAULT_SUBSAMPLE,
+    subsample_factor: int,
     ref_channel: int | None = None,
 ):
     """Joint loss L = -log p(l | Feature(x_hat)) and the backward cache; labels None: decode only.
@@ -276,8 +275,8 @@ def finite_diff_check(
     state: TrainState,
     utt: Spectrogram,
     labels: LabelSequence,
+    subsample_factor: int,
     epsilon: float = 1e-5,
-    subsample_factor: int = DEFAULT_SUBSAMPLE,
     breakdown: dict | None = None,
     corrupt_adjoint: bool = False,
 ) -> float:

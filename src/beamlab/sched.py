@@ -113,8 +113,8 @@ class ScheduleConfig:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.epochs < 1 or self.multi_batch_size < 1:
             raise ValueError("epochs and multi_batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.pretrain_epochs < 0:
             raise ValueError("pretrain_epochs must be >= 0")
         if self.mode == "SIMU" and (self.room is None or self.array is None):
@@ -410,14 +410,6 @@ def _pretrain(state, cfg, single_set, rng, aug_rng) -> list:
     return losses
 
 
-def run_pretrain(cfg: ScheduleConfig, single_set) -> TrainState:
-    """Stage one of PT: fresh state, AM trained on clean single-channel data."""
-    streams = _spawn_streams(cfg.seed)
-    state = _init_state(cfg, streams["init"])
-    _pretrain(state, cfg, single_set, streams["pretrain"], streams["augment"])
-    return state
-
-
 def _render_noisy(clean: Waveform, rir, snr_db: float, rng) -> Waveform:
     """Room render of a clean utterance plus spatially white noise at snr_db."""
     rendered = simulate_multichannel(clean, rir)
@@ -445,9 +437,9 @@ def _simulate_single_set(single_set, cfg: ScheduleConfig, rng):
 def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool = False):
     """Execute one scheme end-to-end and emit a Report.
 
-    PT: run_pretrain, then JO on the multi set. DS: interleaved plan, SINGLE
-    batches skip the front-end. SIMU: JO over real + simulated multi-channel
-    pool. JO_ONLY: JO on the multi set.
+    PT: AM-only epochs on the single set, then JO on the multi set. DS:
+    interleaved plan, SINGLE batches skip the front-end. SIMU: JO over real +
+    simulated multi-channel pool. JO_ONLY: JO on the multi set.
     """
     sim_set = single_set if cfg.mode == "SIMU" else []
     ds_single = list(single_set) if cfg.mode == "DS" else []

@@ -177,6 +177,16 @@ class TestEnhance:
         assert f"non-finite MVDR filter for '{noisy}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ref_channel_below_minus_one_is_usage_error(self, tmp_path, capsys):
+        # Only -1 selects the reference; -2 used to select it too.
+        noisy, clean = _make_scene(tmp_path)
+        out = tmp_path / "enh.wav"
+        code = main(["enhance", "--input", str(noisy), "--out", str(out), "--masks",
+                     "oracle", "--clean", str(clean), "--ref-channel", "-2"])
+        assert code == 1
+        assert "--ref-channel must be -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mono_input_is_data_error(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"
         corpus_io.write_wav(mono, Waveform(samples=_rng(0).normal(size=(1, 8000)) * 0.1,
@@ -384,10 +394,20 @@ class TestTrainConfig:
                ("JO_ONLY", 10, 10)
 
     def test_invalid_schedule_is_data_error(self, tmp_path):
-        # A negative factor would train on time-reversed frames.
-        for flags in (["--subsample", "-2"], ["--subsample", "0"], ["--epochs", "0"]):
+        # A negative factor would train on time-reversed frames; a NaN or
+        # infinite learning rate wrote NaN parameters and exited 0.
+        for flags in (["--subsample", "-2"], ["--subsample", "0"], ["--epochs", "0"],
+                      ["--learning-rate", "nan"], ["--learning-rate", "inf"]):
             code, report = self._train(tmp_path, *flags)
             assert code == 2 and report is None, flags
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_in_config_is_data_error(self, tmp_path, rate):
+        # Python's json reads NaN and Infinity.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"learning_rate": rate}))
+        code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1")
+        assert code == 2 and report is None
 
 
 def _command(command, tmp_path):

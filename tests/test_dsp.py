@@ -1,4 +1,6 @@
-"""dsp tests: STFT/iSTFT, mel features, CMVN, deltas, subsampling."""
+"""dsp tests: STFT/iSTFT, the mel filterbank, deltas, and the feature chain
+(`fbank_chain_vjp`: log mel, CMVN, deltas, subsampling) against a reference
+written from its formulas."""
 
 import tracemalloc
 
@@ -8,26 +10,47 @@ import pytest
 from beamlab.dsp import (
     CMVN_VAR_FLOOR,
     STFT_BLOCK_SAMPLES,
-    FeatureMatrix,
     Spectrogram,
     Waveform,
-    add_deltas,
-    cmvn,
     delta_features,
     delta_features_adjoint,
     fbank_chain_vjp,
     istft,
-    log_fbank,
     mel_filterbank,
     periodic_hann,
     stft,
-    subsample,
 )
 from test_backend import max_fd_error
 
 
 def _rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def _random_bins(seed, n_frames, n_bins=9):
+    rng = _rng(seed)
+    return rng.normal(size=(n_frames, n_bins)) + 1j * rng.normal(size=(n_frames, n_bins))
+
+
+def _reference_features(bins, filters, factor):
+    """The feature chain from its formulas: log(|X|^2 mel^T + 1e-10); per-dim
+    mean and population variance, floored at 1e-8; the +-2 regression delta
+    with replicated edges as a loop, applied twice; every factor-th frame."""
+    logmel = np.log(np.abs(bins) ** 2 @ filters.T + 1e-10)
+    mean = logmel.mean(axis=0)
+    var = ((logmel - mean) ** 2).mean(axis=0)
+    normed = (logmel - mean) / np.sqrt(np.maximum(var, 1e-8))
+
+    def delta(x):
+        last = x.shape[0] - 1
+        out = np.zeros_like(x)
+        for t in range(last + 1):
+            for k in (1, 2):
+                out[t] += k * (x[min(t + k, last)] - x[max(t - k, 0)])
+        return out / (2.0 * (1 ** 2 + 2 ** 2))
+
+    d1 = delta(normed)
+    return np.concatenate([normed, d1, delta(d1)], axis=1)[::factor]
 
 
 class TestContainers:
@@ -48,10 +71,6 @@ class TestContainers:
         with pytest.raises(ValueError):
             Spectrogram(bins=np.zeros((3, 10), complex), sample_rate=8000,
                         window_size=16, hop=8)
-
-    def test_feature_matrix_requires_2d(self):
-        with pytest.raises(ValueError):
-            FeatureMatrix(values=np.zeros(5))
 
 
 class TestStft:
@@ -245,46 +264,52 @@ class TestMelFbank:
         assert np.all(np.diff(peaks) > 0)
 
     def test_log_fbank_matches_manual(self):
+        # The chain's first M columns at factor 1 are the normalized log mel
+        # energies of the power spectrum.
         rng = _rng(1)
         wave = Waveform(samples=rng.normal(size=1024), sample_rate=8000)
-        spec = stft(wave, 256, 128)
-        feat = log_fbank(spec, n_mels=6)
-        power = np.abs(spec.bins[:, :, 0]) ** 2
+        bins = stft(wave, 256, 128).bins[:, :, 0]
         fb = mel_filterbank(6, 129, 256, 8000)
-        oracle = np.log(power @ fb.T + 1e-10)
-        np.testing.assert_allclose(feat.values, oracle, atol=1e-12)
+        feats, _ = fbank_chain_vjp(bins, fb, 1)
+        logmel = np.log(np.abs(bins) ** 2 @ fb.T + 1e-10)
+        oracle = (logmel - logmel.mean(axis=0)) / logmel.std(axis=0)
+        np.testing.assert_allclose(feats[:, :6], oracle, atol=1e-12)
 
     def test_log_floor_on_silence(self):
+        # Silence underflows every mel energy to 0: the log floor keeps the
+        # features and the adjoint finite, and CMVN maps each constant column
+        # to about 0.
         wave = Waveform(samples=np.zeros((1, 1024)) + 1e-300, sample_rate=8000)
-        feat = log_fbank(stft(wave, 256, 128), n_mels=4)
-        np.testing.assert_allclose(feat.values, np.log(1e-10), atol=1e-9)
-
-    def test_multichannel_rejected(self):
-        wave = Waveform(samples=np.zeros((2, 1024)), sample_rate=8000)
-        with pytest.raises(ValueError, match="single-channel"):
-            log_fbank(stft(wave, 256, 128))
+        bins = stft(wave, 256, 128).bins[:, :, 0]
+        feats, vjp = fbank_chain_vjp(bins, mel_filterbank(4, 129, 256, 8000), 1)
+        np.testing.assert_allclose(feats, 0.0, atol=1e-9)
+        assert np.isfinite(vjp(np.ones_like(feats))).all()
 
 
 class TestCmvn:
     def test_zero_mean_unit_variance(self):
-        rng = _rng(2)
-        feat = FeatureMatrix(values=rng.normal(3.0, 2.5, size=(50, 8)))
-        out = cmvn(feat)
-        np.testing.assert_allclose(out.values.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.values.var(axis=0), 1.0, atol=1e-10)
+        bins = _random_bins(2, 50, n_bins=33) * 2.5
+        feats, _ = fbank_chain_vjp(bins, mel_filterbank(8, 33, 64, 8000), 1)
+        np.testing.assert_allclose(feats[:, :8].mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(feats[:, :8].var(axis=0), 1.0, atol=1e-10)
 
     def test_constant_column_uses_floor(self):
-        values = np.ones((10, 3))
-        values[:, 1] = np.arange(10)
-        out = cmvn(FeatureMatrix(values=values))
-        # Constant dims map to exactly zero (0 / sqrt(floor)).
-        np.testing.assert_allclose(out.values[:, 0], 0.0, atol=0)
-        assert np.isfinite(out.values).all()
+        # Mel filter 0's bins at 1e-200 amplitude: its energy underflows to 0,
+        # so its log is the constant log(1e-10), which CMVN maps to about 0
+        # (0 / sqrt(floor)) while the other columns still vary.
+        filters = mel_filterbank(4, 9, 16, 16000)
+        bins = _random_bins(3, 12)
+        bins[:, filters[0] > 0] = 1e-200
+        feats, vjp = fbank_chain_vjp(bins, filters, 1)
+        assert np.isfinite(feats).all() and np.isfinite(vjp(np.ones_like(feats))).all()
+        np.testing.assert_allclose(feats[:, [0, 4, 8]], 0.0, atol=1e-9)
+        np.testing.assert_allclose(feats[:, 1:4].var(axis=0), 1.0, atol=1e-10)
         assert CMVN_VAR_FLOOR == 1e-8
 
     def test_single_frame_rejected(self):
+        filters = mel_filterbank(4, 9, 16, 16000)
         with pytest.raises(ValueError, match="insufficient frames"):
-            cmvn(FeatureMatrix(values=np.ones((1, 4))))
+            fbank_chain_vjp(_random_bins(4, 1), filters, 1)
 
 
 class TestDeltas:
@@ -311,25 +336,29 @@ class TestDeltas:
         assert abs(lhs - rhs) < 1e-12
 
     def test_add_deltas_dims(self):
-        feat = FeatureMatrix(values=_rng(0).normal(size=(8, 5)))
-        out = add_deltas(feat)
-        assert out.values.shape == (8, 15)
-        np.testing.assert_array_equal(out.values[:, :5], feat.values)
+        # Features, deltas, delta-deltas: 3 x n_mels columns.
+        feats, _ = fbank_chain_vjp(_random_bins(0, 8), mel_filterbank(5, 9, 16, 16000), 1)
+        assert feats.shape == (8, 15)
+        np.testing.assert_array_equal(feats[:, 5:10], delta_features(feats[:, :5]))
+        np.testing.assert_array_equal(feats[:, 10:], delta_features(feats[:, 5:10]))
 
     def test_add_deltas_needs_five_frames(self):
+        filters = mel_filterbank(4, 9, 16, 16000)
         with pytest.raises(ValueError, match="insufficient frames"):
-            add_deltas(FeatureMatrix(values=np.ones((4, 2))))
+            fbank_chain_vjp(_random_bins(5, 4), filters, 1)
+        fbank_chain_vjp(_random_bins(5, 5), filters, 1)
 
 
 class TestFbankChain:
-    def test_forward_equals_public_chain(self):
-        rng = _rng(40)
-        bins = rng.normal(size=(11, 9)) + 1j * rng.normal(size=(11, 9))
-        spec = Spectrogram(bins=bins, sample_rate=16000, window_size=16, hop=8)
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    @pytest.mark.parametrize("n_frames", [5, 11, 24])
+    def test_forward_matches_formula_reference(self, factor, n_frames):
+        bins = _random_bins(40 + n_frames, n_frames)
         filters = mel_filterbank(4, 9, 16, 16000)
-        feats, _ = fbank_chain_vjp(bins, filters, 2)
-        public = subsample(add_deltas(cmvn(log_fbank(spec, n_mels=4))), 2)
-        np.testing.assert_array_equal(feats, public.values)
+        feats, _ = fbank_chain_vjp(bins, filters, factor)
+        assert feats.shape == (-(-n_frames // factor), 12)
+        np.testing.assert_allclose(feats, _reference_features(bins, filters, factor),
+                                   rtol=0, atol=1e-12)
 
     def test_vjp_matches_finite_differences(self):
         rng = _rng(41)
@@ -346,15 +375,20 @@ class TestFbankChain:
 
 class TestSubsample:
     def test_keeps_every_kth_frame(self):
-        feat = FeatureMatrix(values=np.arange(20.0).reshape(10, 2))
-        out = subsample(feat, 3)
-        np.testing.assert_array_equal(out.values, feat.values[::3])
-        assert out.frames == 4  # ceil(10/3)
+        bins, filters = _random_bins(6, 10), mel_filterbank(4, 9, 16, 16000)
+        every, _ = fbank_chain_vjp(bins, filters, 1)
+        out, _ = fbank_chain_vjp(bins, filters, 3)
+        np.testing.assert_array_equal(out, every[::3])
+        assert out.shape[0] == 4  # ceil(10/3)
 
     def test_factor_one_is_identity(self):
-        feat = FeatureMatrix(values=_rng(0).normal(size=(7, 3)))
-        np.testing.assert_array_equal(subsample(feat, 1).values, feat.values)
+        # Factor 1 keeps every frame.
+        bins, filters = _random_bins(7, 7), mel_filterbank(4, 9, 16, 16000)
+        feats, _ = fbank_chain_vjp(bins, filters, 1)
+        assert feats.shape[0] == 7
+        np.testing.assert_allclose(feats, _reference_features(bins, filters, 1),
+                                   rtol=0, atol=1e-12)
 
     def test_rejects_bad_factor(self):
-        with pytest.raises(ValueError):
-            subsample(FeatureMatrix(values=np.ones((4, 2))), 0)
+        with pytest.raises(ValueError, match="subsample factor must be >= 1"):
+            fbank_chain_vjp(_random_bins(8, 6), mel_filterbank(4, 9, 16, 16000), 0)

@@ -148,17 +148,17 @@ class TestForwardJoint:
 
     def test_ref_channel_pinning(self):
         state, utt, labels = _tiny_instance(6)
-        loss0, c0 = forward_joint(state, utt, labels, ref_channel=0)
-        loss1, c1 = forward_joint(state, utt, labels, ref_channel=1)
+        loss0, c0 = forward_joint(state, utt, labels, 3, ref_channel=0)
+        loss1, c1 = forward_joint(state, utt, labels, 3, ref_channel=1)
         assert c0["ref"] == 0 and c1["ref"] == 1
         assert loss0 != loss1
         with pytest.raises(ValueError, match="ref channel"):
-            forward_joint(state, utt, labels, ref_channel=5)
+            forward_joint(state, utt, labels, 3, ref_channel=5)
 
     def test_backend_path_rejects_multichannel(self):
         state, utt, labels = _tiny_instance(7)
         with pytest.raises(ValueError, match="single-channel"):
-            forward_backend(state.am_params, utt, labels)
+            forward_backend(state.am_params, utt, labels, 3)
 
     def test_negative_subsample_rejected(self):
         # [::-2] would silently feed time-reversed frames to the AM.
@@ -237,14 +237,14 @@ class TestBackwardJoint:
         state, utt, labels = _tiny_instance(10)
         for eps in (0.0, -1e-5, np.inf, np.nan):
             with pytest.raises(ValueError, match="invalid epsilon"):
-                finite_diff_check(state, utt, labels, epsilon=eps)
+                finite_diff_check(state, utt, labels, 3, epsilon=eps)
 
     def test_backward_kind_checked(self):
         state, utt, labels = _tiny_instance(13, channels=1)
-        _, cache = forward_backend(state.am_params, utt, labels)
+        _, cache = forward_backend(state.am_params, utt, labels, 3)
         with pytest.raises(ValueError, match="forward_joint"):
             backward_joint(cache)
-        _, jcache = forward_joint(state, utt, labels)
+        _, jcache = forward_joint(state, utt, labels, 3)
         with pytest.raises(ValueError, match="forward_backend"):
             backward_backend(jcache)
 

@@ -22,7 +22,6 @@ from beamlab.sched import (
     epoch_cost_model,
     generate_toy_corpus,
     plan_epoch,
-    run_pretrain,
     run_training,
     speed_perturb,
     toy_array,
@@ -54,6 +53,15 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2")
 def _usable_cpus(monkeypatch, n):
     """run_training forks its batch helper only when two CPUs are usable."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _pretrained(cfg, single_set):
+    """PT's first stage as run_training runs it: a fresh state, then the
+    AM-only pretraining epochs."""
+    streams = sched._spawn_streams(cfg.seed)
+    state = sched._init_state(cfg, streams["init"])
+    sched._pretrain(state, cfg, single_set, streams["pretrain"], streams["augment"])
+    return state
 
 
 def _affinity(*args):
@@ -205,8 +213,8 @@ class TestSchemes:
         # identical while the AM params moved.
         _, single, _ = _toy_sets(n_multi=4, n_single=6, seed=5)
         cfg = _cfg(mode="PT", epochs=1, pretrain_epochs=2)
-        trained = run_pretrain(cfg, single)
-        fresh = run_pretrain(cfg, [])
+        trained = _pretrained(cfg, single)
+        fresh = _pretrained(cfg, [])
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(
                 getattr(trained.mask_params, name), getattr(fresh.mask_params, name))
@@ -218,8 +226,8 @@ class TestSchemes:
     def test_run_pretrain_zero_epochs_is_identity(self):
         _, single, _ = _toy_sets(n_multi=2, n_single=3, seed=6)
         cfg = _cfg(mode="PT", pretrain_epochs=0)
-        a = run_pretrain(cfg, single)
-        b = run_pretrain(cfg, [])
+        a = _pretrained(cfg, single)
+        b = _pretrained(cfg, [])
         assert _states_equal(a, b)
 
     def test_cost_prediction_reconciles_with_measurement(self):
