@@ -262,9 +262,11 @@ def simulate_multichannel(source: Waveform, rir: RIR) -> Waveform:
 def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Scale noise so the reference-channel SNR equals snr_db, then sum.
 
-    snr_db = inf is a sentinel for a zero noise scale. Noise longer than the
-    speech is truncated; shorter noise is an error.
+    snr_db = +inf is a sentinel for a zero noise scale; NaN and -inf are
+    errors. Noise longer than the speech is truncated; shorter noise is an error.
     """
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     if speech.channels != noise.channels:
         raise ValueError("speech and noise channel counts must match")
     if speech.sample_rate != noise.sample_rate:
@@ -272,7 +274,7 @@ def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     if noise.n_samples < speech.n_samples:
         raise ValueError("noise must be at least as long as speech")
     noise_cut = noise.samples[:, : speech.n_samples]
-    if np.isinf(snr_db):
+    if snr_db == np.inf:
         return Waveform(samples=speech.samples.copy(), sample_rate=speech.sample_rate)
     p_speech = np.mean(speech.samples[0] ** 2)
     p_noise = np.mean(noise_cut[0] ** 2)

@@ -11,7 +11,7 @@ Modes:
   JO_ONLY  joint optimization on the multi-channel set alone.
 
 Reproducibility contract: one SeedSequence per run, spawned into independent
-streams (init, plan, pretrain, simulate, augment). A mode that does not use
+streams (init, plan, pretrain, simulate). A mode that does not use
 a stream never draws from it, so with an empty single-channel set every mode
 reduces to JO_ONLY bit-exactly under the same seed. With two usable CPUs a
 forked helper computes half of every batch and of the decode, and Reports
@@ -104,9 +104,6 @@ class ScheduleConfig:
     context: int = 3
     subsample: int = 3
     vocab_size: int = 6
-    # Single-channel augmentation; only PT pretraining applies it.
-    speed_perturb: bool = False
-    wav_augment: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -115,12 +112,12 @@ class ScheduleConfig:
             raise ValueError("epochs and multi_batch_size must be positive")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if self.pretrain_epochs < 0:
-            raise ValueError("pretrain_epochs must be >= 0")
         if self.mode == "SIMU" and (self.room is None or self.array is None):
             raise ValueError("SIMU mode requires room and array settings")
-        if self.vocab_size < 1:
-            raise ValueError("vocab_size must be >= 1")
+        for name, low in (("pretrain_epochs", 0), ("n_mels", 1), ("am_hidden", 1),
+                          ("mask_hidden", 1), ("context", 0), ("vocab_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         check_subsample_factor(self.subsample)
 
 
@@ -274,7 +271,7 @@ def _split(helper, state, ids, remote, local, *args):
     return theirs, mine
 
 
-def _run_batch(state, batch, specs, labels, cfg, helper=None) -> float:
+def _run_batch(state, batch, specs, labels, cfg, helper) -> float:
     """One SGD step (MULTI: joint path, SINGLE: back end). This process adds its utterances,
     in order, onto the helper's sum of the first half: one process's float additions."""
     joint = batch.kind == MULTI
@@ -318,57 +315,17 @@ def _helper_process(specs, labels, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Single-channel augmentation helpers (off by default)
-# ---------------------------------------------------------------------------
-
-
-def speed_perturb(wave: Waveform, factor: float) -> Waveform:
-    """Resample by a rational speed factor from {0.9, 1.0, 1.1}."""
-    from fractions import Fraction
-
-    from scipy.signal import resample_poly
-
-    if factor == 1.0:
-        return wave
-    frac = Fraction(factor).limit_denominator(10)
-    out = resample_poly(wave.samples, frac.denominator, frac.numerator, axis=1)
-    return Waveform(samples=out, sample_rate=wave.sample_rate)
-
-
-def wav_augment(wave: Waveform, rng: np.random.Generator) -> Waveform:
-    """Random gain in [0.5, 1.5) plus one zeroed span of 5% (a reduced WavAugment)."""
-    gain = rng.uniform(0.5, 1.5)
-    out = wave.samples * gain
-    drop = int(0.05 * wave.n_samples)
-    if drop > 0:
-        start = int(rng.integers(0, wave.n_samples - drop + 1))
-        out = out.copy()
-        out[:, start : start + drop] = 0.0
-    return Waveform(samples=out, sample_rate=wave.sample_rate)
-
-
-def _maybe_augment(wave: Waveform, cfg: ScheduleConfig, rng: np.random.Generator) -> Waveform:
-    if cfg.speed_perturb:
-        factor = [0.9, 1.0, 1.1][int(rng.integers(0, 3))]
-        wave = speed_perturb(wave, factor)
-    if cfg.wav_augment:
-        wave = wav_augment(wave, rng)
-    return wave
-
-
-# ---------------------------------------------------------------------------
 # Training schemes
 # ---------------------------------------------------------------------------
 
 
 def _spawn_streams(seed: int):
-    init_ss, plan_ss, pretrain_ss, simu_ss, aug_ss = np.random.SeedSequence(seed).spawn(5)
+    init_ss, plan_ss, pretrain_ss, simu_ss = np.random.SeedSequence(seed).spawn(4)
     return {
         "init": np.random.default_rng(init_ss),
         "plan": np.random.default_rng(plan_ss),
         "pretrain": np.random.default_rng(pretrain_ss),
         "simulate": np.random.default_rng(simu_ss),
-        "augment": np.random.default_rng(aug_ss),
     }
 
 
@@ -384,28 +341,19 @@ def _init_state(cfg: ScheduleConfig, rng: np.random.Generator) -> TrainState:
     )
 
 
-def _pretrain(state, cfg, single_set, rng, aug_rng) -> list:
-    """AM-only epochs over the single-channel set; mutates state.am_params."""
+def _pretrain(state, cfg, ids, specs, labels, rng, helper) -> list:
+    """AM-only epochs over the single-channel ids; mutates state.am_params."""
     losses = []
-    by_id = {u.utt_id: u for u in single_set}
-    labels = {u.utt_id: u.labels for u in single_set}
-    # Unaugmented waves, so their STFTs, are the same every epoch: one each per run.
-    fixed = {} if cfg.speed_perturb or cfg.wav_augment or not cfg.pretrain_epochs else {
-        u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in single_set}
     for _ in range(cfg.pretrain_epochs):
-        if not single_set:
+        if not ids:
             losses.append(float("nan"))
             continue
-        order = rng.permutation(len(single_set))
-        epoch_losses = []
-        for i in range(0, len(order), cfg.multi_batch_size):
-            ids = [single_set[j].utt_id for j in order[i : i + cfg.multi_batch_size]]
-            specs = fixed or {
-                uid: stft(_maybe_augment(by_id[uid].wave, cfg, aug_rng),
-                          cfg.window_size, cfg.hop)
-                for uid in ids
-            }
-            epoch_losses.append(_run_batch(state, Batch(SINGLE, ids), specs, labels, cfg))
+        order = rng.permutation(len(ids))
+        epoch_losses = [
+            _run_batch(state, Batch(SINGLE, [ids[j] for j in order[i : i + cfg.multi_batch_size]]),
+                       specs, labels, cfg, helper)
+            for i in range(0, len(order), cfg.multi_batch_size)
+        ]
         losses.append(float(np.mean(epoch_losses)))
     return losses
 
@@ -442,9 +390,11 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     simulated multi-channel pool. JO_ONLY: JO on the multi set.
     """
     sim_set = single_set if cfg.mode == "SIMU" else []
-    ds_single = list(single_set) if cfg.mode == "DS" else []
+    # The single-channel utterances whose STFTs the run reads: DS's, or PT's when it pretrains.
+    cached_single = list(single_set) if cfg.mode == "DS" or (
+        cfg.mode == "PT" and cfg.pretrain_epochs) else []
     jo_ids = [u.utt_id for u in multi_set] + [u.utt_id + SIM_SUFFIX for u in sim_set]
-    single_ids = [u.utt_id for u in ds_single]
+    single_ids = [u.utt_id for u in cached_single]
     if len(set(jo_ids + single_ids)) != len(jo_ids) + len(single_ids):
         raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
 
@@ -452,13 +402,8 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     state = _init_state(cfg, streams["init"])
     report = Report(mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg))
 
-    if cfg.mode == "PT":
-        report.pretrain_losses = _pretrain(
-            state, cfg, single_set, streams["pretrain"], streams["augment"]
-        )
-
-    # One STFT per utterance per run: the epochs and the final decode share it.
-    real = list(multi_set) + ds_single
+    # One STFT per utterance per run: pretraining, the epochs and the final decode share it.
+    real = list(multi_set) + cached_single
     specs = {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in real}
     labels = {u.utt_id: u.labels for u in real}
     for utt_id, spec, utt_labels in _simulate_single_set(sim_set, cfg, streams["simulate"]):
@@ -467,8 +412,12 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     multi_utts = single_utts = 0
     multi_seconds = single_seconds = 0.0
     with _helper_process(specs, labels, cfg) as helper:
+        if cfg.mode == "PT":
+            report.pretrain_losses = _pretrain(state, cfg, single_ids, specs, labels,
+                                               streams["pretrain"], helper)
         for epoch in range(cfg.epochs):
-            plan = plan_epoch(jo_ids, single_ids, cfg, streams["plan"])
+            plan = plan_epoch(jo_ids, single_ids if cfg.mode == "DS" else [], cfg,
+                              streams["plan"])
             t_epoch = time.perf_counter()
             joint_losses, single_losses = [], []
             for batch in plan:

@@ -289,6 +289,22 @@ class TestMakeCorpusAndTrain:
         assert f"'{utt_id}'" in err and f"{field} {value}" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_snr_minus_inf_or_nan_is_data_error(self, tmp_path, capsys, snr):
+        # Before: make-corpus at -inf wrote the same WAVs as at +inf.
+        out = tmp_path / "corpus"
+        assert main(["make-corpus", "--out-dir", str(out), "--n-multi", "1",
+                     "--n-single", "1", f"--snr-db={snr}"]) == 2
+        assert not (out / "multi.jsonl").exists()
+        assert main(["make-corpus", "--out-dir", str(out), "--n-multi", "1",
+                     "--n-single", "1"]) == 0
+        code = main(["train", "--mode", "SIMU", "--epochs", "1", f"--snr-db={snr}",
+                     "--multi-manifest", str(out / "multi.jsonl"),
+                     "--single-manifest", str(out / "single.jsonl"),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(tmp_path / "r.json")])
+        assert code == 2 and not (tmp_path / "r.json").exists()
+        assert capsys.readouterr().err.count("snr_db") == 2
+
     def test_env_seed_is_ignored(self, tmp_path, monkeypatch):
         # Flags > config file > defaults is the whole rule: BEAMLAB_SEED,
         # set or not, integral or not, changes nothing.
@@ -333,32 +349,30 @@ class TestTrainConfig:
 
     def test_config_file_keys_reach_report(self, tmp_path):
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"n_mels": 6, "am_hidden": 12, "learning_rate": 0.02,
-                                   "wav_augment": True}))
+        cfg.write_text(json.dumps({"n_mels": 6, "am_hidden": 12, "learning_rate": 0.02}))
         code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1",
                                    "--multi-batch-size", "2")
         assert code == 0
         config = report["config"]
         assert (config["n_mels"], config["am_hidden"]) == (6, 12)
-        assert config["learning_rate"] == 0.02 and config["wav_augment"] is True
+        assert config["learning_rate"] == 0.02
         assert config["vocab_size"] == 6 and config["epochs"] == 1
 
     def test_config_numbers_coerced_to_field_types(self, tmp_path):
         cfg = tmp_path / "train.json"
-        cfg.write_text(json.dumps({"subsample": 2.0, "snr_db": 5, "speed_perturb": False}))
+        cfg.write_text(json.dumps({"subsample": 2.0, "snr_db": 5}))
         code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1")
         assert code == 0
         config = report["config"]
         assert config["subsample"] == 2 and isinstance(config["subsample"], int)
         assert config["snr_db"] == 5.0 and isinstance(config["snr_db"], float)
-        assert config["speed_perturb"] is False
 
     @pytest.mark.parametrize("key,value", [
-        ("wav_augment", "false"), ("speed_perturb", 0), ("subsample", 2.7),
-        ("epochs", True), ("n_mels", "6"), ("learning_rate", "0.02"), ("mode", 1),
+        ("subsample", 2.7), ("epochs", True), ("n_mels", "6"), ("learning_rate", "0.02"),
+        ("mode", 1),
     ])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, key, value):
-        # Before: "false" enabled augmentation and 2.7 was truncated to 2.
+        # Before: 2.7 was truncated to 2.
         cfg = tmp_path / "train.json"
         cfg.write_text(json.dumps({key: value}))
         code, report = self._train(tmp_path, "--config", str(cfg))
@@ -382,6 +396,27 @@ class TestTrainConfig:
         code, report = self._train(tmp_path, "--config", str(cfg))
         assert code == 1 and report is None
 
+    def test_deleted_augmentation_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"speed_perturb": False}))
+        code, report = self._train(tmp_path, "--config", str(cfg))
+        assert code == 1 and report is None
+        assert "unknown config key 'speed_perturb'" in capsys.readouterr().err
+
+    def test_pt_single_id_equal_to_a_multi_id_is_data_error(self, tmp_path, capsys):
+        # Pretraining shares the run's STFT cache, which is keyed by id. Without
+        # pretrain epochs PT reads no single-channel data, so no clash.
+        self._train(tmp_path, "--epochs", "1")  # writes the corpus
+        corpus = tmp_path / "corpus"
+        multi_id = corpus_io.load_manifest(corpus / "multi.jsonl").utterances[0].utt_id
+        _rewrite_first_record(corpus / "single.jsonl", utt_id=multi_id)
+        for epochs, expected in (("1", 2), ("0", 0)):
+            code, _ = self._train(tmp_path, "--mode", "PT", "--pretrain-epochs", epochs,
+                                  "--epochs", "1", "--single-manifest",
+                                  str(corpus / "single.jsonl"))
+            assert code == expected, epochs
+        assert "unique" in capsys.readouterr().err
+
     def test_bare_train_resolves_schedule_defaults(self, tmp_path):
         code, report = self._train(tmp_path)
         assert code == 0
@@ -397,9 +432,20 @@ class TestTrainConfig:
         # A negative factor would train on time-reversed frames; a NaN or
         # infinite learning rate wrote NaN parameters and exited 0.
         for flags in (["--subsample", "-2"], ["--subsample", "0"], ["--epochs", "0"],
-                      ["--learning-rate", "nan"], ["--learning-rate", "inf"]):
+                      ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--n-mels", "0"]):
             code, report = self._train(tmp_path, *flags)
             assert code == 2 and report is None, flags
+
+    @pytest.mark.parametrize("key,value", [("am_hidden", 0), ("mask_hidden", 0), ("context", -1),
+                                           ("n_mels", 0)])
+    def test_model_size_out_of_range_in_config_is_data_error(self, tmp_path, capsys, key, value):
+        # Before: 0 hidden units trained a degenerate model and exited 0; n_mels 0
+        # and context -1 failed inside numpy with messages naming no field.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, report = self._train(tmp_path, "--config", str(cfg), "--epochs", "1")
+        assert code == 2 and report is None
+        assert f"{key} must be >= " in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_in_config_is_data_error(self, tmp_path, rate):

@@ -254,6 +254,16 @@ class TestMixAtSnr:
         mixed = mix_at_snr(speech, noise, np.inf)
         np.testing.assert_array_equal(mixed.samples, speech.samples)
 
+    @pytest.mark.parametrize("snr", [-np.inf, np.nan])
+    def test_minus_inf_and_nan_snr_rejected(self, snr):
+        # Before: -inf also matched np.isinf and mixed in no noise; NaN made
+        # NaN samples, which failed later naming nothing.
+        rng = _rng(3)
+        speech = Waveform(samples=rng.normal(size=(1, 100)), sample_rate=8000)
+        noise = Waveform(samples=rng.normal(size=(1, 100)), sample_rate=8000)
+        with pytest.raises(ValueError, match="snr_db"):
+            mix_at_snr(speech, noise, snr)
+
     def test_short_noise_rejected(self):
         speech = Waveform(samples=np.ones((1, 100)), sample_rate=8000)
         noise = Waveform(samples=np.ones((1, 50)), sample_rate=8000)

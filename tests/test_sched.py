@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from beamlab import pipeline, sched
-from beamlab.dsp import Waveform
 from beamlab.roomsim import RoomSpec, array_preset
 from beamlab.sched import (
     MODES,
@@ -23,10 +22,8 @@ from beamlab.sched import (
     generate_toy_corpus,
     plan_epoch,
     run_training,
-    speed_perturb,
     toy_array,
     toy_room,
-    wav_augment,
 )
 
 
@@ -56,11 +53,13 @@ def _usable_cpus(monkeypatch, n):
 
 
 def _pretrained(cfg, single_set):
-    """PT's first stage as run_training runs it: a fresh state, then the
-    AM-only pretraining epochs."""
+    """PT's first stage as run_training runs it, in one process: a fresh
+    state, then the AM-only pretraining epochs over the single set's STFTs."""
     streams = sched._spawn_streams(cfg.seed)
     state = sched._init_state(cfg, streams["init"])
-    sched._pretrain(state, cfg, single_set, streams["pretrain"], streams["augment"])
+    specs = {u.utt_id: sched.stft(u.wave, cfg.window_size, cfg.hop) for u in single_set}
+    labels = {u.utt_id: u.labels for u in single_set}
+    sched._pretrain(state, cfg, list(specs), specs, labels, streams["pretrain"], None)
     return state
 
 
@@ -298,9 +297,10 @@ class TestSchemes:
         assert calls == {"stft": 3, "ctc": 2 * 3}
         assert np.isfinite(report.toy_error)
 
-    @pytest.mark.parametrize("augment,stfts", [({}, 6 + 2), ({"wav_augment": True}, 3 * 6 + 2)])
-    def test_pretraining_stfts_once_unless_augmented(self, monkeypatch, augment, stfts):
-        # 6 single utterances, 3 pretrain epochs, then one STFT per multi utterance.
+    @pytest.mark.parametrize("pretrain_epochs,stfts", [(3, 6 + 2), (0, 2)])
+    def test_pretraining_stfts_once(self, monkeypatch, pretrain_epochs, stfts):
+        # One STFT per single utterance for all the pretrain epochs, none
+        # without them, and one per multi utterance.
         multi, single, _ = _toy_sets(n_multi=2, n_single=6, seed=8)
         calls = []
 
@@ -310,10 +310,11 @@ class TestSchemes:
 
         stft = sched.stft
         monkeypatch.setattr(sched, "stft", counted)
-        report = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=3, **augment),
+        report = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=pretrain_epochs),
                               multi, single)
         assert len(calls) == stfts
-        assert len(report.pretrain_losses) == 3 and all(np.isfinite(report.pretrain_losses))
+        assert len(report.pretrain_losses) == pretrain_epochs
+        assert all(np.isfinite(report.pretrain_losses))
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the helper is pinned to a second CPU")
@@ -330,12 +331,14 @@ class TestBatchSplit:
         multi, single, _ = _toy_sets(n_multi=4, n_single=6, seed=21)
         cfg = _cfg(mode=mode, epochs=2, multi_batch_size=batch,
                    pretrain_epochs=1 if mode == "PT" else 0)
-        helped = {"_sum_grads": 0, "_token_errors": 0}  # calls the helper answered
+        # Calls the helper answered; "single" counts back-end-only batches.
+        helped = {"_sum_grads": 0, "_token_errors": 0, "single": 0}
         split = sched._split
 
         def spy(helper, state, ids, remote, local, *args):
             theirs, mine = split(helper, state, ids, remote, local, *args)
             helped[remote.__name__] += theirs is not None
+            helped["single"] += theirs is not None and args == (False,)
             return theirs, mine
 
         monkeypatch.setattr(sched, "_split", spy)
@@ -348,6 +351,8 @@ class TestBatchSplit:
         # one utterance (DS's SINGLE batches hold 2 at batch 1).
         assert helped["_token_errors"] == 1
         assert (helped["_sum_grads"] == 0) == (batch == 1 and mode != "DS")
+        # PT's pretraining batches hold `batch` single utterances.
+        assert (helped["single"] > 0) == (mode == "DS" or (mode == "PT" and batch >= 2))
         (two, two_state), (one, one_state) = runs[2], runs[1]
         for name in ("mode", "seed", "config", "epoch_losses", "single_losses",
                      "pretrain_losses", "toy_error", "counters"):
@@ -467,47 +472,39 @@ class TestPinnedHarness:
 
 
 class TestAugmentation:
-    def test_speed_perturb_changes_length(self):
-        wave = Waveform(samples=np.sin(np.linspace(0, 20, 800))[None, :],
-                        sample_rate=8000)
-        slow = speed_perturb(wave, 0.9)
-        fast = speed_perturb(wave, 1.1)
-        assert slow.n_samples > wave.n_samples > fast.n_samples
-        assert speed_perturb(wave, 1.0).n_samples == wave.n_samples
+    """No runtime path, the single-channel data's included, needs scipy."""
 
-    def test_importing_beamlab_loads_no_scipy(self):
-        # scipy.signal costs a process tens of MB and over a second to import;
-        # only speed_perturb needs it, and imports it when called.
-        script = ("import sys, beamlab, beamlab.cli, beamlab.sched\n"
-                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             timeout=60)
-        assert (out.stdout, out.stderr, out.returncode) == ("[]\n", "", 0)
-
-    def test_augmented_pretraining_run(self):
-        # speed_perturb/wav_augment act on PT's pretraining batches only.
-        multi, single, _ = _toy_sets(n_multi=4, n_single=6, seed=9)
-        plain = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=2), multi, single)
-        aug = run_training(_cfg(mode="PT", epochs=1, pretrain_epochs=2,
-                                speed_perturb=True, wav_augment=True), multi, single)
-        assert len(aug.pretrain_losses) == 2
-        assert all(np.isfinite(aug.pretrain_losses))
-        assert aug.pretrain_losses != plain.pretrain_losses
-
-    def test_augmented_pt_without_single_data_is_jo_only(self):
-        multi, _, _ = _toy_sets(n_multi=4, n_single=0, seed=10)
-        jo, jo_state = run_training(_cfg(mode="JO_ONLY"), multi, [], return_state=True)
-        pt, pt_state = run_training(_cfg(mode="PT", pretrain_epochs=2, speed_perturb=True,
-                                         wav_augment=True), multi, [], return_state=True)
-        assert _states_equal(pt_state, jo_state)
-        assert pt.epoch_losses == jo.epoch_losses
-        assert pt.toy_error == jo.toy_error
-
-    def test_wav_augment_deterministic(self):
-        wave = Waveform(samples=_rng(8).normal(size=(1, 600)), sample_rate=8000)
-        a = wav_augment(wave, _rng(9))
-        b = wav_augment(wave, _rng(9))
-        np.testing.assert_array_equal(a.samples, b.samples)
+    def test_importing_beamlab_loads_no_scipy(self, tmp_path):
+        # scipy.signal costs a process tens of MB and over a second to import.
+        # Then, with scipy unimportable, every subcommand that reads or writes
+        # audio still runs, PT pretraining included.
+        script = """if True:
+            import json, sys
+            import beamlab, beamlab.sched
+            from beamlab.cli import main
+            assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            sys.modules["scipy"] = None  # any import of scipy raises ImportError
+            out = sys.argv[1]
+            for snr in ("inf", "0"):
+                assert main(["make-corpus", "--out-dir", f"{out}/c{snr}", "--n-multi", "2",
+                             "--n-single", "2", "--snr-db", snr, "--seed", "1"]) == 0
+            assert main(["train", "--mode", "PT", "--pretrain-epochs", "1", "--epochs", "1",
+                         "--multi-batch-size", "2", "--multi-manifest", f"{out}/c0/multi.jsonl",
+                         "--single-manifest", f"{out}/c0/single.jsonl",
+                         "--vocab", f"{out}/c0/vocab.txt", "--report", f"{out}/r.json"]) == 0
+            with open(f"{out}/room.json", "w") as fh:
+                json.dump({"room": {"dims": [5, 4, 3], "source_pos": [2, 1.5, 1.2]},
+                           "array": {"preset": "desk-4ch", "center": [3.2, 2.6, 1.1]},
+                           "max_order": 1}, fh)
+            assert main(["simulate", "--manifest", f"{out}/c0/single.jsonl", "--room-config",
+                         f"{out}/room.json", "--out-dir", f"{out}/sim"]) == 0
+            assert main(["enhance", "--input", f"{out}/c0/wav/toy-m0000.wav",
+                         "--clean", f"{out}/cinf/wav/toy-m0000.wav", "--masks", "oracle",
+                         "--out", f"{out}/enh.wav"]) == 0
+            """
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             capture_output=True, text=True, timeout=120)
+        assert (out.stderr, out.returncode) == ("", 0)
 
 
 class TestToyCorpus:
