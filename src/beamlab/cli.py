@@ -7,6 +7,7 @@ built-in defaults. Exit codes: 0 ok, 1 usage error, 2 data error,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -72,63 +73,81 @@ def cmd_enhance(args) -> int:
     ref = cfg["ref_channel"]
     if ref < -1:
         raise UsageError(f"--ref-channel must be -1 (select) or a channel index, got {ref}")
+    window_size, hop = cfg["window_size"], cfg["hop"]
     noisy = corpus_io.read_wav(in_path)
     if noisy.channels < 2:
         raise ValueError(
             "input is single-channel: beamforming needs a microphone array "
             "(copy the file through unchanged instead)"
         )
-    # Two [T, F, C] spectrograms at most: noisy and clean. Each waveform is
-    # dropped once transformed, and no noise spectrogram is built.
-    shape = noisy.samples.shape
-    spec = stft(noisy, cfg["window_size"], cfg["hop"])
-    del noisy
-
-    clean_spec = None
+    clean = None
     if cfg["clean"] is not None:
         clean = corpus_io.read_wav(cfg["clean"])
-        if clean.samples.shape != shape:
+        if clean.samples.shape != noisy.samples.shape:
             raise ValueError("clean reference must match the input shape exactly")
-        clean_spec = stft(clean, cfg["window_size"], cfg["hop"])
-        del clean
 
-    if cfg["masks"] == "oracle":
-        if clean_spec is None:
-            raise UsageError("--masks oracle requires --clean")
-        clean_0 = clean_spec.bins[:, :, 0]
-        mask = beamform.oracle_masks(clean_0, spec.bins[:, :, 0] - clean_0)
-    elif cfg["masks"] == "checkpoint":
-        ck_path = _require(cfg, "checkpoint", "--checkpoint")
-        state = pipeline.load_checkpoint(ck_path)
-        mask, _ = pipeline.mask_net_forward(state.mask_params, spec.bins)
-    else:
-        raise UsageError("--masks must be 'oracle' or 'checkpoint'")
+    # One [T, F, C] spectrogram at most, the noisy one: the mask comes from
+    # channel-0 spectrograms before it is built, and the SNR gain transforms
+    # the clean channels one at a time.
+    mask = _channel_0_mask(cfg, noisy, clean)
+    spec = stft(noisy, window_size, hop)
+    del noisy
     # The adjoint is dropped at once: it holds the [T, F] noise mask.
     h, ref = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)[:2]
     if not np.isfinite(h).all():
         raise sched.NumericalError(f"non-finite MVDR filter for '{in_path}'")
 
     enhanced = beamform.apply_beamformer(h, spec.bins)
-    out_wave = istft(replace(spec, bins=enhanced))
+    # The SNR gain reads only the reference channel of the noisy spectrogram,
+    # which is released here: spec becomes the enhanced one.
+    noisy_ref = None if clean is None else spec.bins[:, :, ref].copy()
+    spec = replace(spec, bins=enhanced)
+    out_wave = istft(spec)
     clipped = corpus_io.write_wav(out_path, out_wave, bit_depth=32)
     if clipped:
         print(f"warning: clipped {clipped} samples on write")
     print(f"wrote {out_path} ({out_wave.n_samples} samples, ref channel {ref})")
 
-    if clean_spec is not None:
-        gain = _snr_gain_db(h, spec, clean_spec, enhanced, ref)
+    if clean is not None:
+        gain = _snr_gain_db(h, clean, noisy_ref, enhanced, ref, window_size, hop)
         print(f"SNR gain: {gain:.2f} dB")
     return 0
 
 
-def _snr_gain_db(h, spec, clean_spec, enhanced, ref: int) -> float:
+def _channel_0_mask(cfg: dict, noisy, clean) -> np.ndarray:
+    """[T, F] speech mask from channel 0: the ideal ratio mask of the clean and
+    noisy channel, or the checkpoint's mask net (its cache dropped at once)."""
+    window_size, hop = cfg["window_size"], cfg["hop"]
+    if cfg["masks"] == "oracle":
+        if clean is None:
+            raise UsageError("--masks oracle requires --clean")
+        clean_0 = _channel_bins(clean, 0, window_size, hop)
+        return beamform.oracle_masks(clean_0, _channel_bins(noisy, 0, window_size, hop) - clean_0)
+    if cfg["masks"] == "checkpoint":
+        state = pipeline.load_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
+        noisy_0 = _channel_bins(noisy, 0, window_size, hop)
+        return pipeline.mask_net_forward(state.mask_params, noisy_0[:, :, None])[0]
+    raise UsageError("--masks must be 'oracle' or 'checkpoint'")
+
+
+def _channel_bins(wave, channel: int, window_size: int, hop: int) -> np.ndarray:
+    """[T, F] STFT of one channel of wave."""
+    one = replace(wave, samples=wave.samples[channel : channel + 1])
+    return stft(one, window_size, hop).bins[:, :, 0]
+
+
+def _snr_gain_db(h, clean, noisy_ref, enhanced, ref: int, window_size: int, hop: int) -> float:
     """Beamformers are linear: the noise output is the enhanced output minus
-    the clean one, and the noise input is noisy minus clean."""
-    clean_out = beamform.apply_beamformer(h, clean_spec.bins)
+    the clean one, and the noise input is noisy minus clean. The clean output
+    h^H X_clean is summed one clean channel at a time."""
+    clean_out = np.zeros_like(enhanced)
+    for c in range(clean.channels):
+        clean_c = _channel_bins(clean, c, window_size, hop)
+        clean_out += h[:, c].conj() * clean_c
+        if c == ref:
+            p_in_s = np.sum(np.abs(clean_c) ** 2)
+            p_in_n = np.sum(np.abs(noisy_ref - clean_c) ** 2)
     noise_out = enhanced - clean_out
-    clean_ref = clean_spec.bins[:, :, ref]
-    p_in_s = np.sum(np.abs(clean_ref) ** 2)
-    p_in_n = np.sum(np.abs(spec.bins[:, :, ref] - clean_ref) ** 2)
     p_out_s = np.sum(np.abs(clean_out) ** 2)
     p_out_n = np.sum(np.abs(noise_out) ** 2)
     if min(p_in_s, p_in_n, p_out_s, p_out_n) <= 0:
@@ -224,6 +243,18 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
     return utts
 
 
+def _null_non_finite(value):
+    """value with every NaN or infinite float as None: strict JSON has no
+    NaN or Infinity token, so the Report writes them as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(item) for item in value]
+    return value
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args, TRAIN_DEFAULTS)
     multi_path = _require(cfg, "multi_manifest", "--multi-manifest")
@@ -249,7 +280,7 @@ def cmd_train(args) -> int:
 
     report = sched.run_training(schedule, multi_set, single_set)
     with open(cfg["report"], "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(_null_non_finite(report.to_dict()), fh, indent=2, allow_nan=False)
 
     single_stage, aug_fe, cost_formula = TABLE1_ROWS[schedule.mode]
     measured = float(np.mean(report.wall_clock_per_epoch))

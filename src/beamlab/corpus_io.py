@@ -19,6 +19,8 @@ ORIGINS = ("real", "simulated", "single")
 
 _PCM16 = 1
 _IEEE_FLOAT = 3
+# Samples per block in write_wav; bounds its temporaries.
+WAV_BLOCK_SAMPLES = 1 << 16
 
 
 class UsageError(Exception):
@@ -81,31 +83,38 @@ def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
     """Write PCM16 (bit_depth=16) or IEEE-float32 (bit_depth=32).
 
     Samples outside [-1, 1] are clipped; returns the count of clipped samples.
+    The interleaved payload is allocated once in its on-disk type and filled
+    WAV_BLOCK_SAMPLES at a time, so no full-size float64 copy is made.
     """
     samples, rate = wave.samples, wave.sample_rate
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("waveform amplitudes must be finite")
-    n_clipped = int(np.sum(np.abs(samples) > 1.0))
-    clipped = np.clip(samples, -1.0, 1.0)
-    interleaved = clipped.T.reshape(-1)
-
     if bit_depth == 16:
-        fmt_tag, bytes_per = _PCM16, 2
-        payload = (
-            np.round(interleaved * 32767.0).astype("<i2").tobytes()
-        )
+        fmt_tag, dtype = _PCM16, "<i2"
     elif bit_depth == 32:
-        fmt_tag, bytes_per = _IEEE_FLOAT, 4
-        payload = interleaved.astype("<f4").tobytes()
+        fmt_tag, dtype = _IEEE_FLOAT, "<f4"
     else:
         raise ValueError("bit_depth must be 16 or 32")
 
-    channels = samples.shape[0]
+    channels, n_samples = samples.shape
+    payload = np.empty((n_samples, channels), dtype=dtype)
+    n_clipped = 0
+    step = max(1, WAV_BLOCK_SAMPLES // channels)
+    for t in range(0, n_samples, step):
+        block = samples[:, t : t + step].T  # [frames, C] view
+        if not np.isfinite(block).all():
+            raise ValueError("waveform amplitudes must be finite")
+        n_clipped += np.count_nonzero(block > 1.0) + np.count_nonzero(block < -1.0)
+        if bit_depth == 16:
+            np.rint(np.clip(block, -1.0, 1.0) * 32767.0, out=payload[t : t + step],
+                    casting="unsafe")
+        else:
+            np.clip(block, -1.0, 1.0, out=payload[t : t + step])
+
+    bytes_per = payload.itemsize
     block_align = channels * bytes_per
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + payload.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -116,12 +125,12 @@ def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
         block_align,
         bytes_per * 8,
         b"data",
-        len(payload),
+        payload.nbytes,
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
-    return n_clipped
+        fh.write(memoryview(payload))
+    return int(n_clipped)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamlab import beamform, corpus_io, roomsim
+from beamlab import beamform, cli, corpus_io, roomsim
 from beamlab.cli import main
 from beamlab.dsp import Waveform
 from beamlab.sched import ScheduleConfig, toy_room
@@ -113,9 +113,12 @@ class TestExitCodes:
         assert "unknown config key 'seed'" in capsys.readouterr().err
 
 
-def traced_enhance_peak(tmp_dir):
-    """(tracemalloc peak bytes, bytes of one [T, F, C] spectrogram) of an oracle
-    `enhance` on a synthetic 8-channel, 16 kHz, 4.5 s scene written to tmp_dir."""
+def traced_enhance_peak(tmp_dir, masks="oracle"):
+    """(tracemalloc peak bytes, bytes of one [T, F, C] spectrogram) of an
+    `enhance` on a synthetic 8-channel, 16 kHz, 4.5 s scene written to tmp_dir:
+    oracle masks with the clean reference, or checkpoint masks without it."""
+    from beamlab.pipeline import init_train_state, save_checkpoint
+
     rng = _rng(8)
     sr, n, channels = 16000, 72000, 8
     clean = 0.1 * rng.normal(size=(channels, n)) * np.sin(np.pi * np.arange(n) / n)
@@ -124,7 +127,12 @@ def traced_enhance_peak(tmp_dir):
     corpus_io.write_wav(paths["clean"], Waveform(samples=clean, sample_rate=sr), bit_depth=32)
     corpus_io.write_wav(paths["noisy"], Waveform(samples=noisy, sample_rate=sr), bit_depth=32)
     argv = ["enhance", "--input", str(paths["noisy"]), "--out", str(tmp_dir / "enh.wav"),
-            "--masks", "oracle", "--clean", str(paths["clean"])]
+            "--masks", masks]
+    if masks == "oracle":
+        argv += ["--clean", str(paths["clean"])]
+    else:
+        save_checkpoint(init_train_state(_rng(3), n_mels=40, vocab_size=6), tmp_dir / "ck.json")
+        argv += ["--checkpoint", str(tmp_dir / "ck.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # FFT plan caches stay out of the measurement
         tracemalloc.start()
@@ -152,11 +160,49 @@ class TestEnhance:
         enhanced = corpus_io.read_wav(out)
         assert enhanced.channels == 1
 
-    def test_oracle_peak_under_three_spectrograms(self, tmp_path):
-        # Noisy and clean spectrograms, the enhanced channel and the beamformer
-        # statistics; no noise spectrogram and no full-size STFT temporaries.
+    def test_oracle_peak_under_two_spectrograms(self, tmp_path):
+        # The noisy spectrogram, both waveforms, the mask and the beamformer
+        # statistics; no clean [T, F, C] spectrogram and no full-size STFT
+        # temporaries.
         peak, spec_bytes = traced_enhance_peak(tmp_path)
-        assert peak < 3 * spec_bytes, peak / spec_bytes
+        assert peak < 2 * spec_bytes, peak / spec_bytes
+
+    def test_checkpoint_peak_under_1_6_spectrograms(self, tmp_path):
+        # The noisy spectrogram and waveform, the mask and the beamformer
+        # statistics; the mask net's hidden activations are gone before the
+        # spectrogram is built.
+        peak, spec_bytes = traced_enhance_peak(tmp_path, masks="checkpoint")
+        assert peak < 1.6 * spec_bytes, peak / spec_bytes
+
+    def test_oracle_without_clean_is_usage_error_before_stft(self, tmp_path, capsys,
+                                                             monkeypatch):
+        noisy, _ = _make_scene(tmp_path)
+
+        def no_stft(*args):
+            raise AssertionError("stft called before the option check")
+
+        monkeypatch.setattr(cli, "stft", no_stft)
+        out = tmp_path / "enh.wav"
+        assert main(["enhance", "--input", str(noisy), "--out", str(out),
+                     "--masks", "oracle"]) == 1
+        assert "--masks oracle requires --clean" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_clean_shape_mismatch_is_data_error_before_stft(self, tmp_path, capsys,
+                                                           monkeypatch):
+        noisy, _ = _make_scene(tmp_path)
+        (tmp_path / "other").mkdir()
+        _, short_clean = _make_scene(tmp_path / "other", channels=2)
+
+        def no_stft(*args):
+            raise AssertionError("stft called before the shape check")
+
+        monkeypatch.setattr(cli, "stft", no_stft)
+        out = tmp_path / "enh.wav"
+        assert main(["enhance", "--input", str(noisy), "--out", str(out),
+                     "--masks", "oracle", "--clean", str(short_clean)]) == 2
+        assert "must match the input shape" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_filter_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         # A NaN in the MVDR filter is a numerical fault (exit 3), named with its
@@ -271,6 +317,25 @@ class TestMakeCorpusAndTrain:
         cost = json.loads((tmp_path / "r.json").read_text())["cost_model"]
         assert cost["t2_seconds"] == 0.0
         assert cost["predicted_epoch_seconds"] == cost["t1_seconds"] > 0
+
+    def test_report_is_strict_json(self, tmp_path):
+        # PT with no single-channel set pretrains on nothing: its losses are
+        # NaN, and the Report writes them as null, not as the NaN token.
+        out = tmp_path / "corpus"
+        main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+              "--n-single", "0", "--seed", "4"])
+        report_path = tmp_path / "r.json"
+        code = main(["train", "--mode", "PT", "--epochs", "1", "--pretrain-epochs", "2",
+                     "--multi-manifest", str(out / "multi.jsonl"),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(report_path)])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        assert report["pretrain_losses"] == [None, None]
+        assert all(np.isfinite(report["epoch_losses"]))
 
     @pytest.mark.parametrize("field,value", [("channels", 1), ("sample_rate", 16000)])
     def test_train_record_disagreeing_with_wav_is_data_error(self, tmp_path, capsys,

@@ -1,12 +1,15 @@
 """corpus_io tests: WAV round-trips (with a scipy cross-check), manifests."""
 
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
 from beamlab.corpus_io import (
+    WAV_BLOCK_SAMPLES,
     Manifest,
     Utterance,
     load_manifest,
@@ -100,6 +103,71 @@ class TestWavRoundTrip:
         with pytest.raises(ValueError, match="finite"):
             write_wav(tmp_path / "x.wav", wave)
         assert not (tmp_path / "x.wav").exists()
+
+
+def _reference_wav_bytes(wave, bit_depth):
+    """(file bytes, clipped count) by the formula write_wav has always
+    followed: clip, interleave, then scale and cast."""
+    samples = wave.samples
+    clipped = np.clip(samples, -1.0, 1.0).T.reshape(-1)
+    if bit_depth == 16:
+        fmt_tag, payload = 1, np.round(clipped * 32767.0).astype("<i2").tobytes()
+    else:
+        fmt_tag, payload = 3, clipped.astype("<f4").tobytes()
+    channels, bytes_per = samples.shape[0], bit_depth // 8
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ",
+                         16, fmt_tag, channels, wave.sample_rate,
+                         wave.sample_rate * channels * bytes_per, channels * bytes_per,
+                         bit_depth, b"data", len(payload))
+    return header + payload, int(np.sum(np.abs(samples) > 1.0))
+
+
+class TestWavWriteReference:
+    @pytest.mark.parametrize("bit_depth", [16, 32])
+    @pytest.mark.parametrize("channels", [1, 2, 8])
+    def test_bytes_and_clip_count_match_reference(self, tmp_path, bit_depth, channels):
+        # Out-of-range samples (about a fifth clip), exact +-1.0, and a
+        # length that is not a multiple of the write block.
+        rng = _rng(10 + channels)
+        samples = rng.normal(scale=0.8, size=(channels, 3 * WAV_BLOCK_SAMPLES // channels + 7))
+        samples[:, :4] = [1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12]
+        wave = _wave(samples)
+        path = tmp_path / "w.wav"
+        clipped = write_wav(path, wave, bit_depth=bit_depth)
+        expected, expected_clipped = _reference_wav_bytes(wave, bit_depth)
+        assert expected_clipped > samples.size // 10
+        assert clipped == expected_clipped and type(clipped) is int
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("bit_depth", [16, 32])
+    def test_transposed_input_as_read_wav_returns(self, tmp_path, bit_depth):
+        # read_wav's samples are the transpose of the interleaved data.
+        rng = _rng(20)
+        path = tmp_path / "in.wav"
+        write_wav(path, _wave(rng.uniform(-1, 1, size=(8, 5000))))
+        wave = read_wav(path)
+        wave.samples *= 1.3  # in place: still a transposed view, some samples clip
+        assert not wave.samples.flags.c_contiguous
+        out = tmp_path / "out.wav"
+        clipped = write_wav(out, wave, bit_depth=bit_depth)
+        expected, expected_clipped = _reference_wav_bytes(wave, bit_depth)
+        assert clipped == expected_clipped > 0
+        assert out.read_bytes() == expected
+
+    def test_float32_peak_near_payload(self, tmp_path):
+        # 8 channels, 16 kHz, 4.5 s: the payload plus bounded block
+        # temporaries, no full-size float64 copy.
+        wave = _wave(0.1 * _rng(21).normal(size=(8, 72000)), sample_rate=16000)
+        path = tmp_path / "p.wav"
+        write_wav(path, wave)
+        tracemalloc.start()
+        try:
+            write_wav(path, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = wave.samples.size * 4
+        assert peak < 1.25 * payload, peak / payload
 
 
 class TestWavErrors:
