@@ -28,7 +28,6 @@ class LabelSequence:
 
     ids: np.ndarray
     vocab_size: int
-    text: str | None = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -80,17 +79,13 @@ class AmParams:
     def feat_dim(self) -> int:
         return self.w1.shape[0] // (2 * self.context + 1)
 
-    @property
-    def n_symbols(self) -> int:
-        return self.w2.shape[1]
-
 
 def init_am_params(
     rng: np.random.Generator,
     feat_dim: int,
     hidden_dim: int,
     vocab_size: int,
-    context: int = DEFAULT_CONTEXT,
+    context: int,
 ) -> AmParams:
     in_dim = (2 * context + 1) * feat_dim
     return AmParams(**mlp2_init(rng, in_dim, hidden_dim, vocab_size + 1), context=context)
@@ -212,7 +207,7 @@ def min_frames(ids: np.ndarray) -> int:
     return int(ids.size) + repeats
 
 
-def ctc_loss(log_probs, labels) -> tuple[float, np.ndarray]:
+def ctc_loss(log_probs, labels: LabelSequence) -> tuple[float, np.ndarray]:
     """Exact CTC negative log-likelihood and its lattice gradient.
 
     alpha and beta run in buffers padded with two -inf states, so each frame
@@ -221,8 +216,7 @@ def ctc_loss(log_probs, labels) -> tuple[float, np.ndarray]:
     free variable (no softmax coupling): the plain adjoint of the sum.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
-    ids = labels.ids if isinstance(labels, LabelSequence) else np.asarray(
-        labels, dtype=np.int64)
+    ids = labels.ids
     n_frames, n_symbols = log_probs.shape
     if ids.size and (ids.min() < 1 or ids.max() >= n_symbols):
         raise ValueError("label ids must lie in [1, n_symbols - 1]")
@@ -288,13 +282,12 @@ def greedy_decode(log_probs: np.ndarray) -> LabelSequence:
 
 
 def edit_distance(hyp, ref) -> tuple[int, int, int]:
-    """Levenshtein (sub, ins, del) counts, hyp against ref, unit costs.
+    """Levenshtein (sub, ins, del) counts of the id sequence hyp against ref, unit costs.
 
     Ties in total cost break deterministically: substitution is preferred
     over an insertion+deletion pair, and deletion over insertion.
     """
-    h = list(hyp.ids) if isinstance(hyp, LabelSequence) else list(hyp)
-    r = list(ref.ids) if isinstance(ref, LabelSequence) else list(ref)
+    h, r = list(hyp), list(ref)
     # dp[i][j] = (total, sub, ins, del) aligning h[:i] with r[:j].
     dp = [[None] * (len(r) + 1) for _ in range(len(h) + 1)]
     dp[0][0] = (0, 0, 0, 0)

@@ -113,7 +113,7 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
     return out, vjp
 
 
-def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None = None):
+def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None):
     """MVDR filter from a speech mask: (h [F, C], ref, vjp(g_h) -> g_mask).
 
     Speech PSD of the mask, noise PSD of 1 - mask, loaded ratio normalized to

@@ -1,8 +1,9 @@
 """WAV, manifest and JSON config-file I/O.
 
-WAV support is deliberately narrow: RIFF/WAVE containing PCM 16-bit or
-IEEE-float 32-bit, the two codecs the rest of the package emits. Manifests
-are JSON-lines with a version header so they stream and append cleanly.
+WAV support is deliberately narrow: read_wav takes RIFF/WAVE containing
+PCM 16-bit (what external corpora ship) or IEEE-float 32-bit, and write_wav
+writes IEEE-float 32-bit only. Manifests are JSON-lines with a version
+header so they stream and append cleanly.
 """
 
 import json
@@ -79,23 +80,15 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=sample_rate)
 
 
-def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
-    """Write PCM16 (bit_depth=16) or IEEE-float32 (bit_depth=32).
+def write_wav(path, wave: Waveform) -> int:
+    """Write IEEE-float32 samples; returns the count of samples clipped to [-1, 1].
 
-    Samples outside [-1, 1] are clipped; returns the count of clipped samples.
     The interleaved payload is allocated once in its on-disk type and filled
     WAV_BLOCK_SAMPLES at a time, so no full-size float64 copy is made.
     """
     samples, rate = wave.samples, wave.sample_rate
-    if bit_depth == 16:
-        fmt_tag, dtype = _PCM16, "<i2"
-    elif bit_depth == 32:
-        fmt_tag, dtype = _IEEE_FLOAT, "<f4"
-    else:
-        raise ValueError("bit_depth must be 16 or 32")
-
     channels, n_samples = samples.shape
-    payload = np.empty((n_samples, channels), dtype=dtype)
+    payload = np.empty((n_samples, channels), dtype="<f4")
     n_clipped = 0
     step = max(1, WAV_BLOCK_SAMPLES // channels)
     for t in range(0, n_samples, step):
@@ -103,11 +96,7 @@ def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
         if not np.isfinite(block).all():
             raise ValueError("waveform amplitudes must be finite")
         n_clipped += np.count_nonzero(block > 1.0) + np.count_nonzero(block < -1.0)
-        if bit_depth == 16:
-            np.rint(np.clip(block, -1.0, 1.0) * 32767.0, out=payload[t : t + step],
-                    casting="unsafe")
-        else:
-            np.clip(block, -1.0, 1.0, out=payload[t : t + step])
+        np.clip(block, -1.0, 1.0, out=payload[t : t + step])
 
     bytes_per = payload.itemsize
     block_align = channels * bytes_per
@@ -118,7 +107,7 @@ def write_wav(path, wave: Waveform, bit_depth: int = 32) -> int:
         b"WAVE",
         b"fmt ",
         16,
-        fmt_tag,
+        _IEEE_FLOAT,
         channels,
         rate,
         rate * block_align,
@@ -192,7 +181,7 @@ def write_utterance(root, audio_path: str, utt_id: str, wave: Waveform, transcri
     record = Utterance(utt_id=utt_id, audio_path=audio_path, channels=wave.channels,
                        sample_rate=wave.sample_rate, duration=wave.n_samples / wave.sample_rate,
                        transcript=transcript, origin=origin)
-    write_wav(Path(root) / audio_path, wave, bit_depth=32)
+    write_wav(Path(root) / audio_path, wave)
     return record
 
 
@@ -225,7 +214,7 @@ def load_manifest(path) -> Manifest:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed manifest line {lineno}: {exc.msg}") from None
             if lineno == 1:
-                version = record.get("manifest_version")
+                version = record.get("manifest_version") if isinstance(record, dict) else None
                 if version != MANIFEST_VERSION:
                     raise ValueError(
                         f"malformed manifest line 1: expected manifest_version "

@@ -93,7 +93,7 @@ class GradBundle:
                     raise ValueError(f"non-finite gradient for {name}")
 
 
-def init_mask_params(rng: np.random.Generator, hidden_dim: int = 8) -> MaskNetParams:
+def init_mask_params(rng: np.random.Generator, hidden_dim: int) -> MaskNetParams:
     return MaskNetParams(**_backend.mlp2_init(rng, 3, hidden_dim, 1))
 
 
@@ -101,8 +101,8 @@ def init_train_state(
     rng: np.random.Generator,
     n_mels: int,
     vocab_size: int,
-    am_hidden: int = 32,
-    mask_hidden: int = 8,
+    am_hidden: int,
+    mask_hidden: int,
     context: int = _backend.DEFAULT_CONTEXT,
     seed: int = 0,
 ) -> TrainState:
@@ -218,7 +218,6 @@ def forward_joint(
         "mask_cache": mask_cache,
         "mvdr_vjp": mvdr_vjp,
         "ref": ref,
-        "h": h,
         "beam_vjp": beam_vjp,
         **tail,
     }
@@ -276,16 +275,15 @@ def finite_diff_check(
     utt: Spectrogram,
     labels: LabelSequence,
     subsample_factor: int,
-    epsilon: float = 1e-5,
-    breakdown: dict | None = None,
-    corrupt_adjoint: bool = False,
-) -> float:
-    """Worst relative error of backward_joint vs central differences.
+    epsilon: float,
+    corrupt_adjoint: bool,
+) -> dict:
+    """Worst relative error of backward_joint vs central differences per
+    trainable array, keyed "mask.w1" ... "am.b2"; its max is the check's error.
 
     Every entry of every trainable array is perturbed; the reference channel
     is pinned to the unperturbed selection so the argmax cannot flip between
-    the two sides of a difference. Pass a dict as `breakdown` to receive the
-    worst error per parameter array. corrupt_adjoint deliberately shifts one
+    the two sides of a difference. corrupt_adjoint deliberately shifts one
     analytic gradient entry first — a negative control that must fail.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
@@ -302,7 +300,7 @@ def finite_diff_check(
         loss, _ = forward_joint(state, utt, labels, subsample_factor, ref_channel=ref)
         return loss
 
-    worst = 0.0
+    errors = {}
     groups = [
         ("mask", state.mask_params, bundle.mask),
         ("am", state.am_params, bundle.am),
@@ -315,10 +313,8 @@ def finite_diff_check(
             for index in np.ndindex(array.shape):
                 numeric = central_difference(loss_fn, array, index, epsilon)
                 group_worst = max(group_worst, _relative_error(analytic[index], numeric))
-            if breakdown is not None:
-                breakdown[f"{group_name}.{name}"] = group_worst
-            worst = max(worst, group_worst)
-    return worst
+            errors[f"{group_name}.{name}"] = group_worst
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +339,18 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 
 def load_checkpoint(path) -> TrainState:
-    """A save_checkpoint file; a "moments" key (always empty, from older writers) is ignored."""
+    """A save_checkpoint file; a "moments" key (always empty, from older writers) is ignored.
+    A payload of any other shape is a ValueError that names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"corrupted checkpoint {path}: {exc.msg}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"corrupted checkpoint {path}: not a JSON object")
     version = payload.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version}")
+        raise ValueError(f"unsupported checkpoint version in {path}: {version}")
     try:
         mp = payload["mask_params"]
         ap = payload["am_params"]
@@ -362,4 +364,6 @@ def load_checkpoint(path) -> TrainState:
             seed=int(payload["seed"]),
         )
     except KeyError as exc:
-        raise ValueError(f"corrupted checkpoint: missing field {exc}") from None
+        raise ValueError(f"corrupted checkpoint {path}: missing field {exc}") from None
+    except (TypeError, IndexError, ValueError) as exc:
+        raise ValueError(f"corrupted checkpoint {path}: {exc}") from None

@@ -472,19 +472,21 @@ def _token_errors(state, specs, labels, cfg, utt_ids) -> tuple:
     total_err = total_ref = 0
     for utt_id in utt_ids:
         _, cache = forward_joint(state, specs[utt_id], None, subsample_factor=cfg.subsample)
-        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]), labels[utt_id])
+        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]).ids,
+                                       labels[utt_id].ids)
         total_err += sub + ins + dele
         total_ref += len(labels[utt_id])
     return total_err, total_ref
 
 
 def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig, specs: dict,
-                         helper=None) -> float:
+                         helper) -> float:
     """Token error rate (S+I+D)/#ref of greedy joint-path decoding.
 
     specs maps each utterance id to its STFT (run_training's epoch cache);
     decoding runs the joint forward without labels, so no CTC pass. The
-    counts are integers: their sum does not depend on a helper's split.
+    counts are integers: their sum does not depend on a helper's split
+    (helper None: this process decodes every utterance).
     """
     if not utts:
         return float("nan")
@@ -551,9 +553,14 @@ def generate_toy_corpus(
     Returns (multi_set, single_set, tokens). Multi-channel utterances are
     image-source renders (toy_room, toy_array) of fresh clean utterances plus
     spatially-white noise mixed at snr_db; single-channel utterances are clean.
+    sample_rate must put every token's tone below Nyquist: an aliased tone
+    lands on another token's frequency.
     """
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
+    if sample_rate <= 2 * TOY_TONE_HIGH_HZ:
+        raise ValueError(f"sample_rate must exceed {2 * TOY_TONE_HIGH_HZ:g} Hz, twice the "
+                         f"highest token tone, got {sample_rate}")
     if n_multi < 0 or n_single < 0:
         raise ValueError("utterance counts must be >= 0")
     room, array = toy_room(), toy_array()
@@ -567,9 +574,8 @@ def generate_toy_corpus(
                         sample_rate=sample_rate)
         if rir is not None:
             wave = _render_noisy(wave, rir, snr_db, rng)
-        labels = LabelSequence(ids=ids, vocab_size=vocab_size,
-                               text=" ".join(tokens[t - 1] for t in ids))
-        return Utt(utt_id=utt_id, wave=wave, labels=labels, origin=origin)
+        return Utt(utt_id=utt_id, wave=wave, labels=LabelSequence(ids=ids, vocab_size=vocab_size),
+                   origin=origin)
 
     rir = image_source_rir(room, array, max_order, sample_rate) if n_multi else None
     multi_set = [draw(f"toy-m{i:04d}", "real", rir) for i in range(n_multi)]

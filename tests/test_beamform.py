@@ -251,7 +251,7 @@ class TestMvdr:
         src = rng.normal(size=(frames, f)) + 1j * rng.normal(size=(frames, f))
         bins = src[:, :, None] * steer[None, :, :]
         for level in (0.2, 0.5, 0.9):
-            h, ref, _ = mvdr_weights(bins, np.full((frames, f), level))
+            h, ref, _ = mvdr_weights(bins, np.full((frames, f), level), None)
             xhat, _ = apply_beamformer_vjp(h, bins)
             err = np.max(np.abs(xhat - bins[:, :, ref]))
             assert err < 1e-8, (level, err)

@@ -65,8 +65,8 @@ def _make_scene(tmp_path, seed=0, channels=4):
     noise = Waveform(samples=rng.normal(size=clean.samples.shape), sample_rate=sr)
     noisy = roomsim.mix_at_snr(clean, noise, 0.0)
     clean_path, noisy_path = tmp_path / "clean.wav", tmp_path / "noisy.wav"
-    corpus_io.write_wav(clean_path, clean, bit_depth=32)
-    corpus_io.write_wav(noisy_path, noisy, bit_depth=32)
+    corpus_io.write_wav(clean_path, clean)
+    corpus_io.write_wav(noisy_path, noisy)
     return noisy_path, clean_path
 
 
@@ -124,14 +124,15 @@ def traced_enhance_peak(tmp_dir, masks="oracle"):
     clean = 0.1 * rng.normal(size=(channels, n)) * np.sin(np.pi * np.arange(n) / n)
     noisy = clean + 0.05 * rng.normal(size=(channels, n))
     paths = {name: tmp_dir / f"{name}.wav" for name in ("clean", "noisy")}
-    corpus_io.write_wav(paths["clean"], Waveform(samples=clean, sample_rate=sr), bit_depth=32)
-    corpus_io.write_wav(paths["noisy"], Waveform(samples=noisy, sample_rate=sr), bit_depth=32)
+    corpus_io.write_wav(paths["clean"], Waveform(samples=clean, sample_rate=sr))
+    corpus_io.write_wav(paths["noisy"], Waveform(samples=noisy, sample_rate=sr))
     argv = ["enhance", "--input", str(paths["noisy"]), "--out", str(tmp_dir / "enh.wav"),
             "--masks", masks]
     if masks == "oracle":
         argv += ["--clean", str(paths["clean"])]
     else:
-        save_checkpoint(init_train_state(_rng(3), n_mels=40, vocab_size=6), tmp_dir / "ck.json")
+        save_checkpoint(init_train_state(_rng(3), n_mels=40, vocab_size=6, am_hidden=32,
+                                         mask_hidden=8), tmp_dir / "ck.json")
         argv += ["--checkpoint", str(tmp_dir / "ck.json")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # FFT plan caches stay out of the measurement
@@ -243,12 +244,39 @@ class TestEnhance:
         assert code == 2
         assert "single-channel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["not JSON", "list payload", "list mask_params",
+                                        "null context", "scalar w1"])
+    def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage):
+        # All but "not JSON" once escaped as tracebacks (exit 1, the usage-error code).
+        from beamlab.pipeline import init_train_state, save_checkpoint
+
+        noisy, _ = _make_scene(tmp_path, seed=2)
+        ck = tmp_path / "ck.json"
+        save_checkpoint(init_train_state(_rng(3), n_mels=6, vocab_size=3, am_hidden=32,
+                                         mask_hidden=8), ck)
+        payload = json.loads(ck.read_text())
+        if damage == "list payload":
+            payload = [payload]
+        elif damage == "list mask_params":
+            payload["mask_params"] = list(payload["mask_params"].values())
+        elif damage == "null context":
+            payload["am_params"]["context"] = None
+        elif damage == "scalar w1":
+            payload["am_params"]["w1"] = 0.5
+        text = json.dumps(payload)
+        ck.write_text(text[1:] if damage == "not JSON" else text)
+        code = main(["enhance", "--input", str(noisy), "--out", str(tmp_path / "enh.wav"),
+                     "--masks", "checkpoint", "--checkpoint", str(ck)])
+        assert code == 2
+        assert f"corrupted checkpoint {ck}" in capsys.readouterr().err
+
     def test_checkpoint_masks(self, tmp_path):
         from beamlab.pipeline import init_train_state, save_checkpoint
 
         noisy, _ = _make_scene(tmp_path, seed=2)
         ck = tmp_path / "ck.json"
-        save_checkpoint(init_train_state(_rng(3), n_mels=6, vocab_size=3), ck)
+        save_checkpoint(init_train_state(_rng(3), n_mels=6, vocab_size=3, am_hidden=32,
+                                         mask_hidden=8), ck)
         out = tmp_path / "enh.wav"
         code = main(["enhance", "--input", str(noisy), "--out", str(out),
                      "--masks", "checkpoint", "--checkpoint", str(ck),
@@ -258,6 +286,27 @@ class TestEnhance:
 
 
 class TestMakeCorpusAndTrain:
+    @pytest.mark.parametrize("rate", [4000, 7000])
+    def test_aliasing_sample_rate_is_data_error(self, tmp_path, capsys, rate):
+        # At 4000 Hz token 6's 3500 Hz tone aliases to 500 Hz, token 1's tone;
+        # at 7000 Hz it sits on Nyquist and samples to zero.
+        code = main(["make-corpus", "--out-dir", str(tmp_path / "c"), "--n-multi", "1",
+                     "--n-single", "1", "--sample-rate", str(rate)])
+        assert code == 2
+        assert "sample_rate" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_default_sample_rate_accepted(self, tmp_path):
+        # 8000 Hz, the default, writes the same bytes with or without the flag.
+        argv = ["make-corpus", "--n-multi", "2", "--n-single", "2"]
+        assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out-dir", str(tmp_path / "b"), "--sample-rate", "8000"]) == 0
+        files = sorted(path.relative_to(tmp_path / "a") for path in (tmp_path / "a").rglob("*")
+                       if path.is_file())
+        assert len(files) == 7  # vocab, two manifests, four WAVs
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_make_corpus_layout(self, tmp_path):
         out = tmp_path / "corpus"
         code = main(["make-corpus", "--out-dir", str(out), "--n-multi", "3",

@@ -44,18 +44,18 @@ class TestWavRoundTrip:
         rng = _rng(1)
         wave = Waveform(samples=rng.uniform(-1, 1, size=(3, 500)), sample_rate=16000)
         path = tmp_path / "f32.wav"
-        clipped = write_wav(path, wave, bit_depth=32)
+        clipped = write_wav(path, wave)
         assert clipped == 0
         back = read_wav(path)
         assert back.sample_rate == 16000 and back.channels == 3
         np.testing.assert_allclose(back.samples, wave.samples, atol=1e-7)
 
     def test_pcm16_round_trip(self, tmp_path):
+        # write_wav writes float32 only; the PCM16 file comes from the reference.
         rng = _rng(2)
         wave = Waveform(samples=rng.uniform(-0.9, 0.9, size=(2, 300)), sample_rate=8000)
         path = tmp_path / "p16.wav"
-        clipped = write_wav(path, wave, bit_depth=16)
-        assert clipped == 0
+        path.write_bytes(_reference_wav_bytes(wave, 16)[0])
         back = read_wav(path)
         # Write scales by 32767, read divides by 32768: quantization plus the
         # scale mismatch is at most ~1.5 LSB.
@@ -65,14 +65,10 @@ class TestWavRoundTrip:
         # Independent-reader oracle: scipy.io.wavfile agrees with what we wrote.
         rng = _rng(3)
         wave = Waveform(samples=rng.uniform(-0.5, 0.5, size=(2, 200)), sample_rate=22050)
-        p16, p32 = tmp_path / "a.wav", tmp_path / "b.wav"
-        write_wav(p16, wave, bit_depth=16)
-        write_wav(p32, wave, bit_depth=32)
-        sr, data16 = wavfile.read(p16)
-        assert sr == 22050 and data16.dtype == np.int16 and data16.shape == (200, 2)
-        np.testing.assert_allclose(data16.T / 32768.0, wave.samples, atol=2.0 / 32768)
+        p32 = tmp_path / "b.wav"
+        write_wav(p32, wave)
         sr, data32 = wavfile.read(p32)
-        assert data32.dtype == np.float32
+        assert sr == 22050 and data32.dtype == np.float32 and data32.shape == (200, 2)
         np.testing.assert_allclose(data32.T, wave.samples, atol=1e-7)
 
     def test_we_read_scipy_files(self, tmp_path):
@@ -87,15 +83,10 @@ class TestWavRoundTrip:
     def test_clipping_counted(self, tmp_path):
         samples = np.array([[0.0, 1.5, -2.0, 0.5]])
         wave = Waveform(samples=samples, sample_rate=8000)
-        clipped = write_wav(tmp_path / "c.wav", wave, bit_depth=16)
+        clipped = write_wav(tmp_path / "c.wav", wave)
         assert clipped == 2
         back = read_wav(tmp_path / "c.wav")
-        assert abs(back.samples[0, 1] - 32767 / 32768.0) < 1e-6
-        assert abs(back.samples[0, 2] + 1.0) < 1e-4
-
-    def test_bad_bit_depth(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_wav(tmp_path / "x.wav", _wave(np.zeros((1, 4))), bit_depth=24)
+        np.testing.assert_array_equal(back.samples, [[0.0, 1.0, -1.0, 0.5]])
 
     def test_non_finite_rejected(self, tmp_path):
         wave = _wave(np.zeros((1, 4)))
@@ -107,7 +98,8 @@ class TestWavRoundTrip:
 
 def _reference_wav_bytes(wave, bit_depth):
     """(file bytes, clipped count) by the formula write_wav has always
-    followed: clip, interleave, then scale and cast."""
+    followed: clip, interleave, then scale and cast. bit_depth 32 is what
+    write_wav writes; 16 makes the PCM16 files that read_wav also takes."""
     samples = wave.samples
     clipped = np.clip(samples, -1.0, 1.0).T.reshape(-1)
     if bit_depth == 16:
@@ -123,7 +115,7 @@ def _reference_wav_bytes(wave, bit_depth):
 
 
 class TestWavWriteReference:
-    @pytest.mark.parametrize("bit_depth", [16, 32])
+    @pytest.mark.parametrize("bit_depth", [32])  # the one depth write_wav writes
     @pytest.mark.parametrize("channels", [1, 2, 8])
     def test_bytes_and_clip_count_match_reference(self, tmp_path, bit_depth, channels):
         # Out-of-range samples (about a fifth clip), exact +-1.0, and a
@@ -133,13 +125,13 @@ class TestWavWriteReference:
         samples[:, :4] = [1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-12]
         wave = _wave(samples)
         path = tmp_path / "w.wav"
-        clipped = write_wav(path, wave, bit_depth=bit_depth)
+        clipped = write_wav(path, wave)
         expected, expected_clipped = _reference_wav_bytes(wave, bit_depth)
         assert expected_clipped > samples.size // 10
         assert clipped == expected_clipped and type(clipped) is int
         assert path.read_bytes() == expected
 
-    @pytest.mark.parametrize("bit_depth", [16, 32])
+    @pytest.mark.parametrize("bit_depth", [32])  # the one depth write_wav writes
     def test_transposed_input_as_read_wav_returns(self, tmp_path, bit_depth):
         # read_wav's samples are the transpose of the interleaved data.
         rng = _rng(20)
@@ -149,7 +141,7 @@ class TestWavWriteReference:
         wave.samples *= 1.3  # in place: still a transposed view, some samples clip
         assert not wave.samples.flags.c_contiguous
         out = tmp_path / "out.wav"
-        clipped = write_wav(out, wave, bit_depth=bit_depth)
+        clipped = write_wav(out, wave)
         expected, expected_clipped = _reference_wav_bytes(wave, bit_depth)
         assert clipped == expected_clipped > 0
         assert out.read_bytes() == expected
@@ -179,7 +171,7 @@ class TestWavErrors:
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "t.wav"
-        write_wav(path, _wave(np.ones((1, 100)) * 0.1), bit_depth=16)
+        path.write_bytes(_reference_wav_bytes(_wave(np.ones((1, 100)) * 0.1), 16)[0])
         blob = path.read_bytes()
         path.write_bytes(blob[:-50])
         with pytest.raises(ValueError, match="truncated"):
@@ -187,7 +179,7 @@ class TestWavErrors:
 
     def test_unsupported_format_tag(self, tmp_path):
         path = tmp_path / "u.wav"
-        write_wav(path, _wave(np.ones((1, 20)) * 0.1), bit_depth=16)
+        path.write_bytes(_reference_wav_bytes(_wave(np.ones((1, 20)) * 0.1), 16)[0])
         blob = bytearray(path.read_bytes())
         blob[20:22] = (7).to_bytes(2, "little")  # mu-law tag
         path.write_bytes(bytes(blob))
@@ -233,6 +225,10 @@ class TestManifest:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"manifest_version": 1}\n{not json}\n')
         with pytest.raises(ValueError, match="malformed manifest line 2"):
+            load_manifest(path)
+        # A header that is JSON but not an object.
+        path.write_text('[1]\n')
+        with pytest.raises(ValueError, match="malformed manifest line 1"):
             load_manifest(path)
 
     def test_missing_version_header(self, tmp_path):

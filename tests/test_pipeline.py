@@ -7,6 +7,7 @@ from scipy.special import expit
 
 from beamlab import pipeline
 from beamlab.backend import LabelSequence
+from beamlab.beamform import mvdr_weights
 from beamlab.dsp import LOG_FLOOR, Spectrogram, mel_filterbank
 from beamlab.pipeline import (
     GradBundle,
@@ -143,8 +144,9 @@ class TestForwardJoint:
         loss_backend, _ = forward_backend(state.am_params, utt, labels,
                                           subsample_factor=3)
         assert abs(loss_joint - loss_backend) < 1e-10 * max(1.0, abs(loss_backend))
-        np.testing.assert_allclose(cache["h"], np.ones_like(cache["h"]),
-                                   rtol=0, atol=1e-12)
+        mask, _ = mask_net_forward(state.mask_params, utt.bins)
+        h, _, _ = mvdr_weights(utt.bins, mask, None)
+        np.testing.assert_allclose(h, np.ones_like(h), rtol=0, atol=1e-12)
 
     def test_ref_channel_pinning(self):
         state, utt, labels = _tiny_instance(6)
@@ -188,7 +190,7 @@ class TestMaskNet:
         # The [T*F, 3] clipped-index gather the three shifted planes replaced.
         rng = _rng(20 + n_bins)
         bins = rng.normal(size=(7, n_bins, 2)) + 1j * rng.normal(size=(7, n_bins, 2))
-        _, cache = mask_net_forward(init_mask_params(rng), bins)
+        _, cache = mask_net_forward(init_mask_params(rng, hidden_dim=8), bins)
         x = bins[:, :, 0]
         logmag = 0.5 * np.log(x.real ** 2 + x.imag ** 2 + LOG_FLOOR)
         idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
@@ -213,14 +215,14 @@ class TestBackwardJoint:
         for seed in (0, 1, 2):
             state, utt, labels = _tiny_instance(seed, frames=12, context=1,
                                                 am_hidden=5, mask_hidden=4)
-            err = finite_diff_check(state, utt, labels, subsample_factor=2)
+            err = max(finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
+                                        corrupt_adjoint=False).values())
             assert err < 1e-4, (seed, err)
 
     def test_breakdown_covers_all_arrays(self):
         state, utt, labels = _tiny_instance(8, frames=12, am_hidden=4, mask_hidden=3)
-        breakdown = {}
-        finite_diff_check(state, utt, labels, subsample_factor=2,
-                          breakdown=breakdown)
+        breakdown = finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
+                                      corrupt_adjoint=False)
         assert sorted(breakdown) == [
             "am.b1", "am.b2", "am.w1", "am.w2",
             "mask.b1", "mask.b2", "mask.w1", "mask.w2",
@@ -229,15 +231,15 @@ class TestBackwardJoint:
 
     def test_corrupt_adjoint_fails_check(self):
         state, utt, labels = _tiny_instance(9, frames=12, am_hidden=4, mask_hidden=3)
-        err = finite_diff_check(state, utt, labels, subsample_factor=2,
-                                corrupt_adjoint=True)
+        err = max(finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
+                                    corrupt_adjoint=True).values())
         assert err >= 1e-4
 
     def test_invalid_epsilon(self):
         state, utt, labels = _tiny_instance(10)
         for eps in (0.0, -1e-5, np.inf, np.nan):
             with pytest.raises(ValueError, match="invalid epsilon"):
-                finite_diff_check(state, utt, labels, 3, epsilon=eps)
+                finite_diff_check(state, utt, labels, 3, epsilon=eps, corrupt_adjoint=False)
 
     def test_backward_kind_checked(self):
         state, utt, labels = _tiny_instance(13, channels=1)

@@ -1,6 +1,21 @@
-"""Every public top-level function and class of beamlab is used by the package
-or by perfbench: a public name that only tests call is a code path no run
-takes. The check is by name, so a name that another name shadows (an
+"""Every public part of beamlab is reached by the package or by perfbench
+(its own tests left out): a part that only tests reach is a code path no run
+takes. Four checks over the syntax trees of those files, all by name:
+
+  * every public top-level function and class is referenced; a
+    definition's own body does not count as a use of its name;
+  * R1: every default of a public function is relied on by at least one
+    call that leaves its argument out;
+  * R2: no parameter of a public function gets one literal value, passed or
+    by default, from every call;
+  * R3: every public field, property and method of a package class is read
+    as an attribute somewhere. The fields of classes serialized whole with
+    `asdict` count as read.
+
+`f(...)` and `x.f(...)` are calls of the public function f, unless the
+calling module defines an f of its own. A function that is also passed
+around as a value, or called with *args or **kwargs, has calls the check
+cannot see, so R1 and R2 skip it. A name that another name shadows (an
 attribute or a local of the same name) passes."""
 
 import ast
@@ -8,10 +23,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "beamlab"
+PATHS = sorted(PACKAGE.glob("*.py")) + sorted(
+    path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_"))
+TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PATHS}
 
-# Acceptance criterion 9 (test_acceptance.py) runs the paper's scheme
-# comparison through it; no command exposes it yet.
-ALLOWED = {"sched.compare_schemes"}
+ALLOWED = {
+    # Acceptance criterion 9 (test_acceptance.py) runs the paper's scheme
+    # comparison through it; no command exposes it yet.
+    "sched.compare_schemes",
+    # Only tests take the trained state; ROADMAP item 10 (`train
+    # --checkpoint`) gives it a production caller.
+    "sched.run_training.return_state",
+}
+# Classes whose every field is read by dataclasses.asdict: manifest records
+# (save_manifest), Report.to_dict and the Report's config echo.
+SERIALIZED = {"Utterance", "Report", "ScheduleConfig"}
 
 
 def _references(node) -> set:
@@ -24,17 +50,94 @@ def _references(node) -> set:
     return names
 
 
-def test_no_public_name_is_test_only():
-    # (file, top-level statement) pairs, perfbench's own tests left out; a
-    # definition's own body does not count as a use of its name.
-    paths = sorted(PACKAGE.glob("*.py")) + sorted(
-        path for path in (ROOT / "perfbench").glob("*.py") if not path.name.startswith("test_"))
-    statements = [(path, stmt) for path in paths
-                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+def _public_functions() -> dict:
+    """name -> (qualified name, FunctionDef) of every public top-level package function."""
+    return {stmt.name: (f"{path.stem}.{stmt.name}", stmt)
+            for path, tree in TREES.items() if path.parent == PACKAGE
+            for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+
+
+def _calls(functions: dict) -> tuple[dict, set]:
+    """(name -> the Call nodes of each public function, names whose calls cannot all be seen)."""
+    calls = {name: [] for name in functions}
+    opaque = set()
+    for path, tree in TREES.items():
+        own = set() if path.parent == PACKAGE else {
+            stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in calls and name not in own:
+                    calls[name].append(node)
+                    if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                            k.arg is None for k in node.keywords):
+                        opaque.add(name)
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees
+                    and name in calls and name not in own):
+                opaque.add(name)
+    return calls, opaque
+
+
+def _bound(fn: ast.FunctionDef, call: ast.Call) -> dict:
+    """Parameter name -> the argument expression the call passes for it."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    bound = dict(zip(positional, call.args))
+    bound.update((k.arg, k.value) for k in call.keywords)
+    return bound
+
+
+def _defaults(fn: ast.FunctionDef) -> dict:
+    """Parameter name -> default expression, for the parameters that have one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    out = {a.arg: d for a, d in zip(positional[len(positional) - len(fn.args.defaults):],
+                                    fn.args.defaults)}
+    out.update((a.arg, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def _literal(node):
+    """repr of the literal value of node (a type-strict key), or None if it is no literal."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _call_findings():
+    """(R1 findings, R2 findings), each a list of "module.function.parameter"."""
+    functions = _public_functions()
+    calls, opaque = _calls(functions)
+    unrelied, constant = [], []
+    for name, (qualified, fn) in functions.items():
+        if not calls[name] or name in opaque:
+            continue
+        bindings = [_bound(fn, call) for call in calls[name]]
+        defaults = _defaults(fn)
+        for param in defaults:
+            if all(param in bound for bound in bindings):
+                unrelied.append(f"{qualified}.{param}")
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs:
+            values = {_literal(bound.get(arg.arg, defaults.get(arg.arg))) for bound in bindings}
+            if len(values) == 1 and None not in values:
+                constant.append(f"{qualified}.{arg.arg}")
+    return sorted(unrelied), sorted(constant)
+
+
+def _name_findings():
+    """"module.name" of each public top-level function and class nothing references."""
+    # (file, top-level statement) pairs; a definition's own body does not
+    # count as a use of its name.
+    statements = [(path, stmt) for path, tree in TREES.items() for stmt in tree.body]
     used = set()
     for _, stmt in statements:
         used |= _references(stmt) - {getattr(stmt, "name", None)}
-    unused = sorted(
+    return sorted(
         f"{path.stem}.{stmt.name}"
         for path, stmt in statements
         if path.parent == PACKAGE
@@ -42,5 +145,54 @@ def test_no_public_name_is_test_only():
         and not stmt.name.startswith("_")
         and stmt.name not in used
     )
-    test_only = [name for name in unused if name not in ALLOWED]
-    assert not test_only, f"public but used only by tests: {test_only}"
+
+
+def _member_findings():
+    """"module.Class.member" of each public class member no production code reads."""
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in TREES.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and cls.name not in SERIALIZED:
+                    member = stmt.target.id
+                elif isinstance(stmt, ast.FunctionDef):
+                    member = stmt.name
+                else:
+                    continue
+                if not member.startswith("_") and member not in read:
+                    unread.append(f"{path.stem}.{cls.name}.{member}")
+    return sorted(unread)
+
+
+def _check(findings, what: str) -> None:
+    flagged = [name for name in findings if name not in ALLOWED]
+    assert not flagged, f"{what}: {flagged}"
+
+
+def test_no_public_name_is_test_only():
+    _check(_name_findings(), "public but used only by tests")
+
+
+def test_every_default_is_relied_on():
+    _check(_call_findings()[0], "defaults that every production call overrides (R1)")
+
+
+def test_no_parameter_is_always_one_literal():
+    _check(_call_findings()[1], "parameters every production call sets to one literal (R2)")
+
+
+def test_every_class_member_is_read():
+    _check(_member_findings(), "class members no production code reads (R3)")
+
+
+def test_allowed_entries_are_still_found():
+    # An entry whose finding is gone must leave ALLOWED with it.
+    found = set(_name_findings() + _member_findings()).union(*_call_findings())
+    stale = sorted(ALLOWED - found)
+    assert not stale, f"ALLOWED entries nothing flags any more: {stale}"
