@@ -62,7 +62,7 @@ class AmParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    context: int = DEFAULT_CONTEXT
+    context: int
 
     def __post_init__(self):
         coerce_finite_params(self, "AM")

@@ -1,8 +1,11 @@
 """Command-line surface: enhance, simulate, train, gradcheck, score, make-corpus.
 
-Config precedence per subcommand: explicit flags > JSON config file >
-built-in defaults. Exit codes: 0 ok, 1 usage error, 2 data error,
-3 numerical failure.
+Each subcommand's settings are one table of defaults (COMMANDS): a setting
+is the config key `key` and, unless the table marks it config-file only,
+the flag `--key-with-dashes`, typed by its default. Precedence: explicit
+flags > JSON config file > defaults. Exit codes: 0 ok, 1 usage error
+(also a value outside a setting's CHOICES, from a flag or a config file),
+2 data error, 3 numerical failure.
 """
 
 import argparse
@@ -33,20 +36,29 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_config(args, defaults: dict) -> dict:
-    """defaults <- config file (corpus_io.read_config) <- flags."""
+    """defaults <- config file (corpus_io.read_config) <- flags; each CHOICES
+    setting is checked, since argparse sees only the flags."""
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(corpus_io.read_config(args.config, defaults))
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
+    for key in CHOICES.keys() & cfg.keys():
+        if cfg[key] not in CHOICES[key]:
+            raise UsageError(f"config key '{key}' must be one of {CHOICES[key]}, "
+                             f"got {cfg[key]!r}")
     return cfg
 
 
-def _require(cfg: dict, key: str, flag: str) -> object:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _require(cfg: dict, key: str) -> object:
     if cfg.get(key) is None:
-        raise UsageError(f"missing required option {flag}")
+        raise UsageError(f"missing required option {_flag(key)}")
     return cfg[key]
 
 
@@ -66,10 +78,9 @@ ENHANCE_DEFAULTS = {
 }
 
 
-def cmd_enhance(args) -> int:
-    cfg = _resolve_config(args, ENHANCE_DEFAULTS)
-    in_path = _require(cfg, "input", "--input")
-    out_path = _require(cfg, "out", "--out")
+def cmd_enhance(cfg: dict) -> int:
+    in_path = _require(cfg, "input")
+    out_path = _require(cfg, "out")
     ref = cfg["ref_channel"]
     if ref < -1:
         raise UsageError(f"--ref-channel must be -1 (select) or a channel index, got {ref}")
@@ -118,16 +129,14 @@ def _channel_0_mask(cfg: dict, noisy, clean) -> np.ndarray:
     """[T, F] speech mask from channel 0: the ideal ratio mask of the clean and
     noisy channel, or the checkpoint's mask net (its cache dropped at once)."""
     window_size, hop = cfg["window_size"], cfg["hop"]
-    if cfg["masks"] == "oracle":
-        if clean is None:
-            raise UsageError("--masks oracle requires --clean")
-        clean_0 = _channel_bins(clean, 0, window_size, hop)
-        return beamform.oracle_masks(clean_0, _channel_bins(noisy, 0, window_size, hop) - clean_0)
     if cfg["masks"] == "checkpoint":
-        state = pipeline.load_checkpoint(_require(cfg, "checkpoint", "--checkpoint"))
+        state = pipeline.load_checkpoint(_require(cfg, "checkpoint"))
         noisy_0 = _channel_bins(noisy, 0, window_size, hop)
         return pipeline.mask_net_forward(state.mask_params, noisy_0[:, :, None])[0]
-    raise UsageError("--masks must be 'oracle' or 'checkpoint'")
+    if clean is None:
+        raise UsageError("--masks oracle requires --clean")
+    clean_0 = _channel_bins(clean, 0, window_size, hop)
+    return beamform.oracle_masks(clean_0, _channel_bins(noisy, 0, window_size, hop) - clean_0)
 
 
 def _channel_bins(wave, channel: int, window_size: int, hop: int) -> np.ndarray:
@@ -169,11 +178,10 @@ SIMULATE_DEFAULTS = {
 }
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args, SIMULATE_DEFAULTS)
-    manifest_path = _require(cfg, "manifest", "--manifest")
-    room_path = _require(cfg, "room_config", "--room-config")
-    out_dir = Path(_require(cfg, "out_dir", "--out-dir"))
+def cmd_simulate(cfg: dict) -> int:
+    manifest_path = _require(cfg, "manifest")
+    room_path = _require(cfg, "room_config")
+    out_dir = Path(_require(cfg, "out_dir"))
     room, array, extras = roomsim.load_room_config(room_path)
     manifest = corpus_io.load_manifest(manifest_path)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,10 +263,9 @@ def _null_non_finite(value):
     return value
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve_config(args, TRAIN_DEFAULTS)
-    multi_path = _require(cfg, "multi_manifest", "--multi-manifest")
-    vocab_path = _require(cfg, "vocab", "--vocab")
+def cmd_train(cfg: dict) -> int:
+    multi_path = _require(cfg, "multi_manifest")
+    vocab_path = _require(cfg, "vocab")
     tokens = backend.load_vocab(vocab_path)
 
     room = roomsim.room_from_dict(cfg["room"]) if cfg["room"] else None
@@ -309,9 +316,9 @@ def cmd_train(args) -> int:
 
 GRADCHECK_DEFAULTS = {
     "preset": "default",
-    "seed": 0,
     "epsilon": 1e-5,
     "corrupt_adjoint": False,
+    "seed": 0,
 }
 
 GRADCHECK_PRESETS = {
@@ -325,8 +332,6 @@ GRADCHECK_PRESETS = {
 
 def make_gradcheck_instance(preset: str, seed: int):
     """Deterministic tiny instance: random bins, labels, and parameters."""
-    if preset not in GRADCHECK_PRESETS:
-        raise UsageError(f"unknown preset '{preset}' (choose from {sorted(GRADCHECK_PRESETS)})")
     p = GRADCHECK_PRESETS[preset]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_bins = p["window"] // 2 + 1
@@ -344,8 +349,7 @@ def make_gradcheck_instance(preset: str, seed: int):
     return state, utt, labels, p["subsample"]
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = _resolve_config(args, GRADCHECK_DEFAULTS)
+def cmd_gradcheck(cfg: dict) -> int:
     state, utt, labels, subsample_factor = make_gradcheck_instance(cfg["preset"], cfg["seed"])
     breakdown = pipeline.finite_diff_check(
         state, utt, labels,
@@ -369,10 +373,9 @@ def cmd_gradcheck(args) -> int:
 SCORE_DEFAULTS = {"hyp": None, "ref": None, "per_utt": True}
 
 
-def cmd_score(args) -> int:
-    cfg = _resolve_config(args, SCORE_DEFAULTS)
-    hyp_manifest = corpus_io.load_manifest(_require(cfg, "hyp", "--hyp"))
-    ref_manifest = corpus_io.load_manifest(_require(cfg, "ref", "--ref"))
+def cmd_score(cfg: dict) -> int:
+    hyp_manifest = corpus_io.load_manifest(_require(cfg, "hyp"))
+    ref_manifest = corpus_io.load_manifest(_require(cfg, "ref"))
     hyp_by_id = {u.utt_id: u for u in hyp_manifest}
     ref_by_id = {u.utt_id: u for u in ref_manifest}
     missing = sorted(set(ref_by_id) - set(hyp_by_id))
@@ -411,16 +414,15 @@ MAKE_CORPUS_DEFAULTS = {
     "n_multi": 50,
     "n_single": 100,
     "vocab_size": 6,
-    "seed": 0,
     "snr_db": 10.0,
     "sample_rate": sched.TOY_SAMPLE_RATE,
+    "seed": 0,
     "max_order": 2,
 }
 
 
-def cmd_make_corpus(args) -> int:
-    cfg = _resolve_config(args, MAKE_CORPUS_DEFAULTS)
-    out_dir = Path(_require(cfg, "out_dir", "--out-dir"))
+def cmd_make_corpus(cfg: dict) -> int:
+    out_dir = Path(_require(cfg, "out_dir"))
     rng = np.random.default_rng(np.random.SeedSequence(cfg["seed"]))
     multi_set, single_set, tokens = sched.generate_toy_corpus(
         cfg["n_multi"], cfg["n_single"], cfg["vocab_size"], rng, snr_db=cfg["snr_db"],
@@ -451,80 +453,57 @@ def cmd_make_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file (flags win)")
+# subcommand -> (help, handler, settings table, settings that are config-file only)
+COMMANDS = {
+    "enhance": ("MVDR-enhance a multi-channel WAV", cmd_enhance, ENHANCE_DEFAULTS, ()),
+    "simulate": ("render single-channel utterances in a room", cmd_simulate,
+                 SIMULATE_DEFAULTS, ()),
+    "train": ("run a training scheme and emit a Report", cmd_train, TRAIN_DEFAULTS,
+              ("room", "array", "max_order", "am_hidden", "mask_hidden", "context")),
+    "gradcheck": ("finite-difference check of the joint path", cmd_gradcheck,
+                  GRADCHECK_DEFAULTS, ()),
+    "score": ("token error rate between two manifests", cmd_score, SCORE_DEFAULTS, ()),
+    "make-corpus": ("generate and write the toy corpus", cmd_make_corpus,
+                    MAKE_CORPUS_DEFAULTS, ("max_order",)),
+}
+
+CHOICES = {
+    "masks": ["oracle", "checkpoint"],
+    "mode": list(sched.MODES),
+    "preset": sorted(GRADCHECK_PRESETS),
+}
+
+HELP = {
+    "input": "multi-channel input WAV",
+    "out": "output WAV path",
+    "clean": "clean reference WAV (oracle masks / SNR gain)",
+    "checkpoint": "TrainState checkpoint for mask-net masks",
+    "manifest": "single-channel manifest",
+    "room_config": "room/array JSON",
+    "vocab": "vocabulary file (one token per line)",
+    "report": "output report JSON path",
+    "seed": "rng seed",
+    "corrupt_adjoint": "negative control: corrupt one analytic gradient",
+    "hyp": "hypothesis manifest",
+    "ref": "reference manifest",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per setting: a None default takes a path string, a bool is
+    --key/--no-key, any other default gives its own type."""
     parser = _Parser(prog="beamlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enhance", help="MVDR-enhance a multi-channel WAV")
-    p.add_argument("--input", help="multi-channel input WAV")
-    p.add_argument("--out", help="output WAV path")
-    p.add_argument("--masks", choices=["oracle", "checkpoint"])
-    p.add_argument("--clean", help="clean reference WAV (oracle masks / SNR gain)")
-    p.add_argument("--checkpoint", help="TrainState checkpoint for mask-net masks")
-    p.add_argument("--ref-channel", dest="ref_channel", type=int)
-    p.add_argument("--window-size", dest="window_size", type=int)
-    p.add_argument("--hop", type=int)
-    _add_common(p)
-    p.set_defaults(func=cmd_enhance)
-
-    p = sub.add_parser("simulate", help="render single-channel utterances in a room")
-    p.add_argument("--manifest", help="single-channel manifest")
-    p.add_argument("--room-config", dest="room_config", help="room/array JSON")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--manifest-out", dest="manifest_out")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("train", help="run a training scheme and emit a Report")
-    p.add_argument("--mode", choices=list(sched.MODES))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--multi-batch-size", dest="multi_batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--multi-manifest", dest="multi_manifest")
-    p.add_argument("--single-manifest", dest="single_manifest")
-    p.add_argument("--vocab", help="vocabulary file (one token per line)")
-    p.add_argument("--report", help="output report JSON path")
-    p.add_argument("--window-size", dest="window_size", type=int)
-    p.add_argument("--hop", type=int)
-    p.add_argument("--n-mels", dest="n_mels", type=int)
-    p.add_argument("--subsample", type=int)
-    p.add_argument("--seed", type=int, help="rng seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the joint path")
-    p.add_argument("--preset", choices=sorted(GRADCHECK_PRESETS))
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--corrupt-adjoint", dest="corrupt_adjoint",
-                   action=argparse.BooleanOptionalAction,
-                   help="negative control: corrupt one analytic gradient")
-    p.add_argument("--seed", type=int, help="rng seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("score", help="token error rate between two manifests")
-    p.add_argument("--hyp", help="hypothesis manifest")
-    p.add_argument("--ref", help="reference manifest")
-    p.add_argument("--per-utt", dest="per_utt", action=argparse.BooleanOptionalAction)
-    _add_common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("make-corpus", help="generate and write the toy corpus")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--n-multi", dest="n_multi", type=int)
-    p.add_argument("--n-single", dest="n_single", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--snr-db", dest="snr_db", type=float)
-    p.add_argument("--sample-rate", dest="sample_rate", type=int)
-    p.add_argument("--seed", type=int, help="rng seed")
-    _add_common(p)
-    p.set_defaults(func=cmd_make_corpus)
+    for name, (help_text, _, defaults, config_only) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, default in defaults.items():
+            if key in config_only:
+                continue
+            kind = ({"action": argparse.BooleanOptionalAction} if isinstance(default, bool)
+                    else {"type": str if default is None else type(default)})
+            p.add_argument(_flag(key), dest=key, choices=CHOICES.get(key), help=HELP.get(key),
+                           **kind)
+        p.add_argument("--config", help="JSON config file (flags win)")
     return parser
 
 
@@ -532,7 +511,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _, handler, defaults, _ = COMMANDS[args.command]
+        return handler(_resolve_config(args, defaults))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

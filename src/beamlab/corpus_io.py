@@ -8,7 +8,7 @@ header so they stream and append cleanly.
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +159,7 @@ class Utterance:
 class Manifest:
     """An ordered utterance collection with unique ids."""
 
-    utterances: list = field(default_factory=list)
+    utterances: list
 
     def __post_init__(self):
         seen = set()
@@ -202,30 +202,34 @@ def resolve_audio_path(manifest_path, audio_path) -> Path:
 
 
 def load_manifest(path) -> Manifest:
-    """Read a JSON-lines manifest; its audio is not opened (see read_utterance)."""
+    """Read a JSON-lines manifest; its audio is not opened (see read_utterance). A
+    malformed line or a duplicate id is a ValueError that starts with the path."""
     utterances = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"malformed manifest line {lineno}: {exc.msg}") from None
-            if lineno == 1:
-                version = record.get("manifest_version") if isinstance(record, dict) else None
-                if version != MANIFEST_VERSION:
-                    raise ValueError(
-                        f"malformed manifest line 1: expected manifest_version "
-                        f"{MANIFEST_VERSION}, got {version}"
-                    )
-                continue
-            try:
-                utterances.append(Utterance(**record))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed manifest line {lineno}: {exc}") from None
-    return Manifest(utterances=utterances)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"malformed manifest line {lineno}: {exc.msg}") from None
+                if lineno == 1:
+                    version = record.get("manifest_version") if isinstance(record, dict) else None
+                    if version != MANIFEST_VERSION:
+                        raise ValueError(
+                            f"malformed manifest line 1: expected manifest_version "
+                            f"{MANIFEST_VERSION}, got {version}"
+                        )
+                    continue
+                try:
+                    utterances.append(Utterance(**record))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"malformed manifest line {lineno}: {exc}") from None
+            return Manifest(utterances=utterances)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_utterance(manifest_path, record: Utterance) -> Waveform:

@@ -75,8 +75,8 @@ class TrainState:
 
     mask_params: MaskNetParams
     am_params: AmParams
+    seed: int
     step: int = 0
-    seed: int = 0
 
 
 @dataclass

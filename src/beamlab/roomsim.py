@@ -42,7 +42,7 @@ class RoomSpec:
 
     dims: np.ndarray
     source_pos: np.ndarray
-    absorption: np.ndarray = DEFAULT_ABSORPTION
+    absorption: np.ndarray
     sound_speed: float = SOUND_SPEED
 
     def __post_init__(self):
@@ -71,7 +71,7 @@ class MicArray:
     """Microphone positions in meters, [C, 3]."""
 
     positions: np.ndarray
-    preset: str = "custom"
+    preset: str
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)

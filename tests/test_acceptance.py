@@ -174,7 +174,7 @@ def test_criterion_4_rir_first_order_delays():
     )
 
     room = roomsim.RoomSpec(dims=dims, source_pos=source, absorption=0.35)
-    array = roomsim.MicArray(positions=mic[None, :])
+    array = roomsim.MicArray(positions=mic[None, :], preset="custom")
     rir = roomsim.image_source_rir(room, array, max_order=1, sample_rate=sr)
     taps = np.abs(rir.taps[0])
 

@@ -139,7 +139,7 @@ class TestContainers:
         rng = _rng(1)
         with pytest.raises(ValueError):
             AmParams(w1=rng.normal(size=(13, 8)), b1=np.zeros(8),
-                     w2=rng.normal(size=(8, 4)), b2=np.zeros(4))  # 13 % 7 != 0
+                     w2=rng.normal(size=(8, 4)), b2=np.zeros(4), context=3)  # 13 % 7 != 0
 
 
 def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon=1e-5) -> float:

@@ -1,5 +1,6 @@
 """cli tests: subcommands end to end, exit codes, config precedence."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -654,6 +655,90 @@ class TestConfigTypes:
         assert capsys.readouterr().out == from_file.out
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _other_value(key, default):
+    """A value of the setting's type other than its default."""
+    if key in cli.CHOICES:
+        return next(choice for choice in cli.CHOICES[key] if choice != default)
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, float):
+        return default + 1.5
+    if isinstance(default, int):
+        return default + 1
+    return "other/path.json" if default is None else default + ".other"
+
+
+FLAG_SETTINGS = [(command, key) for command, (_, _, defaults, config_only) in cli.COMMANDS.items()
+                 for key in defaults if key not in config_only]
+
+
+class TestFlagsAreSettings:
+    """Each flag is its subcommand's setting of the same name (dashes for
+    underscores): a flag and a config-file value resolve alike."""
+
+    @staticmethod
+    def _resolve(monkeypatch, command, argv):
+        """(exit code, the settings the handler got) of `beamlab command *argv`."""
+        seen = {}
+        help_text, _, defaults, config_only = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            (help_text, lambda cfg: seen.update(cfg) or 0, defaults, config_only))
+        return main([command, *argv]), seen
+
+    @pytest.mark.parametrize("command,key", FLAG_SETTINGS)
+    def test_flag_and_config_value_agree(self, tmp_path, monkeypatch, command, key):
+        value = _other_value(key, cli.COMMANDS[command][2][key])
+        flag = _flag(key)
+        if isinstance(value, bool):
+            argv = [flag if value else flag.replace("--", "--no-", 1)]
+        else:
+            argv = [flag, str(value)]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, from_flag = self._resolve(monkeypatch, command, argv)
+        assert code == 0
+        code, from_file = self._resolve(monkeypatch, command, ["--config", str(cfg)])
+        assert code == 0
+        assert from_flag[key] == value == from_file[key]
+        assert type(from_flag[key]) is type(from_file[key]) is type(value)
+        assert from_flag == from_file
+
+    def test_config_only_settings_have_no_flag(self, capsys):
+        parsers = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+        for command, (_, _, defaults, config_only) in cli.COMMANDS.items():
+            options = {option for action in parsers[command]._actions
+                       for option in action.option_strings}
+            for key in defaults:
+                assert (_flag(key) in options) == (key not in config_only), (command, key)
+            for key in config_only:
+                assert main([command, _flag(key), "1"]) == 1
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,argv", [
+        # The files do not exist: reading one first would exit 2.
+        ("train", "mode", ["--multi-manifest", "nope.jsonl", "--vocab", "nope.txt"]),
+        ("enhance", "masks", ["--input", "nope.wav", "--out", "o.wav"]),
+        ("gradcheck", "preset", []),
+    ])
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                         command, key, argv):
+        # Before: {"mode": "FOO"} was a data error raised by ScheduleConfig
+        # after the vocabulary was read, and a bad "masks" was caught only
+        # after both WAVs were read.
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: "FOO"}))
+        assert main([command, *argv, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and f"'{key}'" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]
+
+
 class TestSimulate:
     def test_renders_multichannel(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -801,6 +886,22 @@ class TestScore:
                      "--ref", str(tmp_path / "ref.jsonl")])
         assert code == 2
         assert "u1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda lines: [lines[0], "{not json}"], "malformed manifest line 2"),
+        (lambda lines: [*lines, lines[-1]], "duplicate utterance id 'u0'"),
+    ])
+    def test_manifest_error_names_its_file(self, tmp_path, capsys, damage, message):
+        # Before: the message named neither manifest.
+        self._manifest(tmp_path / "good.jsonl", [[1]])
+        self._manifest(tmp_path / "bad.jsonl", [[1]])
+        lines = (tmp_path / "bad.jsonl").read_text().splitlines()
+        (tmp_path / "bad.jsonl").write_text("\n".join(damage(lines)) + "\n")
+        code = main(["score", "--hyp", str(tmp_path / "bad.jsonl"),
+                     "--ref", str(tmp_path / "good.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bad.jsonl: {message}" in err and "good.jsonl" not in err
 
 
 class TestGradcheck:

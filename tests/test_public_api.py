@@ -4,8 +4,9 @@ takes. Four checks over the syntax trees of those files, all by name:
 
   * every public top-level function and class is referenced; a
     definition's own body does not count as a use of its name;
-  * R1: every default of a public function is relied on by at least one
-    call that leaves its argument out;
+  * R1: every default of a public function, and every field default of a
+    public package dataclass, is relied on by at least one call that leaves
+    its argument out;
   * R2: no parameter of a public function gets one literal value, passed or
     by default, from every call;
   * R3: every public field, property and method of a package class is read
@@ -15,8 +16,10 @@ takes. Four checks over the syntax trees of those files, all by name:
 `f(...)` and `x.f(...)` are calls of the public function f, unless the
 calling module defines an f of its own. A function that is also passed
 around as a value, or called with *args or **kwargs, has calls the check
-cannot see, so R1 and R2 skip it. A name that another name shadows (an
-attribute or a local of the same name) passes."""
+cannot see, so R1 and R2 skip it. A dataclass is called by its class name;
+a constructor call with *args or **kwargs passes only the fields it names
+itself (or passes before the first *args). A name that another name shadows
+(an attribute or a local of the same name) passes."""
 
 import ast
 from pathlib import Path
@@ -129,6 +132,29 @@ def _call_findings():
     return sorted(unrelied), sorted(constant)
 
 
+def _field_findings():
+    """"module.Class.field" of each dataclass field default that every constructor call passes."""
+    classes = {cls.name: (f"{path.stem}.{cls.name}", cls)
+               for path, tree in TREES.items() if path.parent == PACKAGE
+               for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+               and any("dataclass" in _references(d) for d in cls.decorator_list)}
+    calls = _calls(classes)[0]
+    unrelied = []
+    for name, (qualified, cls) in classes.items():
+        fields = [stmt for stmt in cls.body if isinstance(stmt, ast.AnnAssign)]
+        passed = []  # per call, the names of the fields it certainly passes
+        for call in calls[name]:
+            starred = [i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)]
+            positional = fields[:starred[0] if starred else len(call.args)]
+            passed.append({stmt.target.id for stmt in positional}
+                          | {k.arg for k in call.keywords})
+        unrelied += [f"{qualified}.{stmt.target.id}" for stmt in fields
+                     if stmt.value is not None and passed
+                     and all(stmt.target.id in names for names in passed)]
+    return sorted(unrelied)
+
+
 def _name_findings():
     """"module.name" of each public top-level function and class nothing references."""
     # (file, top-level statement) pairs; a definition's own body does not
@@ -180,7 +206,8 @@ def test_no_public_name_is_test_only():
 
 
 def test_every_default_is_relied_on():
-    _check(_call_findings()[0], "defaults that every production call overrides (R1)")
+    _check(_call_findings()[0] + _field_findings(),
+           "defaults that every production call overrides (R1)")
 
 
 def test_no_parameter_is_always_one_literal():
@@ -193,6 +220,7 @@ def test_every_class_member_is_read():
 
 def test_allowed_entries_are_still_found():
     # An entry whose finding is gone must leave ALLOWED with it.
-    found = set(_name_findings() + _member_findings()).union(*_call_findings())
+    found = set(_name_findings() + _member_findings() + _field_findings()).union(
+        *_call_findings())
     stale = sorted(ALLOWED - found)
     assert not stale, f"ALLOWED entries nothing flags any more: {stale}"

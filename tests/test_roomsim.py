@@ -31,9 +31,9 @@ REFERENCE_ROOM = RoomSpec(dims=[10.0, 7.5, 3.5], source_pos=[2.5, 3.73, 1.76],
 class TestSpecs:
     def test_source_must_be_inside(self):
         with pytest.raises(ValueError):
-            RoomSpec(dims=[4.0, 3.0, 2.5], source_pos=[4.0, 1.0, 1.0])
+            RoomSpec(dims=[4.0, 3.0, 2.5], source_pos=[4.0, 1.0, 1.0], absorption=0.35)
         with pytest.raises(ValueError):
-            RoomSpec(dims=[4.0, 3.0, 2.5], source_pos=[1.0, -0.1, 1.0])
+            RoomSpec(dims=[4.0, 3.0, 2.5], source_pos=[1.0, -0.1, 1.0], absorption=0.35)
 
     def test_absorption_scalar_broadcasts(self):
         room = RoomSpec(dims=[4.0, 3.0, 2.5], source_pos=[1.0, 1.0, 1.0],

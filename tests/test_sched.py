@@ -575,7 +575,7 @@ class TestCompareSchemes:
             return types.SimpleNamespace(toy_error=0.0)
 
         monkeypatch.setattr(sched, "run_training", fake_run)
-        room = RoomSpec(dims=[6.0, 5.0, 3.0], source_pos=[1.0, 1.0, 1.0])
+        room = RoomSpec(dims=[6.0, 5.0, 3.0], source_pos=[1.0, 1.0, 1.0], absorption=0.35)
         array = array_preset("chime4-6ch", center=[3.0, 2.5, 1.1])
         # Before: a given array was dropped when the room was absent, and a
         # given room without an array made SIMU fail.
