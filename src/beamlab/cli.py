@@ -85,6 +85,11 @@ def cmd_enhance(cfg: dict) -> int:
     if ref < -1:
         raise UsageError(f"--ref-channel must be -1 (select) or a channel index, got {ref}")
     window_size, hop = cfg["window_size"], cfg["hop"]
+    # A usage error opens no file; a bad checkpoint fails before the WAVs are read.
+    if cfg["masks"] == "oracle" and cfg["clean"] is None:
+        raise UsageError("--masks oracle requires --clean")
+    mask_params = (pipeline.load_checkpoint(_require(cfg, "checkpoint")).mask_params
+                   if cfg["masks"] == "checkpoint" else None)
     noisy = corpus_io.read_wav(in_path)
     if noisy.channels < 2:
         raise ValueError(
@@ -100,7 +105,7 @@ def cmd_enhance(cfg: dict) -> int:
     # One [T, F, C] spectrogram at most, the noisy one: the mask comes from
     # channel-0 spectrograms before it is built, and the SNR gain transforms
     # the clean channels one at a time.
-    mask = _channel_0_mask(cfg, noisy, clean)
+    mask = _channel_0_mask(mask_params, noisy, clean, window_size, hop)
     spec = stft(noisy, window_size, hop)
     del noisy
     # The adjoint is dropped at once: it holds the [T, F] noise mask.
@@ -125,16 +130,12 @@ def cmd_enhance(cfg: dict) -> int:
     return 0
 
 
-def _channel_0_mask(cfg: dict, noisy, clean) -> np.ndarray:
-    """[T, F] speech mask from channel 0: the ideal ratio mask of the clean and
-    noisy channel, or the checkpoint's mask net (its cache dropped at once)."""
-    window_size, hop = cfg["window_size"], cfg["hop"]
-    if cfg["masks"] == "checkpoint":
-        state = pipeline.load_checkpoint(_require(cfg, "checkpoint"))
+def _channel_0_mask(mask_params, noisy, clean, window_size: int, hop: int) -> np.ndarray:
+    """[T, F] speech mask from channel 0: mask_params' mask net (its cache dropped
+    at once), or if None the ideal ratio mask of the clean and noisy channel."""
+    if mask_params is not None:
         noisy_0 = _channel_bins(noisy, 0, window_size, hop)
-        return pipeline.mask_net_forward(state.mask_params, noisy_0[:, :, None])[0]
-    if clean is None:
-        raise UsageError("--masks oracle requires --clean")
+        return pipeline.mask_net_forward(mask_params, noisy_0[:, :, None])[0]
     clean_0 = _channel_bins(clean, 0, window_size, hop)
     return beamform.oracle_masks(clean_0, _channel_bins(noisy, 0, window_size, hop) - clean_0)
 

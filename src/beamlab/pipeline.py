@@ -16,6 +16,10 @@ Each differentiable operation's adjoint lives beside its forward
 `dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`); this
 module wires them into the joint graph.
 
+Gradients are plain dicts keyed like `param_arrays`: "mask.w1" ... "mask.b2"
+for the mask net, "am.w1" ... "am.b2" for the AM. `backward_joint` returns
+all eight keys, `backward_backend` the four "am.*" keys.
+
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
     constant (the argmax is not differentiated);
@@ -79,20 +83,6 @@ class TrainState:
     step: int = 0
 
 
-@dataclass
-class GradBundle:
-    """Gradients mirroring TrainState's trainable arrays."""
-
-    mask: dict
-    am: dict
-
-    def __post_init__(self):
-        for group in (self.mask, self.am):
-            for name, arr in group.items():
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"non-finite gradient for {name}")
-
-
 def init_mask_params(rng: np.random.Generator, hidden_dim: int) -> MaskNetParams:
     return MaskNetParams(**_backend.mlp2_init(rng, 3, hidden_dim, 1))
 
@@ -112,19 +102,11 @@ def init_train_state(
     return TrainState(mask_params=mask_params, am_params=am_params, seed=seed)
 
 
-def zeros_bundle(state: TrainState) -> GradBundle:
-    return GradBundle(
-        mask={n: np.zeros_like(getattr(state.mask_params, n)) for n in PARAM_NAMES},
-        am={n: np.zeros_like(getattr(state.am_params, n)) for n in PARAM_NAMES},
-    )
-
-
-def bundle_add(acc: GradBundle, other: GradBundle) -> None:
-    """In-place acc += other (deterministic ordered sum); names absent from other add 0."""
-    for name, grad in other.mask.items():
-        acc.mask[name] += grad
-    for name, grad in other.am.items():
-        acc.am[name] += grad
+def param_arrays(state: TrainState) -> dict:
+    """The live trainable arrays, keyed "mask.w1" ... "am.b2" like their gradients."""
+    return {f"{group}.{name}": getattr(params, name)
+            for group, params in (("mask", state.mask_params), ("am", state.am_params))
+            for name in PARAM_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +135,13 @@ def forward_backend(
     if spec.channels != 1:
         raise ValueError("backend path requires a single-channel spectrogram")
     tail = _backend_tail(am_params, spec, spec.bins[:, :, 0], labels, subsample_factor)
-    return tail["loss"], {"kind": "backend", "am_params": am_params, **tail}
+    return tail["loss"], {"am_params": am_params, **tail}
 
 
 def backward_backend(cache: dict) -> dict:
-    """AM parameter gradients for a forward_backend cache."""
-    if cache.get("kind") != "backend":
-        raise ValueError("cache was not produced by forward_backend")
+    """The "am.*" gradients for a forward_backend cache."""
     am_grads, _ = am_backward(cache["am_params"], cache["am"], cache["g_lattice"])
-    return am_grads
+    return {f"am.{name}": grad for name, grad in am_grads.items()}
 
 
 def _n_mels_for(am_params: AmParams) -> int:
@@ -213,7 +193,6 @@ def forward_joint(
     xhat, beam_vjp = apply_beamformer_vjp(h, bins)
     tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
     cache = {
-        "kind": "joint",
         "state": state,
         "mask_cache": mask_cache,
         "mvdr_vjp": mvdr_vjp,
@@ -229,10 +208,9 @@ def forward_joint(
 # ---------------------------------------------------------------------------
 
 
-def backward_joint(cache: dict) -> GradBundle:
-    """Exact reverse-mode gradients for every trainable array."""
-    if cache.get("kind") != "joint":
-        raise ValueError("cache was not produced by forward_joint")
+def backward_joint(cache: dict) -> dict:
+    """Exact reverse-mode gradients of a forward_joint cache for every trainable
+    array, keyed like param_arrays: "mask.w1" ... "mask.b2", "am.w1" ... "am.b2"."""
     state = cache["state"]
 
     # Back-end and feature stages (real-valued until |z|^2).
@@ -247,7 +225,8 @@ def backward_joint(cache: dict) -> GradBundle:
     g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
     mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit,
                                   input_grad=False)
-    return GradBundle(mask=mask_grads, am=am_grads)
+    return {**{f"mask.{name}": grad for name, grad in mask_grads.items()},
+            **{f"am.{name}": grad for name, grad in am_grads.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +270,9 @@ def finite_diff_check(
     loss0, cache = forward_joint(state, utt, labels, subsample_factor)
     if not np.isfinite(loss0):
         raise ValueError("non-finite loss at the evaluation point")
-    bundle = backward_joint(cache)
+    grads = backward_joint(cache)
     if corrupt_adjoint:
-        bundle.am["b2"][0] += 1.0
+        grads["am.b2"][0] += 1.0
     ref = cache["ref"]
 
     def loss_fn():
@@ -301,19 +280,12 @@ def finite_diff_check(
         return loss
 
     errors = {}
-    groups = [
-        ("mask", state.mask_params, bundle.mask),
-        ("am", state.am_params, bundle.am),
-    ]
-    for group_name, params, grads in groups:
-        for name in PARAM_NAMES:
-            array = getattr(params, name)
-            analytic = grads[name]
-            group_worst = 0.0
-            for index in np.ndindex(array.shape):
-                numeric = central_difference(loss_fn, array, index, epsilon)
-                group_worst = max(group_worst, _relative_error(analytic[index], numeric))
-            errors[f"{group_name}.{name}"] = group_worst
+    for key, array in param_arrays(state).items():
+        worst = 0.0
+        for index in np.ndindex(array.shape):
+            numeric = central_difference(loss_fn, array, index, epsilon)
+            worst = max(worst, _relative_error(grads[key][index], numeric))
+        errors[key] = worst
     return errors
 
 

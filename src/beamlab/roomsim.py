@@ -97,10 +97,6 @@ class RIR:
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("RIR taps must be finite")
 
-    @property
-    def channels(self) -> int:
-        return self.taps.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # Array presets

@@ -31,15 +31,13 @@ import numpy as np
 from .backend import LabelSequence, edit_distance, greedy_decode
 from .dsp import Waveform, check_subsample_factor, stft
 from .pipeline import (
-    GradBundle,
     TrainState,
     backward_backend,
     backward_joint,
-    bundle_add,
     forward_backend,
     forward_joint,
     init_train_state,
-    zeros_bundle,
+    param_arrays,
 )
 from .roomsim import MicArray, RoomSpec, array_preset, image_source_rir, \
     mix_at_snr, simulate_multichannel
@@ -211,15 +209,11 @@ def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Genera
 # ---------------------------------------------------------------------------
 
 
-def apply_sgd(state: TrainState, bundle: GradBundle, lr: float, batch_size: int) -> None:
-    """theta <- theta - lr * (summed gradients) / batch_size."""
+def apply_sgd(state: TrainState, grads: dict, lr: float, batch_size: int) -> None:
+    """theta <- theta - lr * (summed gradients) / batch_size; grads keyed like param_arrays."""
     scale = lr / batch_size
-    for name, grad in bundle.mask.items():
-        param = getattr(state.mask_params, name)
-        param -= scale * grad
-    for name, grad in bundle.am.items():
-        param = getattr(state.am_params, name)
-        param -= scale * grad
+    for key, param in param_arrays(state).items():
+        param -= scale * grads[key]
     state.step += 1
 
 
@@ -229,30 +223,40 @@ def apply_sgd(state: TrainState, bundle: GradBundle, lr: float, batch_size: int)
 
 
 def _utt_grads(state, specs, labels, cfg, utt_id, joint):
-    """Loss and GradBundle of one utterance, joint or back end alone (no mask gradient)."""
+    """Loss and gradient dict of one utterance, joint or back end alone (no "mask.*" keys).
+    A non-finite loss or gradient is a NumericalError naming the utterance."""
     spec, utt_labels = specs[utt_id], labels[utt_id]
     if joint:
         loss, cache = forward_joint(state, spec, utt_labels, subsample_factor=cfg.subsample)
     else:
         loss, cache = forward_backend(state.am_params, spec, utt_labels,
                                       subsample_factor=cfg.subsample)
+    where = f"at utterance '{utt_id}' ({'joint' if joint else 'single'} path)"
     if not np.isfinite(loss):
-        raise NumericalError(f"non-finite loss ({loss}) at utterance '{utt_id}' "
-                             f"({'joint' if joint else 'single'} path)")
-    return loss, (backward_joint(cache) if joint
-                  else GradBundle(mask={}, am=backward_backend(cache)))
+        raise NumericalError(f"non-finite loss ({loss}) {where}")
+    grads = backward_joint(cache) if joint else backward_backend(cache)
+    for key, grad in grads.items():
+        if not np.isfinite(grad).all():
+            raise NumericalError(f"non-finite gradient for {key} {where}")
+    return loss, grads
+
+
+def _zero_grads(state):
+    return {key: np.zeros_like(array) for key, array in param_arrays(state).items()}
 
 
 def _add_grads(total, loss_sum, results):
+    """total += each result's gradients by key (a back-end-only result adds no "mask.*")."""
     for loss, grads in results:
-        bundle_add(total, grads)
+        for key, grad in grads.items():
+            total[key] += grad
         loss_sum += loss
     return total, loss_sum
 
 
 def _sum_grads(state, specs, labels, cfg, utt_ids, joint):
     """The ordered sum from zero of the utterances' gradients and losses."""
-    return _add_grads(zeros_bundle(state), 0.0,
+    return _add_grads(_zero_grads(state), 0.0,
                       (_utt_grads(state, specs, labels, cfg, u, joint) for u in utt_ids))
 
 
@@ -277,7 +281,7 @@ def _run_batch(state, batch, specs, labels, cfg, helper) -> float:
     joint = batch.kind == MULTI
     theirs, own = _split(helper, state, batch.utt_ids, _sum_grads, lambda ids: [
         _utt_grads(state, specs, labels, cfg, u, joint) for u in ids], joint)
-    total, loss_sum = _add_grads(*(theirs or (zeros_bundle(state), 0.0)), own)
+    total, loss_sum = _add_grads(*(theirs or (_zero_grads(state), 0.0)), own)
     apply_sgd(state, total, cfg.learning_rate, len(batch.utt_ids))
     return loss_sum / len(batch.utt_ids)
 
@@ -436,7 +440,8 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
                 report.single_losses.append(float(np.mean(single_losses)))
             report.wall_clock_per_epoch.append(time.perf_counter() - t_epoch)
 
-        report.toy_error = evaluate_token_error(state, multi_set, cfg, specs, helper)
+        report.toy_error = evaluate_token_error(state, specs, labels, cfg,
+                                                [u.utt_id for u in multi_set], helper)
 
     report.counters = {
         "epochs": cfg.epochs,
@@ -479,19 +484,16 @@ def _token_errors(state, specs, labels, cfg, utt_ids) -> tuple:
     return total_err, total_ref
 
 
-def evaluate_token_error(state: TrainState, utts, cfg: ScheduleConfig, specs: dict,
-                         helper) -> float:
-    """Token error rate (S+I+D)/#ref of greedy joint-path decoding.
+def evaluate_token_error(state: TrainState, specs: dict, labels: dict, cfg: ScheduleConfig,
+                         utt_ids: list, helper) -> float:
+    """Token error rate (S+I+D)/#ref of greedy joint-path decoding of utt_ids.
 
-    specs maps each utterance id to its STFT (run_training's epoch cache);
-    decoding runs the joint forward without labels, so no CTC pass. The
-    counts are integers: their sum does not depend on a helper's split
-    (helper None: this process decodes every utterance).
+    specs and labels map each utterance id to its STFT and labels (run_training's
+    epoch cache); decoding runs the joint forward without labels, so no CTC
+    pass. The counts are integers: their sum does not depend on a helper's
+    split (helper None: this process decodes every utterance).
     """
-    if not utts:
-        return float("nan")
-    labels = {u.utt_id: u.labels for u in utts}
-    theirs, (err, ref) = _split(helper, state, [u.utt_id for u in utts], _token_errors,
+    theirs, (err, ref) = _split(helper, state, utt_ids, _token_errors,
                                 lambda ids: _token_errors(state, specs, labels, cfg, ids))
     helper_err, helper_ref = theirs or (0, 0)
     return (err + helper_err) / max(ref + helper_ref, 1)

@@ -93,6 +93,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.wav"), "--masks", "checkpoint",
                      "--checkpoint", str(tmp_path / "ck.json")]) == 2
 
+    @pytest.mark.parametrize("masks,flag", [("checkpoint", "--checkpoint"),
+                                            ("oracle", "--clean")])
+    def test_missing_mask_source_is_usage_error_before_any_read(self, tmp_path, capsys,
+                                                                masks, flag):
+        # The input does not exist: the option check comes before any file is opened.
+        assert main(["enhance", "--input", str(tmp_path / "nope.wav"),
+                     "--out", str(tmp_path / "o.wav"), "--masks", masks]) == 1
+        assert flag in capsys.readouterr().err
+
     def test_corrupt_adjoint_is_numerical_error(self):
         assert main(["gradcheck", "--corrupt-adjoint"]) == 3
 

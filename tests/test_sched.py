@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamlab import pipeline, sched
+from beamlab import cli, pipeline, sched
 from beamlab.roomsim import RoomSpec, array_preset
 from beamlab.sched import (
     MODES,
@@ -153,6 +153,21 @@ class TestPlanEpoch:
         a = plan_epoch(multi, single, cfg, _rng(5))
         b = plan_epoch(multi, single, cfg, _rng(5))
         assert [(x.kind, x.utt_ids) for x in a] == [(x.kind, x.utt_ids) for x in b]
+
+
+class TestGradSums:
+    def test_zeros_and_add(self):
+        state = sched._init_state(_cfg(), _rng(14))
+        total = sched._zero_grads(state)
+        one = sched._zero_grads(state)
+        one["am.b2"][0] = 2.0
+        one["mask.b2"][0] = -1.0
+        total, loss_sum = sched._add_grads(total, 0.0, [(1.0, one), (0.5, one)])
+        assert (total["am.b2"][0], total["mask.b2"][0], loss_sum) == (4.0, -2.0, 1.5)
+        # A back-end-only result has no "mask.*" keys; the mask sums are kept.
+        am_only = {key: grad for key, grad in one.items() if key.startswith("am.")}
+        total, _ = sched._add_grads(total, loss_sum, [(1.0, am_only)])
+        assert (total["am.b2"][0], total["mask.b2"][0]) == (6.0, -2.0)
 
 
 class TestSchemes:
@@ -410,21 +425,33 @@ class TestBatchSplit:
         alone = run_training(_cfg(), multi, [])
         assert (pooled.epoch_losses, pooled.toy_error) == (alone.epoch_losses, alone.toy_error)
 
-    @pytest.mark.parametrize("bad", [[0], [1], [2], [3], [0, 1, 2, 3]],
-                             ids=["utt0", "utt1", "utt2", "utt3", "all"])
-    def test_first_non_finite_utterance_is_named(self, monkeypatch, bad):
+    @pytest.mark.parametrize("bad,grad", [([0], False), ([1], False), ([2], False),
+                                          ([3], False), ([0, 1, 2, 3], False), ([2], True)],
+                             ids=["utt0", "utt1", "utt2", "utt3", "all", "grad-utt2"])
+    def test_first_non_finite_utterance_is_named(self, monkeypatch, tmp_path, capsys, bad,
+                                                 grad):
         # One batch of 4: the helper computes the first 2 in batch order, so
-        # a NaN on either side, or on all, must name what one process names.
+        # a NaN loss (or a NaN "mask.w1" gradient) on either side, or on all,
+        # must name what one process names. The bad utterances are told by
+        # their labels, so a run of `cli train` on the same corpus finds them.
         multi, _, _ = _toy_sets(n_multi=4, n_single=0, seed=9)
-        bad_labels = [multi[i].labels for i in bad]
-        forward_joint = sched.forward_joint
+        bad_labels = [tuple(multi[i].labels.ids) for i in bad]
+        forward_joint, backward_joint = sched.forward_joint, sched.backward_joint
 
         def nan_forward(state, spec, labels, **kwargs):
             loss, cache = forward_joint(state, spec, labels, **kwargs)
-            return (float("nan") if any(labels is b for b in bad_labels) else loss), cache
+            cache["bad"] = labels is not None and tuple(labels.ids) in bad_labels
+            return (float("nan") if cache["bad"] and not grad else loss), cache
 
-        # Patched before the run, so the forked helper inherits it.
+        def nan_backward(cache):
+            grads = backward_joint(cache)
+            if cache["bad"]:
+                grads["mask.w1"][0, 0] = np.nan
+            return grads
+
+        # Patched before the run, so the forked helper inherits them.
         monkeypatch.setattr(sched, "forward_joint", nan_forward)
+        monkeypatch.setattr(sched, "backward_joint", nan_backward)
         messages = {}
         for cpus in (2, 1):
             _usable_cpus(monkeypatch, cpus)
@@ -435,6 +462,18 @@ class TestBatchSplit:
         assert messages[2] == messages[1]
         if len(bad) == 1:
             assert f"utterance '{multi[bad[0]].utt_id}'" in messages[1]
+        if grad:
+            assert "non-finite gradient for mask.w1" in messages[1]
+            # make-corpus writes the same toy corpus: train is a numerical failure.
+            assert cli.main(["make-corpus", "--out-dir", str(tmp_path), "--n-multi", "4",
+                             "--n-single", "0", "--seed", "9"]) == 0
+            capsys.readouterr()
+            assert cli.main(["train", "--mode", "JO_ONLY", "--epochs", "1",
+                             "--multi-batch-size", "4", "--seed", "0",
+                             "--multi-manifest", str(tmp_path / "multi.jsonl"),
+                             "--vocab", str(tmp_path / "vocab.txt"),
+                             "--report", str(tmp_path / "r.json")]) == 3
+            assert capsys.readouterr().err == f"numerical failure: {messages[1]}\n"
 
 
 # Reports of the parent implementation of the harness (seed 0, 4/6 toy split
