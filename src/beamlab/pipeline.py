@@ -271,6 +271,9 @@ def finite_diff_check(
     if not np.isfinite(loss0):
         raise ValueError("non-finite loss at the evaluation point")
     grads = backward_joint(cache)
+    for key, grad in grads.items():
+        if not np.isfinite(grad).all():
+            raise ValueError(f"non-finite analytic gradient for {key}")
     if corrupt_adjoint:
         grads["am.b2"][0] += 1.0
     ref = cache["ref"]

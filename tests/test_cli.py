@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamlab import beamform, cli, corpus_io, roomsim
+from beamlab import beamform, cli, corpus_io, pipeline, roomsim
 from beamlab.cli import main
 from beamlab.dsp import Waveform
 from beamlab.sched import ScheduleConfig, toy_room
@@ -104,6 +104,18 @@ class TestExitCodes:
 
     def test_corrupt_adjoint_is_numerical_error(self):
         assert main(["gradcheck", "--corrupt-adjoint"]) == 3
+
+    def test_non_finite_analytic_gradient_fails_gradcheck(self, monkeypatch, capsys):
+        backward = pipeline.backward_joint
+
+        def nan_backward(cache):
+            grads = backward(cache)
+            grads["am.b2"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(pipeline, "backward_joint", nan_backward)
+        assert main(["gradcheck"]) == 2
+        assert "am.b2" in capsys.readouterr().err
 
     def test_workers_flag_is_gone(self, capsys):
         # No subcommand takes --workers: run_training picks one or two processes itself.

@@ -231,6 +231,21 @@ class TestBackwardJoint:
                                     corrupt_adjoint=True).values())
         assert err >= 1e-4
 
+    def test_non_finite_analytic_gradient_is_rejected(self, monkeypatch):
+        # A NaN gradient gives a NaN relative error, which no tolerance test can catch.
+        backward = pipeline.backward_joint
+
+        def nan_backward(cache):
+            grads = backward(cache)
+            grads["am.b2"][0] = np.nan
+            return grads
+
+        monkeypatch.setattr(pipeline, "backward_joint", nan_backward)
+        state, utt, labels = _tiny_instance(11, frames=12, am_hidden=4, mask_hidden=3)
+        with pytest.raises(ValueError, match="non-finite analytic gradient for am.b2"):
+            finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
+                              corrupt_adjoint=False)
+
     def test_invalid_epsilon(self):
         state, utt, labels = _tiny_instance(10)
         for eps in (0.0, -1e-5, np.inf, np.nan):
