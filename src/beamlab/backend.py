@@ -4,6 +4,10 @@ The acoustic model is a deliberately small 2-layer net over +-3-frame
 context windows (affine -> tanh -> affine -> log-softmax). CTC is the plain
 node-potential objective; the forward-backward recursions run entirely in
 log space with blank id 0 and no rescaling.
+
+The AM and the pipeline's mask net are both 2-layer tanh nets with one
+parameter type, Mlp2Params, and one forward/backward (mlp2_forward,
+mlp2_backward); AmParams adds only the AM's context window.
 """
 
 from dataclasses import dataclass
@@ -42,34 +46,36 @@ class LabelSequence:
         return int(self.ids.size)
 
 
-def coerce_finite_params(params, label: str) -> None:
-    """Cast params.w1/b1/w2/b2 to float64 in place; all entries must be finite."""
-    for name in PARAM_NAMES:
-        arr = np.asarray(getattr(params, name), dtype=np.float64)
-        setattr(params, name, arr)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{label} parameter {name} must be finite")
-
-
 @dataclass
-class AmParams:
-    """Weights of the 2-layer context-window net.
-
-    w1: [(2*context+1)*feat_dim, hidden], w2: [hidden, vocab_size+1].
-    """
+class Mlp2Params:
+    """Weights of a 2-layer tanh net (mlp2_forward), float64 and finite: w1 [in, H],
+    b1 [H], w2 [H, out], b2 [out]. The mask net's parameters are one as they are."""
 
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+
+    def __post_init__(self):
+        for name in PARAM_NAMES:
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, arr)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"parameter {name} must be finite")
+        if (self.w1.ndim != 2 or self.b1.shape != self.w1.shape[1:] or self.b2.ndim != 1
+                or self.w2.shape != self.b1.shape + self.b2.shape):
+            raise ValueError("layer shapes do not chain as w1 [in, H], b1 [H], w2 [H, out], "
+                             f"b2 [out]: {[getattr(self, n).shape for n in PARAM_NAMES]}")
+
+
+@dataclass
+class AmParams(Mlp2Params):
+    """The AM's net over context windows: w1 [(2*context+1)*feat_dim, H], w2 [H, vocab_size+1]."""
+
     context: int
 
     def __post_init__(self):
-        coerce_finite_params(self, "AM")
-        if self.w1.shape[1] != self.b1.shape[0] or self.w2.shape[1] != self.b2.shape[0]:
-            raise ValueError("bias shapes must match weight output dims")
-        if self.w1.shape[1] != self.w2.shape[0]:
-            raise ValueError("hidden dims of the two layers must agree")
+        super().__post_init__()
         if self.context < 0:
             raise ValueError("context must be >= 0")
         if self.w1.shape[0] % (2 * self.context + 1) != 0:

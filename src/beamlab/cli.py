@@ -271,8 +271,6 @@ def cmd_train(cfg: dict) -> int:
 
     room = roomsim.room_from_dict(cfg["room"]) if cfg["room"] else None
     array = roomsim.array_from_dict(cfg["array"]) if cfg["array"] else None
-    if cfg["mode"] == "SIMU":
-        room, array = sched.toy_scene(room, array)
 
     schedule = sched.ScheduleConfig(
         **{f.name: cfg[f.name] for f in fields(sched.ScheduleConfig)

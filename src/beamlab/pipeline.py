@@ -16,9 +16,10 @@ Each differentiable operation's adjoint lives beside its forward
 `dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`); this
 module wires them into the joint graph.
 
-Gradients are plain dicts keyed like `param_arrays`: "mask.w1" ... "mask.b2"
-for the mask net, "am.w1" ... "am.b2" for the AM. `backward_joint` returns
-all eight keys, `backward_backend` the four "am.*" keys.
+Both nets have one parameter type, `backend.Mlp2Params` (the AM's `AmParams`
+adds its context window). Gradients are plain dicts keyed like `param_arrays`:
+"mask.w1" ... "mask.b2" for the mask net, "am.w1" ... "am.b2" for the AM.
+`backward_joint` returns all eight keys, `backward_backend` the four "am.*" keys.
 
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend as _backend
-from .backend import PARAM_NAMES, AmParams, LabelSequence, am_backward, \
+from .backend import PARAM_NAMES, AmParams, LabelSequence, Mlp2Params, am_backward, \
     am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
 from .beamform import apply_beamformer_vjp, mvdr_weights
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
@@ -50,41 +51,13 @@ REL_ERROR_FLOOR = 1e-5
 
 
 @dataclass
-class MaskNetParams:
-    """2-layer net from per-(t,f) log-magnitude context to a mask logit.
-
-    Its first layer is a 3-tap filter over frequency: w1 [3, H] weighs the
-    (f-1, f, f+1) log magnitudes of the first channel (edges replicated);
-    output is one sigmoid speech-mask logit.
-    """
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def __post_init__(self):
-        _backend.coerce_finite_params(self, "mask-net")
-        if self.w1.shape[0] != 3:
-            raise ValueError("mask net consumes 3 log-magnitude context values")
-        if self.w1.shape[1] != self.b1.shape[0]:
-            raise ValueError("b1 must match w1 output dim")
-        if self.w2.shape != (self.w1.shape[1], 1) or self.b2.shape != (1,):
-            raise ValueError("second layer must map hidden -> 1 logit")
-
-
-@dataclass
 class TrainState:
     """Everything trainable plus bookkeeping; serializable to a checkpoint."""
 
-    mask_params: MaskNetParams
+    mask_params: Mlp2Params  # 3 log magnitudes in, 1 logit out: see mask_net_forward
     am_params: AmParams
     seed: int
     step: int = 0
-
-
-def init_mask_params(rng: np.random.Generator, hidden_dim: int) -> MaskNetParams:
-    return MaskNetParams(**_backend.mlp2_init(rng, 3, hidden_dim, 1))
 
 
 def init_train_state(
@@ -97,7 +70,7 @@ def init_train_state(
     seed: int = 0,
 ) -> TrainState:
     """Fresh parameters; AM consumes fbank+delta+delta-delta (3*n_mels dims)."""
-    mask_params = init_mask_params(rng, mask_hidden)
+    mask_params = Mlp2Params(**_backend.mlp2_init(rng, 3, mask_hidden, 1))
     am_params = _backend.init_am_params(rng, 3 * n_mels, am_hidden, vocab_size, context)
     return TrainState(mask_params=mask_params, am_params=am_params, seed=seed)
 
@@ -155,10 +128,10 @@ def _n_mels_for(am_params: AmParams) -> int:
 # ---------------------------------------------------------------------------
 
 
-def mask_net_forward(mask_params: MaskNetParams, bins: np.ndarray):
-    """Speech mask in (0,1) from channel-0 log magnitudes, [T, F].
-    The context is the edge-padded log magnitude at f-1, f, f+1: three [T, F]
-    planes, so the first layer is a 3-tap filter over frequency."""
+def mask_net_forward(mask_params: Mlp2Params, bins: np.ndarray):
+    """Speech mask in (0,1) from channel-0 log magnitudes, [T, F]: a sigmoid over
+    the mask net's one logit. The context is the edge-padded log magnitude at
+    f-1, f, f+1: three [T, F] planes, so w1 [3, H] is a 3-tap filter over frequency."""
     n_frames, n_bins = bins.shape[:2]
     x = bins[:, :, 0]
     planes = np.empty((3, n_frames, n_bins))
@@ -287,6 +260,8 @@ def finite_diff_check(
         worst = 0.0
         for index in np.ndindex(array.shape):
             numeric = central_difference(loss_fn, array, index, epsilon)
+            if not np.isfinite(numeric):
+                raise ValueError(f"non-finite perturbed loss for {key} at index {index}")
             worst = max(worst, _relative_error(grads[key][index], numeric))
         errors[key] = worst
     return errors
@@ -327,18 +302,22 @@ def load_checkpoint(path) -> TrainState:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version in {path}: {version}")
     try:
-        mp = payload["mask_params"]
-        ap = payload["am_params"]
-        mask_params = MaskNetParams(**{n: np.asarray(mp[n]) for n in PARAM_NAMES})
-        am_params = AmParams(**{n: np.asarray(ap[n]) for n in PARAM_NAMES},
-                             context=int(ap["context"]))
-        return TrainState(
-            mask_params=mask_params,
-            am_params=am_params,
-            step=int(payload["step"]),
-            seed=int(payload["seed"]),
-        )
+        arrays = {group: {n: np.asarray(payload[group][n]) for n in PARAM_NAMES}
+                  for group in ("mask_params", "am_params")}
+        context, step, seed = (int(payload["am_params"]["context"]), int(payload["step"]),
+                               int(payload["seed"]))
     except KeyError as exc:
         raise ValueError(f"corrupted checkpoint {path}: missing field {exc}") from None
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"corrupted checkpoint {path}: {exc}") from None
+    try:
+        group = "mask_params"
+        mask_params = Mlp2Params(**arrays[group])
+        if mask_params.w1.shape[0] != 3 or mask_params.w2.shape[1] != 1:
+            raise ValueError("the mask net maps 3 log magnitudes to 1 logit, "
+                             f"not w1 {mask_params.w1.shape} and w2 {mask_params.w2.shape}")
+        group = "am_params"
+        am_params = AmParams(**arrays[group], context=context)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"corrupted checkpoint {path}: {group}: {exc}") from None
+    return TrainState(mask_params=mask_params, am_params=am_params, step=step, seed=seed)

@@ -89,8 +89,8 @@ class ScheduleConfig:
     learning_rate: float = 0.05
     seed: int = 0
     pretrain_epochs: int = 0
-    room: RoomSpec | None = None  # SIMU only
-    array: MicArray | None = None  # SIMU only
+    room: RoomSpec | None = None  # SIMU only; None there is toy_room()
+    array: MicArray | None = None  # SIMU only; None there is toy_array()
     snr_db: float = 10.0
     max_order: int = 2
     # Feature / model hyper-parameters (toy-scale defaults).
@@ -110,8 +110,9 @@ class ScheduleConfig:
             raise ValueError("epochs and multi_batch_size must be positive")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
-        if self.mode == "SIMU" and (self.room is None or self.array is None):
-            raise ValueError("SIMU mode requires room and array settings")
+        if self.mode == "SIMU":
+            self.room = toy_room() if self.room is None else self.room
+            self.array = toy_array() if self.array is None else self.array
         for name, low in (("pretrain_epochs", 0), ("n_mels", 1), ("am_hidden", 1),
                           ("mask_hidden", 1), ("context", 0), ("vocab_size", 1)):
             if getattr(self, name) < low:
@@ -333,18 +334,6 @@ def _spawn_streams(seed: int):
     }
 
 
-def _init_state(cfg: ScheduleConfig, rng: np.random.Generator) -> TrainState:
-    return init_train_state(
-        rng,
-        n_mels=cfg.n_mels,
-        vocab_size=cfg.vocab_size,
-        am_hidden=cfg.am_hidden,
-        mask_hidden=cfg.mask_hidden,
-        context=cfg.context,
-        seed=cfg.seed,
-    )
-
-
 def _pretrain(state, cfg, ids, specs, labels, rng, helper) -> list:
     """AM-only epochs over the single-channel ids; mutates state.am_params."""
     losses = []
@@ -374,13 +363,12 @@ def _simulate_single_set(single_set, cfg: ScheduleConfig, rng):
     """(utt_id, STFT, labels) of each single-channel utterance rendered to a
     multi-channel scene (SIMU), one at a time: no render outlives its STFT.
 
-    Per utterance, in order: render, draw the noise, mix.
+    Per utterance, in order: render, draw the noise, mix. One RIR per sample rate.
     """
-    if not single_set:
-        return
-    rir = image_source_rir(cfg.room, cfg.array, cfg.max_order,
-                           single_set[0].wave.sample_rate)
+    rirs = {rate: image_source_rir(cfg.room, cfg.array, cfg.max_order, rate)
+            for rate in {utt.wave.sample_rate for utt in single_set}}
     for utt in single_set:
+        rir = rirs[utt.wave.sample_rate]
         yield (utt.utt_id + SIM_SUFFIX,
                stft(_render_noisy(utt.wave, rir, cfg.snr_db, rng), cfg.window_size, cfg.hop),
                utt.labels)
@@ -403,7 +391,9 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
         raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
 
     streams = _spawn_streams(cfg.seed)
-    state = _init_state(cfg, streams["init"])
+    state = init_train_state(streams["init"], n_mels=cfg.n_mels, vocab_size=cfg.vocab_size,
+                             am_hidden=cfg.am_hidden, mask_hidden=cfg.mask_hidden,
+                             context=cfg.context, seed=cfg.seed)
     report = Report(mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg))
 
     # One STFT per utterance per run: pretraining, the epochs and the final decode share it.
@@ -513,12 +503,6 @@ def toy_array() -> MicArray:
     return array_preset("desk-4ch", center=[3.2, 2.6, 1.1])
 
 
-def toy_scene(room: RoomSpec | None, array: MicArray | None) -> tuple[RoomSpec, MicArray]:
-    """room and array, each one that is None replaced by its toy default."""
-    return (room if room is not None else toy_room(),
-            array if array is not None else toy_array())
-
-
 def _tone_burst(freq: float, sample_rate: int) -> np.ndarray:
     n = int(TOY_BURST_SECONDS * sample_rate)
     t = np.arange(n) / sample_rate
@@ -618,11 +602,7 @@ def compare_schemes(cfg: ScheduleConfig, multi_set, single_set, seeds) -> dict:
     for mode in MODES:
         errors = []
         for seed in seeds:
-            changes = {"mode": mode, "seed": int(seed)}
-            if mode == "SIMU":
-                changes["room"], changes["array"] = toy_scene(cfg.room, cfg.array)
-            run_cfg = replace(cfg, **changes)
-            report = run_training(run_cfg, multi_set, single_set)
+            report = run_training(replace(cfg, mode=mode, seed=int(seed)), multi_set, single_set)
             errors.append(report.toy_error)
         per_scheme[mode] = {
             "errors": errors,

@@ -11,6 +11,7 @@ from beamlab import backend
 from beamlab.backend import (
     AmParams,
     LabelSequence,
+    Mlp2Params,
     am_backward,
     am_forward_cached,
     collapse_path,
@@ -140,6 +141,27 @@ class TestContainers:
         with pytest.raises(ValueError):
             AmParams(w1=rng.normal(size=(13, 8)), b1=np.zeros(8),
                      w2=rng.normal(size=(8, 4)), b2=np.zeros(4), context=3)  # 13 % 7 != 0
+
+    def test_mlp2_params_cast_and_validated(self):
+        # One type for both nets: float64, finite, w1 [in, H] b1 [H] w2 [H, out] b2 [out].
+        good = {"w1": np.ones((3, 2), dtype=np.float32), "b1": [0, 0],
+                "w2": np.ones((2, 1)), "b2": np.zeros(1)}
+        params = Mlp2Params(**good)
+        assert all(getattr(params, n).dtype == np.float64 for n in good)
+        bad_shapes = ({"b1": np.zeros(3)}, {"w2": np.ones((3, 1))}, {"b2": np.zeros(2)},
+                      {"w1": np.ones(3)}, {"b2": np.zeros((1, 1))})
+        for bad in bad_shapes:
+            with pytest.raises(ValueError, match="do not chain"):
+                Mlp2Params(**{**good, **bad})
+        with pytest.raises(ValueError, match="parameter w2 must be finite"):
+            Mlp2Params(**{**good, "w2": np.array([[1.0], [np.nan]])})
+        # AmParams is one, with a context window: w1 rows (2*1+1)*2.
+        am = AmParams(w1=np.ones((6, 2)), b1=np.zeros(2), w2=np.ones((2, 4)), b2=np.zeros(4),
+                      context=1)
+        assert isinstance(am, Mlp2Params) and am.feat_dim == 2
+        with pytest.raises(ValueError, match="do not chain"):
+            AmParams(w1=np.ones((6, 2)), b1=np.zeros(3), w2=np.ones((2, 4)), b2=np.zeros(4),
+                     context=1)
 
 
 def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon=1e-5) -> float:

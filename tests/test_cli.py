@@ -117,6 +117,18 @@ class TestExitCodes:
         assert main(["gradcheck"]) == 2
         assert "am.b2" in capsys.readouterr().err
 
+    def test_non_finite_perturbed_loss_fails_gradcheck(self, monkeypatch, capsys):
+        forward, calls = pipeline.forward_joint, []
+
+        def inf_on_second_call(*args, **kwargs):
+            loss, cache = forward(*args, **kwargs)
+            calls.append(loss)
+            return (np.inf if len(calls) == 2 else loss), cache
+
+        monkeypatch.setattr(pipeline, "forward_joint", inf_on_second_call)
+        assert main(["gradcheck"]) == 2
+        assert "non-finite perturbed loss for mask.w1 at index (0, 0)" in capsys.readouterr().err
+
     def test_workers_flag_is_gone(self, capsys):
         # No subcommand takes --workers: run_training picks one or two processes itself.
         for argv in (["gradcheck"], ["score"], ["make-corpus"]):
@@ -267,7 +279,8 @@ class TestEnhance:
         assert "single-channel" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["not JSON", "list payload", "list mask_params",
-                                        "null context", "scalar w1"])
+                                        "null context", "scalar w1", "mask w1 [4, H]",
+                                        "mask w2 [H, 2]"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage):
         # All but "not JSON" once escaped as tracebacks (exit 1, the usage-error code).
         from beamlab.pipeline import init_train_state, save_checkpoint
@@ -285,12 +298,20 @@ class TestEnhance:
             payload["am_params"]["context"] = None
         elif damage == "scalar w1":
             payload["am_params"]["w1"] = 0.5
+        elif damage == "mask w1 [4, H]":  # the mask net reads 3 log magnitudes
+            payload["mask_params"]["w1"].append(payload["mask_params"]["w1"][0])
+        elif damage == "mask w2 [H, 2]":  # and writes 1 logit
+            payload["mask_params"]["w2"] = [row * 2 for row in payload["mask_params"]["w2"]]
+            payload["mask_params"]["b2"] *= 2
         text = json.dumps(payload)
         ck.write_text(text[1:] if damage == "not JSON" else text)
         code = main(["enhance", "--input", str(noisy), "--out", str(tmp_path / "enh.wav"),
                      "--masks", "checkpoint", "--checkpoint", str(ck)])
         assert code == 2
-        assert f"corrupted checkpoint {ck}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"corrupted checkpoint {ck}" in err
+        if damage.startswith("mask "):
+            assert f"corrupted checkpoint {ck}: mask_params:" in err
 
     def test_checkpoint_masks(self, tmp_path):
         from beamlab.pipeline import init_train_state, save_checkpoint

@@ -6,17 +6,15 @@ import pytest
 from scipy.special import expit
 
 from beamlab import pipeline
-from beamlab.backend import LabelSequence
+from beamlab.backend import LabelSequence, Mlp2Params, mlp2_init
 from beamlab.beamform import mvdr_weights
 from beamlab.dsp import LOG_FLOOR, Spectrogram, mel_filterbank
 from beamlab.pipeline import (
-    MaskNetParams,
     TrainState,
     finite_diff_check,
     forward_backend,
     forward_joint,
     init_train_state,
-    init_mask_params,
     load_checkpoint,
     mask_net_forward,
     save_checkpoint,
@@ -186,7 +184,7 @@ class TestMaskNet:
         # The [T*F, 3] clipped-index gather the three shifted planes replaced.
         rng = _rng(20 + n_bins)
         bins = rng.normal(size=(7, n_bins, 2)) + 1j * rng.normal(size=(7, n_bins, 2))
-        _, cache = mask_net_forward(init_mask_params(rng, hidden_dim=8), bins)
+        _, cache = mask_net_forward(Mlp2Params(**mlp2_init(rng, 3, 8, 1)), bins)
         x = bins[:, :, 0]
         logmag = 0.5 * np.log(x.real ** 2 + x.imag ** 2 + LOG_FLOOR)
         idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
@@ -196,7 +194,7 @@ class TestMaskNet:
         # The parent formulation end to end: |x|^2 via abs, gather, row-major MLP.
         rng = _rng(30)
         bins = rng.normal(size=(9, 17, 3)) + 1j * rng.normal(size=(9, 17, 3))
-        params = init_mask_params(rng, hidden_dim=8)
+        params = Mlp2Params(**mlp2_init(rng, 3, 8, 1))
         params.b1, params.b2 = rng.normal(size=8), rng.normal(size=1)
         mask, _ = mask_net_forward(params, bins)
         logmag = 0.5 * np.log(np.abs(bins[:, :, 0]) ** 2 + LOG_FLOOR)
@@ -245,6 +243,27 @@ class TestBackwardJoint:
         with pytest.raises(ValueError, match="non-finite analytic gradient for am.b2"):
             finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
                               corrupt_adjoint=False)
+
+    def test_non_finite_perturbed_loss_is_rejected(self, monkeypatch):
+        # Before: the NaN central difference gave a NaN relative error, which
+        # max() dropped, and the entry counted as checked.
+        forward, calls = pipeline.forward_joint, []
+
+        def nan_on_fourth_call(*args, **kwargs):
+            loss, cache = forward(*args, **kwargs)
+            calls.append(loss)
+            return (np.nan if len(calls) == 4 else loss), cache
+
+        monkeypatch.setattr(pipeline, "forward_joint", nan_on_fourth_call)
+        state, utt, labels = _tiny_instance(11, frames=12, am_hidden=4, mask_hidden=3)
+        w1 = state.mask_params.w1.copy()
+        # Call 1 is the evaluation point, calls 2-3 perturb mask.w1[0, 0], 4-5 mask.w1[0, 1].
+        with pytest.raises(ValueError, match=r"non-finite perturbed loss for mask.w1 at "
+                                             r"index \(0, 1\)"):
+            finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
+                              corrupt_adjoint=False)
+        assert len(calls) == 5
+        np.testing.assert_array_equal(state.mask_params.w1, w1)  # the entry is restored
 
     def test_invalid_epsilon(self):
         state, utt, labels = _tiny_instance(10)

@@ -39,8 +39,6 @@ def _toy_sets(n_multi=8, n_single=12, seed=0, vocab=6):
 def _cfg(**kw):
     defaults = dict(mode="JO_ONLY", epochs=2, multi_batch_size=4, seed=0)
     defaults.update(kw)
-    if defaults["mode"] == "SIMU" and "room" not in kw:
-        defaults["room"], defaults["array"] = toy_room(), toy_array()
     return ScheduleConfig(**defaults)
 
 
@@ -56,7 +54,9 @@ def _pretrained(cfg, single_set):
     """PT's first stage as run_training runs it, in one process: a fresh
     state, then the AM-only pretraining epochs over the single set's STFTs."""
     streams = sched._spawn_streams(cfg.seed)
-    state = sched._init_state(cfg, streams["init"])
+    state = pipeline.init_train_state(
+        streams["init"], n_mels=cfg.n_mels, vocab_size=cfg.vocab_size, am_hidden=cfg.am_hidden,
+        mask_hidden=cfg.mask_hidden, context=cfg.context, seed=cfg.seed)
     specs = {u.utt_id: sched.stft(u.wave, cfg.window_size, cfg.hop) for u in single_set}
     labels = {u.utt_id: u.labels for u in single_set}
     sched._pretrain(state, cfg, list(specs), specs, labels, streams["pretrain"], None)
@@ -157,7 +157,8 @@ class TestPlanEpoch:
 
 class TestGradSums:
     def test_zeros_and_add(self):
-        state = sched._init_state(_cfg(), _rng(14))
+        state = pipeline.init_train_state(_rng(14), n_mels=4, vocab_size=3, am_hidden=5,
+                                          mask_hidden=3)
         total = sched._zero_grads(state)
         one = sched._zero_grads(state)
         one["am.b2"][0] = 2.0
@@ -254,9 +255,27 @@ class TestSchemes:
         # costs, so they reconcile within a factor of two.
         assert predicted == pytest.approx(measured, rel=1.0)
 
-    def test_simu_requires_room(self):
-        with pytest.raises(ValueError, match="SIMU"):
-            ScheduleConfig(mode="SIMU", epochs=1, multi_batch_size=2, seed=0)
+    def test_simu_without_a_scene_gets_the_toy_room_and_array(self):
+        # Before: a SIMU config without a room and an array was a ValueError.
+        settings = dict(epochs=1, multi_batch_size=2, seed=0)
+        given = ScheduleConfig(mode="SIMU", room=toy_room(), array=toy_array(), **settings)
+        filled = ScheduleConfig(mode="SIMU", **settings)
+        assert sched.config_to_dict(filled) == sched.config_to_dict(given)
+        # The other modes render nothing and get no scene.
+        ds = ScheduleConfig(mode="DS", **settings)
+        assert (ds.room, ds.array) == (None, None)
+
+    def test_single_set_of_mixed_sample_rates_trains(self):
+        # Before: SIMU rendered every single utterance through one RIR at the
+        # first one's rate, and the 16 kHz utterances failed with "sample rate
+        # mismatch between source and RIR"; DS trained.
+        multi, single, _ = _toy_sets(n_multi=4, n_single=2, seed=9)
+        _, single_16k, _ = generate_toy_corpus(0, 2, 6, _rng(10), sample_rate=16000)
+        single += [replace(u, utt_id=u.utt_id + "-16k") for u in single_16k]
+        for mode in ("DS", "SIMU"):
+            report = run_training(_cfg(mode=mode, epochs=1, multi_batch_size=2), multi, single)
+            assert np.isfinite(report.epoch_losses).all(), mode
+        assert report.counters["frontend_utts_per_epoch"] == 8
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
