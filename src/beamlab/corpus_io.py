@@ -41,43 +41,47 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def read_wav(path) -> Waveform:
-    """Load a RIFF/WAVE file (PCM16 or float32), samples scaled to [-1, 1]."""
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
-            raise ValueError("unsupported codec: not a RIFF/WAVE file")
-        fmt = None
-        data = None
-        while True:
-            chunk_header = fh.read(8)
-            if len(chunk_header) == 0:
-                break
-            if len(chunk_header) < 8:
-                raise ValueError("truncated WAV file: incomplete chunk header")
-            chunk_id, size = struct.unpack("<4sI", chunk_header)
-            if chunk_id == b"fmt ":
-                fmt = struct.unpack("<HHIIHH", _read_exact(fh, 16, "fmt chunk")[:16])
-                if size > 16:
-                    _read_exact(fh, size - 16, "fmt extension")
-            elif chunk_id == b"data":
-                data = _read_exact(fh, size, "data chunk")
-            else:
-                _read_exact(fh, size + (size & 1), f"'{chunk_id.decode(errors='replace')}' chunk")
-    if fmt is None or data is None:
-        raise ValueError("truncated WAV file: missing fmt or data chunk")
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if audio_format == _PCM16 and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
-        raise ValueError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
-    if channels < 1:
-        raise ValueError("unsupported codec: zero channels in header")
-    if raw.size % channels != 0:
-        raise ValueError("truncated WAV file: data size not a multiple of the frame size")
-    samples = raw.reshape(-1, channels).T
-    return Waveform(samples=samples, sample_rate=sample_rate)
+    """Load a RIFF/WAVE file (PCM16 or float32), samples scaled to [-1, 1]. A bad header
+    or payload is a ValueError that starts with the path."""
+    try:
+        with open(path, "rb") as fh:
+            header = fh.read(12)
+            if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+                raise ValueError("unsupported codec: not a RIFF/WAVE file")
+            fmt = data = None
+            while True:
+                chunk_header = fh.read(8)
+                if len(chunk_header) == 0:
+                    break
+                if len(chunk_header) < 8:
+                    raise ValueError("truncated WAV file: incomplete chunk header")
+                chunk_id, size = struct.unpack("<4sI", chunk_header)
+                if chunk_id == b"fmt ":
+                    fmt = struct.unpack("<HHIIHH", _read_exact(fh, 16, "fmt chunk")[:16])
+                    if size > 16:
+                        _read_exact(fh, size - 16, "fmt extension")
+                elif chunk_id == b"data":
+                    data = _read_exact(fh, size, "data chunk")
+                else:
+                    name = chunk_id.decode(errors="replace")
+                    _read_exact(fh, size + (size & 1), f"'{name}' chunk")
+        if fmt is None or data is None:
+            raise ValueError("truncated WAV file: missing fmt or data chunk")
+        audio_format, channels, sample_rate, _, _, bits = fmt
+        if audio_format == _PCM16 and bits == 16:
+            raw = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        elif audio_format == _IEEE_FLOAT and bits == 32:
+            raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        else:
+            raise ValueError(f"unsupported codec: format tag {audio_format}, {bits}-bit")
+        if channels < 1:
+            raise ValueError("unsupported codec: zero channels in header")
+        if raw.size % channels != 0:
+            raise ValueError("truncated WAV file: data size not a multiple of the frame size")
+        samples = raw.reshape(-1, channels).T
+        return Waveform(samples=samples, sample_rate=sample_rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_wav(path, wave: Waveform) -> int:

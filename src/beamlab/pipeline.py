@@ -290,7 +290,7 @@ def save_checkpoint(state: TrainState, path) -> None:
 
 def load_checkpoint(path) -> TrainState:
     """A save_checkpoint file; a "moments" key (always empty, from older writers) is ignored.
-    A payload of any other shape is a ValueError that names the file."""
+    A payload of any other shape is a ValueError that names the file (and the bad group)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -301,23 +301,20 @@ def load_checkpoint(path) -> TrainState:
     version = payload.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version in {path}: {version}")
+    group = None  # the group being read, named in the error
     try:
-        arrays = {group: {n: np.asarray(payload[group][n]) for n in PARAM_NAMES}
-                  for group in ("mask_params", "am_params")}
-        context, step, seed = (int(payload["am_params"]["context"]), int(payload["step"]),
-                               int(payload["seed"]))
-    except KeyError as exc:
-        raise ValueError(f"corrupted checkpoint {path}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"corrupted checkpoint {path}: {exc}") from None
-    try:
+        step, seed = int(payload["step"]), int(payload["seed"])
+        mask, am = payload["mask_params"], payload["am_params"]
         group = "mask_params"
-        mask_params = Mlp2Params(**arrays[group])
+        mask_params = Mlp2Params(**{n: np.asarray(mask[n]) for n in PARAM_NAMES})
         if mask_params.w1.shape[0] != 3 or mask_params.w2.shape[1] != 1:
             raise ValueError("the mask net maps 3 log magnitudes to 1 logit, "
                              f"not w1 {mask_params.w1.shape} and w2 {mask_params.w2.shape}")
         group = "am_params"
-        am_params = AmParams(**arrays[group], context=context)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"corrupted checkpoint {path}: {group}: {exc}") from None
+        am_params = AmParams(**{n: np.asarray(am[n]) for n in PARAM_NAMES},
+                             context=int(am["context"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        where = f"{group}: " if group else ""
+        raise ValueError(f"corrupted checkpoint {path}: {where}{problem}") from None
     return TrainState(mask_params=mask_params, am_params=am_params, step=step, seed=seed)

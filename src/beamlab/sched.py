@@ -13,9 +13,10 @@ Modes:
 Reproducibility contract: one SeedSequence per run, spawned into independent
 streams (init, plan, pretrain, simulate). A mode that does not use
 a stream never draws from it, so with an empty single-channel set every mode
-reduces to JO_ONLY bit-exactly under the same seed. With two usable CPUs a
-forked helper computes half of every batch and of the decode, and Reports
-stay bit-identical to one process.
+reduces to JO_ONLY bit-exactly under the same seed. A run builds one run
+cache, {utt_id: (STFT, labels)}, before it trains. With two usable CPUs a
+forked helper inherits it and computes half of every batch and of the
+decode, and Reports stay bit-identical to one process.
 """
 
 import ctypes
@@ -181,28 +182,23 @@ def plan_epoch(multi_ids, single_ids, cfg: ScheduleConfig, rng: np.random.Genera
     SINGLE batch size is round(N * multi_batch_size), N = #single/#multi,
     so both sets are swept with (near-)equal batch counts per epoch.
     """
-    multi_ids = list(multi_ids)
-    single_ids = list(single_ids)
     if not multi_ids:
         raise ValueError("multi-channel set must not be empty")
     n_ratio = len(single_ids) / len(multi_ids)
-    multi_order = [multi_ids[i] for i in rng.permutation(len(multi_ids))]
-    single_order = [single_ids[i] for i in rng.permutation(len(single_ids))]
-
     mb = cfg.multi_batch_size
-    multi_batches = [
-        Batch(MULTI, multi_order[i : i + mb]) for i in range(0, len(multi_order), mb)
-    ]
-    single_batches = []
-    if single_order:
-        sb = max(1, round(n_ratio * mb))
-        single_batches = [
-            Batch(SINGLE, single_order[i : i + sb]) for i in range(0, len(single_order), sb)
-        ]
+    multi_batches = _batches(MULTI, multi_ids, mb, rng)
+    single_batches = _batches(SINGLE, single_ids, max(1, round(n_ratio * mb)), rng)
     tags = np.array([MULTI] * len(multi_batches) + [SINGLE] * len(single_batches))
     order = rng.permutation(len(tags))
     queues = {MULTI: iter(multi_batches), SINGLE: iter(single_batches)}
     return [next(queues[tags[i]]) for i in order]
+
+
+def _batches(kind: str, ids: list, size: int, rng: np.random.Generator) -> list:
+    """ids in the order of one rng.permutation, cut into Batches of size (the last may be
+    shorter). The one place where batches are shuffled and cut."""
+    order = [ids[i] for i in rng.permutation(len(ids))]
+    return [Batch(kind, order[i : i + size]) for i in range(0, len(order), size)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +219,10 @@ def apply_sgd(state: TrainState, grads: dict, lr: float, batch_size: int) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _utt_grads(state, specs, labels, cfg, utt_id, joint):
+def _utt_grads(state, data, cfg, utt_id, joint):
     """Loss and gradient dict of one utterance, joint or back end alone (no "mask.*" keys).
     A non-finite loss or gradient is a NumericalError naming the utterance."""
-    spec, utt_labels = specs[utt_id], labels[utt_id]
+    spec, utt_labels = data[utt_id]
     if joint:
         loss, cache = forward_joint(state, spec, utt_labels, subsample_factor=cfg.subsample)
     else:
@@ -255,14 +251,14 @@ def _add_grads(total, loss_sum, results):
     return total, loss_sum
 
 
-def _sum_grads(state, specs, labels, cfg, utt_ids, joint):
+def _sum_grads(state, data, cfg, utt_ids, joint):
     """The ordered sum from zero of the utterances' gradients and losses."""
     return _add_grads(_zero_grads(state), 0.0,
-                      (_utt_grads(state, specs, labels, cfg, u, joint) for u in utt_ids))
+                      (_utt_grads(state, data, cfg, u, joint) for u in utt_ids))
 
 
 def _split(helper, state, ids, remote, local, *args):
-    """(remote(state, specs, labels, cfg, first ceil(n/2) ids, *args) from the helper or None,
+    """(remote(state, data, cfg, first ceil(n/2) ids, *args) from the helper or None,
     local(the rest)); local gets all ids if n = 1. The helper's come first: its raise wins."""
     share = (len(ids) + 1) // 2 if helper and len(ids) > 1 else 0
     if share:
@@ -276,31 +272,31 @@ def _split(helper, state, ids, remote, local, *args):
     return theirs, mine
 
 
-def _run_batch(state, batch, specs, labels, cfg, helper) -> float:
+def _run_batch(state, batch, data, cfg, helper) -> float:
     """One SGD step (MULTI: joint path, SINGLE: back end). This process adds its utterances,
     in order, onto the helper's sum of the first half: one process's float additions."""
     joint = batch.kind == MULTI
     theirs, own = _split(helper, state, batch.utt_ids, _sum_grads, lambda ids: [
-        _utt_grads(state, specs, labels, cfg, u, joint) for u in ids], joint)
+        _utt_grads(state, data, cfg, u, joint) for u in ids], joint)
     total, loss_sum = _add_grads(*(theirs or (_zero_grads(state), 0.0)), own)
     apply_sgd(state, total, cfg.learning_rate, len(batch.utt_ids))
     return loss_sum / len(batch.utt_ids)
 
 
-def _helper_loop(conn, specs, labels, cfg, cpus) -> None:
+def _helper_loop(conn, data, cfg, cpus) -> None:
     os.sched_setaffinity(0, cpus)  # without load balancing a fork stays on its parent's CPU
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     while True:  # until terminated
         fn, state, ids, args = conn.recv()
         try:
-            out = fn(state, specs, labels, cfg, ids, *args)
+            out = fn(state, data, cfg, ids, *args)
         except Exception as exc:
             out = exc
         conn.send(out)
 
 
 @contextmanager
-def _helper_process(specs, labels, cfg):
+def _helper_process(data, cfg):
     """A pipe to a helper forked off our CPU (see _split) if two CPUs are usable, else None."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     if len(cpus) < 2 or "fork" not in mp.get_all_start_methods() or mp.current_process().daemon:
@@ -309,7 +305,7 @@ def _helper_process(specs, labels, cfg):
     cpus -= {ctypes.CDLL(None).sched_getcpu()}  # not ours: see _helper_loop
     conn, child_conn = mp.Pipe()
     proc = mp.get_context("fork").Process(target=_helper_loop, daemon=True,
-                                          args=(child_conn, specs, labels, cfg, cpus))
+                                          args=(child_conn, data, cfg, cpus))
     proc.start()
     child_conn.close()  # so recv() sees the helper's death as EOFError
     try:
@@ -334,21 +330,11 @@ def _spawn_streams(seed: int):
     }
 
 
-def _pretrain(state, cfg, ids, specs, labels, rng, helper) -> list:
-    """AM-only epochs over the single-channel ids; mutates state.am_params."""
-    losses = []
-    for _ in range(cfg.pretrain_epochs):
-        if not ids:
-            losses.append(float("nan"))
-            continue
-        order = rng.permutation(len(ids))
-        epoch_losses = [
-            _run_batch(state, Batch(SINGLE, [ids[j] for j in order[i : i + cfg.multi_batch_size]]),
-                       specs, labels, cfg, helper)
-            for i in range(0, len(order), cfg.multi_batch_size)
-        ]
-        losses.append(float(np.mean(epoch_losses)))
-    return losses
+def _pretrain(state, cfg, ids, data, rng, helper) -> list:
+    """Mean loss of each AM-only epoch over the single ids (NaN without); mutates am_params."""
+    return [float(np.mean([_run_batch(state, batch, data, cfg, helper)
+                           for batch in _batches(SINGLE, ids, cfg.multi_batch_size, rng)]))
+            if ids else float("nan") for _ in range(cfg.pretrain_epochs)]
 
 
 def _render_noisy(clean: Waveform, rir, snr_db: float, rng) -> Waveform:
@@ -360,7 +346,7 @@ def _render_noisy(clean: Waveform, rir, snr_db: float, rng) -> Waveform:
 
 
 def _simulate_single_set(single_set, cfg: ScheduleConfig, rng):
-    """(utt_id, STFT, labels) of each single-channel utterance rendered to a
+    """(utt_id, (STFT, labels)) of each single-channel utterance rendered to a
     multi-channel scene (SIMU), one at a time: no render outlives its STFT.
 
     Per utterance, in order: render, draw the noise, mix. One RIR per sample rate.
@@ -370,8 +356,8 @@ def _simulate_single_set(single_set, cfg: ScheduleConfig, rng):
     for utt in single_set:
         rir = rirs[utt.wave.sample_rate]
         yield (utt.utt_id + SIM_SUFFIX,
-               stft(_render_noisy(utt.wave, rir, cfg.snr_db, rng), cfg.window_size, cfg.hop),
-               utt.labels)
+               (stft(_render_noisy(utt.wave, rir, cfg.snr_db, rng), cfg.window_size, cfg.hop),
+                utt.labels))
 
 
 def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool = False):
@@ -381,6 +367,8 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     interleaved plan, SINGLE batches skip the front-end. SIMU: JO over real +
     simulated multi-channel pool. JO_ONLY: JO on the multi set.
     """
+    if not multi_set:  # the cost model divides by it; SIMU's renders would train without it
+        raise ValueError("multi-channel set must not be empty")
     sim_set = single_set if cfg.mode == "SIMU" else []
     # The single-channel utterances whose STFTs the run reads: DS's, or PT's when it pretrains.
     cached_single = list(single_set) if cfg.mode == "DS" or (
@@ -396,95 +384,77 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
                              context=cfg.context, seed=cfg.seed)
     report = Report(mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg))
 
-    # One STFT per utterance per run: pretraining, the epochs and the final decode share it.
-    real = list(multi_set) + cached_single
-    specs = {u.utt_id: stft(u.wave, cfg.window_size, cfg.hop) for u in real}
-    labels = {u.utt_id: u.labels for u in real}
-    for utt_id, spec, utt_labels in _simulate_single_set(sim_set, cfg, streams["simulate"]):
-        specs[utt_id], labels[utt_id] = spec, utt_labels
+    # The run cache, one STFT per utterance: pretraining, the epochs and the decode share it.
+    data = {u.utt_id: (stft(u.wave, cfg.window_size, cfg.hop), u.labels)
+            for u in list(multi_set) + cached_single}
+    data.update(_simulate_single_set(sim_set, cfg, streams["simulate"]))
 
-    multi_utts = single_utts = 0
-    multi_seconds = single_seconds = 0.0
-    with _helper_process(specs, labels, cfg) as helper:
+    # Per batch kind (MULTI, SINGLE): utterances trained and seconds spent, over all epochs.
+    utts, seconds = {MULTI: 0, SINGLE: 0}, {MULTI: 0.0, SINGLE: 0.0}
+    with _helper_process(data, cfg) as helper:
         if cfg.mode == "PT":
-            report.pretrain_losses = _pretrain(state, cfg, single_ids, specs, labels,
+            report.pretrain_losses = _pretrain(state, cfg, single_ids, data,
                                                streams["pretrain"], helper)
         for epoch in range(cfg.epochs):
             plan = plan_epoch(jo_ids, single_ids if cfg.mode == "DS" else [], cfg,
                               streams["plan"])
             t_epoch = time.perf_counter()
-            joint_losses, single_losses = [], []
+            losses = {MULTI: [], SINGLE: []}
             for batch in plan:
                 t0 = time.perf_counter()
-                loss = _run_batch(state, batch, specs, labels, cfg, helper)
-                if batch.kind == MULTI:
-                    joint_losses.append(loss)
-                    multi_seconds += time.perf_counter() - t0
-                    multi_utts += len(batch.utt_ids)
-                else:
-                    single_losses.append(loss)
-                    single_seconds += time.perf_counter() - t0
-                    single_utts += len(batch.utt_ids)
-            report.epoch_losses.append(float(np.mean(joint_losses)))
-            if single_losses:
-                report.single_losses.append(float(np.mean(single_losses)))
+                losses[batch.kind].append(_run_batch(state, batch, data, cfg, helper))
+                seconds[batch.kind] += time.perf_counter() - t0
+                utts[batch.kind] += len(batch.utt_ids)
+            report.epoch_losses.append(float(np.mean(losses[MULTI])))
+            if losses[SINGLE]:
+                report.single_losses.append(float(np.mean(losses[SINGLE])))
             report.wall_clock_per_epoch.append(time.perf_counter() - t_epoch)
 
-        report.toy_error = evaluate_token_error(state, specs, labels, cfg,
+        report.toy_error = evaluate_token_error(state, data, cfg,
                                                 [u.utt_id for u in multi_set], helper)
 
+    n_multi, n_single = len(multi_set), len(single_set)
     report.counters = {
         "epochs": cfg.epochs,
-        "frontend_utts_per_epoch": multi_utts // cfg.epochs,
-        "single_utts_per_epoch": single_utts // cfg.epochs,
-        "multi_set_size": len(multi_set),
-        "single_set_size": len(single_set),
+        "frontend_utts_per_epoch": utts[MULTI] // cfg.epochs,
+        "single_utts_per_epoch": utts[SINGLE] // cfg.epochs,
+        "multi_set_size": n_multi,
+        "single_set_size": n_single,
     }
-    report.cost_model = _cost_prediction(
-        cfg, len(multi_set), len(single_set),
-        multi_seconds / max(multi_utts, 1), single_seconds / max(single_utts, 1),
-    )
+    # Table-1 style prediction from the measured per-utterance costs.
+    n_ratio = n_single / n_multi
+    t1 = seconds[MULTI] / max(utts[MULTI], 1) * n_multi
+    t2 = seconds[SINGLE] / max(utts[SINGLE], 1) * n_single
+    report.cost_model = {"n_ratio": n_ratio, "t1_seconds": t1, "t2_seconds": t2,
+                         "predicted_epoch_seconds": epoch_cost_model(t1, t2, n_ratio, cfg.mode)}
     if return_state:
         return report, state
     return report
 
 
-def _cost_prediction(cfg, n_multi, n_single, sec_per_multi, sec_per_single) -> dict:
-    """Table-1 style prediction from measured per-utterance costs."""
-    n_ratio = n_single / n_multi if n_multi else 0.0
-    t1 = sec_per_multi * n_multi
-    t2 = sec_per_single * n_single
-    return {
-        "n_ratio": n_ratio,
-        "t1_seconds": t1,
-        "t2_seconds": t2,
-        "predicted_epoch_seconds": epoch_cost_model(t1, t2, n_ratio, cfg.mode),
-    }
-
-
-def _token_errors(state, specs, labels, cfg, utt_ids) -> tuple:
+def _token_errors(state, data, cfg, utt_ids) -> tuple:
     """(edit errors, reference tokens) of greedy joint-path decoding, summed."""
     total_err = total_ref = 0
     for utt_id in utt_ids:
-        _, cache = forward_joint(state, specs[utt_id], None, subsample_factor=cfg.subsample)
-        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]).ids,
-                                       labels[utt_id].ids)
+        spec, labels = data[utt_id]
+        _, cache = forward_joint(state, spec, None, subsample_factor=cfg.subsample)
+        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]).ids, labels.ids)
         total_err += sub + ins + dele
-        total_ref += len(labels[utt_id])
+        total_ref += len(labels)
     return total_err, total_ref
 
 
-def evaluate_token_error(state: TrainState, specs: dict, labels: dict, cfg: ScheduleConfig,
+def evaluate_token_error(state: TrainState, data: dict, cfg: ScheduleConfig,
                          utt_ids: list, helper) -> float:
     """Token error rate (S+I+D)/#ref of greedy joint-path decoding of utt_ids.
 
-    specs and labels map each utterance id to its STFT and labels (run_training's
-    epoch cache); decoding runs the joint forward without labels, so no CTC
+    data maps each utterance id to its (STFT, labels) (run_training's run
+    cache); decoding runs the joint forward without labels, so no CTC
     pass. The counts are integers: their sum does not depend on a helper's
     split (helper None: this process decodes every utterance).
     """
     theirs, (err, ref) = _split(helper, state, utt_ids, _token_errors,
-                                lambda ids: _token_errors(state, specs, labels, cfg, ids))
+                                lambda ids: _token_errors(state, data, cfg, ids))
     helper_err, helper_ref = theirs or (0, 0)
     return (err + helper_err) / max(ref + helper_ref, 1)
 
@@ -575,19 +545,9 @@ def generate_toy_corpus(
 
 
 def config_to_dict(cfg: ScheduleConfig) -> dict:
-    """JSON-ready config echo (room/array expanded to plain lists)."""
-    out = asdict(cfg)
-    if cfg.room is not None:
-        out["room"] = {
-            "dims": cfg.room.dims.tolist(),
-            "source_pos": cfg.room.source_pos.tolist(),
-            "absorption": cfg.room.absorption.tolist(),
-            "sound_speed": cfg.room.sound_speed,
-        }
-    if cfg.array is not None:
-        out["array"] = {"preset": cfg.array.preset,
-                        "positions": cfg.array.positions.tolist()}
-    return out
+    """JSON-ready config echo (room/array fields as plain lists)."""
+    return asdict(cfg, dict_factory=lambda items: {
+        key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in items})
 
 
 def compare_schemes(cfg: ScheduleConfig, multi_set, single_set, seeds) -> dict:

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,13 @@ def _make_scene(tmp_path, seed=0, channels=4):
     corpus_io.write_wav(clean_path, clean)
     corpus_io.write_wav(noisy_path, noisy)
     return noisy_path, clean_path
+
+
+def _put_nan_in_first_sample(wav_path):
+    """A write_wav file (44-byte header, float32 payload) with a NaN first sample."""
+    blob = bytearray(wav_path.read_bytes())
+    blob[44:48] = struct.pack("<f", np.nan)
+    wav_path.write_bytes(bytes(blob))
 
 
 class TestExitCodes:
@@ -268,6 +276,19 @@ class TestEnhance:
         assert "--ref-channel must be -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["input", "clean"])
+    def test_non_finite_wav_is_data_error_naming_the_file(self, tmp_path, capsys, bad):
+        # Before: both printed "waveform amplitudes must be finite", naming no file.
+        noisy, clean = _make_scene(tmp_path)
+        named, other = (noisy, clean) if bad == "input" else (clean, noisy)
+        _put_nan_in_first_sample(named)
+        code = main(["enhance", "--input", str(noisy), "--out", str(tmp_path / "o.wav"),
+                     "--masks", "oracle", "--clean", str(clean)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{named}: waveform amplitudes must be finite" in err
+        assert str(other) not in err
+
     def test_mono_input_is_data_error(self, tmp_path, capsys):
         mono = tmp_path / "mono.wav"
         corpus_io.write_wav(mono, Waveform(samples=_rng(0).normal(size=(1, 8000)) * 0.1,
@@ -280,7 +301,8 @@ class TestEnhance:
 
     @pytest.mark.parametrize("damage", ["not JSON", "list payload", "list mask_params",
                                         "null context", "scalar w1", "mask w1 [4, H]",
-                                        "mask w2 [H, 2]"])
+                                        "mask w2 [H, 2]", "no mask b1", "no am w2",
+                                        "no am context"])
     def test_malformed_checkpoint_is_data_error(self, tmp_path, capsys, damage):
         # All but "not JSON" once escaped as tracebacks (exit 1, the usage-error code).
         from beamlab.pipeline import init_train_state, save_checkpoint
@@ -303,6 +325,9 @@ class TestEnhance:
         elif damage == "mask w2 [H, 2]":  # and writes 1 logit
             payload["mask_params"]["w2"] = [row * 2 for row in payload["mask_params"]["w2"]]
             payload["mask_params"]["b2"] *= 2
+        elif damage.startswith("no "):  # before: "missing field 'w2'" named no group
+            _, group, key = damage.split()
+            del payload[f"{group}_params"][key]
         text = json.dumps(payload)
         ck.write_text(text[1:] if damage == "not JSON" else text)
         code = main(["enhance", "--input", str(noisy), "--out", str(tmp_path / "enh.wav"),
@@ -310,8 +335,11 @@ class TestEnhance:
         assert code == 2
         err = capsys.readouterr().err
         assert f"corrupted checkpoint {ck}" in err
-        if damage.startswith("mask "):
-            assert f"corrupted checkpoint {ck}: mask_params:" in err
+        if damage.startswith("no "):
+            assert f"corrupted checkpoint {ck}: {group}_params: missing field '{key}'" in err
+        elif damage not in ("not JSON", "list payload"):
+            group = "mask" if "mask" in damage else "am"
+            assert f"corrupted checkpoint {ck}: {group}_params:" in err
 
     def test_checkpoint_masks(self, tmp_path):
         from beamlab.pipeline import init_train_state, save_checkpoint
@@ -409,6 +437,21 @@ class TestMakeCorpusAndTrain:
         cost = json.loads((tmp_path / "r.json").read_text())["cost_model"]
         assert cost["t2_seconds"] == 0.0
         assert cost["predicted_epoch_seconds"] == cost["t1_seconds"] > 0
+
+    def test_non_finite_wav_in_manifest_is_data_error_naming_it(self, tmp_path, capsys):
+        # Before: "waveform amplitudes must be finite", naming no file.
+        out = tmp_path / "corpus"
+        main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+              "--n-single", "0", "--seed", "4"])
+        record = corpus_io.load_manifest(out / "multi.jsonl").utterances[1]
+        wav = corpus_io.resolve_audio_path(out / "multi.jsonl", record.audio_path)
+        _put_nan_in_first_sample(wav)
+        capsys.readouterr()
+        code = main(["train", "--epochs", "1", "--multi-manifest", str(out / "multi.jsonl"),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{wav}: waveform amplitudes must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_report_is_strict_json(self, tmp_path):
         # PT with no single-channel set pretrains on nothing: its losses are

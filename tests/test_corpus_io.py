@@ -197,8 +197,10 @@ class TestWavErrors:
             8000, 16000, 2, 16, b"data", 0,
         )
         path.write_bytes(header)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             read_wav(path)
+        # The message starts with the path, as a manifest's errors do.
+        assert str(err.value) == f"{path}: waveform must contain at least one sample"
 
 
 class TestManifest:

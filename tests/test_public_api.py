@@ -39,8 +39,9 @@ ALLOWED = {
     "sched.run_training.return_state",
 }
 # Classes whose every field is read by dataclasses.asdict: manifest records
-# (save_manifest), Report.to_dict and the Report's config echo.
-SERIALIZED = {"Utterance", "Report", "ScheduleConfig"}
+# (save_manifest), Report.to_dict and the Report's config echo, with its
+# array (MicArray.preset is read nowhere else).
+SERIALIZED = {"Utterance", "Report", "ScheduleConfig", "MicArray"}
 
 
 def _references(node) -> set:

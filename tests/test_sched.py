@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamlab import cli, pipeline, sched
+from beamlab import cli, pipeline, roomsim, sched
 from beamlab.roomsim import RoomSpec, array_preset
 from beamlab.sched import (
     MODES,
@@ -57,9 +57,9 @@ def _pretrained(cfg, single_set):
     state = pipeline.init_train_state(
         streams["init"], n_mels=cfg.n_mels, vocab_size=cfg.vocab_size, am_hidden=cfg.am_hidden,
         mask_hidden=cfg.mask_hidden, context=cfg.context, seed=cfg.seed)
-    specs = {u.utt_id: sched.stft(u.wave, cfg.window_size, cfg.hop) for u in single_set}
-    labels = {u.utt_id: u.labels for u in single_set}
-    sched._pretrain(state, cfg, list(specs), specs, labels, streams["pretrain"], None)
+    data = {u.utt_id: (sched.stft(u.wave, cfg.window_size, cfg.hop), u.labels)
+            for u in single_set}
+    sched._pretrain(state, cfg, list(data), data, streams["pretrain"], None)
     return state
 
 
@@ -265,6 +265,48 @@ class TestSchemes:
         ds = ScheduleConfig(mode="DS", **settings)
         assert (ds.room, ds.array) == (None, None)
 
+    def test_config_echo_of_simu_scenes(self):
+        # The Report's config echo: every field, room and array as plain lists.
+        settings = dict(mode="SIMU", epochs=1, multi_batch_size=2)
+        echo = {"mode": "SIMU", "epochs": 1, "multi_batch_size": 2, "learning_rate": 0.05,
+                "seed": 0, "pretrain_epochs": 0, "snr_db": 10.0, "max_order": 2,
+                "window_size": 256, "hop": 128, "n_mels": 10, "am_hidden": 48,
+                "mask_hidden": 8, "context": 3, "subsample": 3, "vocab_size": 6}
+        toy = ScheduleConfig(room=toy_room(), array=toy_array(), **settings)
+        assert sched.config_to_dict(toy) == {
+            **echo,
+            "room": {"dims": [5.0, 4.0, 3.0], "source_pos": [2.0, 1.5, 1.2],
+                     "absorption": [0.6] * 6, "sound_speed": 343.0},
+            "array": {"positions": [[3.25, 2.6, 1.1], [3.2, 2.65, 1.1],
+                                    [3.1500000000000004, 2.6, 1.1],
+                                    [3.2, 2.5500000000000003, 1.1]],
+                      "preset": "desk-4ch"},
+        }
+        room = RoomSpec(dims=[4, 3, 2.5], source_pos=[1, 2, 1.5],
+                        absorption=[0.2, 0.3, 0.4, 0.5, 0.6, 0.7], sound_speed=340.0)
+        array = roomsim.array_from_dict({"positions": [[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]]})
+        custom = ScheduleConfig(room=room, array=array, **settings)
+        assert sched.config_to_dict(custom) == {
+            **echo,
+            "room": {"dims": [4.0, 3.0, 2.5], "source_pos": [1.0, 2.0, 1.5],
+                     "absorption": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7], "sound_speed": 340.0},
+            "array": {"positions": [[1.0, 1.0, 1.0], [1.1, 1.0, 1.0]], "preset": "custom"},
+        }
+
+    def test_empty_multi_set_rejected_before_training(self, monkeypatch):
+        # Before: SIMU trained on the renders alone, then failed in the cost
+        # model with "epoch times must be T1 > 0 and T2 >= 0".
+        _, single, _ = _toy_sets(n_multi=0, n_single=2, seed=8)
+
+        def past_the_check(*args, **kwargs):
+            raise AssertionError("run_training went past the empty-set check")
+
+        for name in ("simulate_multichannel", "stft", "Report"):
+            monkeypatch.setattr(sched, name, past_the_check)
+        for mode in MODES:
+            with pytest.raises(ValueError, match="multi-channel set must not be empty"):
+                run_training(_cfg(mode=mode, epochs=1), [], single)
+
     def test_single_set_of_mixed_sample_rates_trains(self):
         # Before: SIMU rendered every single utterance through one RIR at the
         # first one's rate, and the 16 kHz utterances failed with "sample rate
@@ -399,7 +441,7 @@ class TestBatchSplit:
         cpus = os.sched_getaffinity(0)
         if len(cpus) < 2:
             pytest.skip("needs two usable CPUs")
-        with sched._helper_process({}, {}, _cfg()) as helper:
+        with sched._helper_process({}, _cfg()) as helper:
             theirs, _ = sched._split(helper, None, ["a", "b"], _affinity, lambda ids: None)
         assert len(theirs) == len(cpus) - 1 and theirs < cpus
 
