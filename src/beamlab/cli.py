@@ -9,9 +9,9 @@ flags > JSON config file > defaults. Exit codes: 0 ok, 1 usage error
 """
 
 import argparse
+import inspect
 import json
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -182,32 +182,25 @@ SIMULATE_DEFAULTS = {
 def cmd_simulate(cfg: dict) -> int:
     manifest_path = _require(cfg, "manifest")
     room_path = _require(cfg, "room_config")
-    out_dir = Path(_require(cfg, "out_dir"))
+    out_dir = _require(cfg, "out_dir")
     room, array, extras = roomsim.load_room_config(room_path)
     manifest = corpus_io.load_manifest(manifest_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_out = cfg["manifest_out"] or str(out_dir / "manifest.jsonl")
-    # Records hold audio paths relative to the manifest, wherever it goes.
-    manifest_dir = Path(manifest_out).parent
-    audio_dir = os.path.relpath(out_dir.resolve(), manifest_dir.resolve())
+    manifest_out = cfg["manifest_out"] or str(Path(out_dir, "manifest.jsonl"))
 
-    rir_cache = {}
-    records = []
-    for utt in manifest:
-        wave = corpus_io.read_utterance(manifest_path, utt)
-        if wave.channels != 1:
-            raise ValueError(f"utterance '{utt.utt_id}' is not single-channel")
-        if wave.sample_rate not in rir_cache:
-            rir_cache[wave.sample_rate] = roomsim.image_source_rir(
-                room, array, extras["max_order"], wave.sample_rate
-            )
-        rendered = roomsim.simulate_multichannel(wave, rir_cache[wave.sample_rate])
-        records.append(corpus_io.write_utterance(
-            manifest_dir, str(Path(audio_dir, f"{utt.utt_id}.wav")), utt.utt_id,
-            rendered, utt.transcript, "simulated"
-        ))
-    corpus_io.save_manifest(corpus_io.Manifest(utterances=records), manifest_out)
-    print(f"simulated {len(records)} utterances ({array.channels} channels) -> {manifest_out}")
+    def rendered():
+        rirs = {}  # one per sample rate
+        for utt in manifest:
+            wave = corpus_io.read_utterance(manifest_path, utt)
+            if wave.channels != 1:
+                raise ValueError(f"utterance '{utt.utt_id}' is not single-channel")
+            if wave.sample_rate not in rirs:
+                rirs[wave.sample_rate] = roomsim.image_source_rir(room, array, extras["max_order"],
+                                                                  wave.sample_rate)
+            yield (utt.utt_id, roomsim.simulate_multichannel(wave, rirs[wave.sample_rate]),
+                   utt.transcript, "simulated")
+
+    count = corpus_io.write_corpus(manifest_out, out_dir, rendered())
+    print(f"simulated {count} utterances ({array.channels} channels) -> {manifest_out}")
     return 0
 
 
@@ -230,14 +223,6 @@ TRAIN_DEFAULTS = {
     "vocab": None,
     "report": "report.json",
 }
-
-TABLE1_ROWS = {
-    "PT": ("no", "no", "T1"),
-    "DS": ("yes", "no", "T1+T2"),
-    "SIMU": ("yes", "yes", "(1+N)*T1"),
-    "JO_ONLY": ("yes", "no", "T1"),
-}
-
 
 def _load_utt_set(manifest_path, vocab_size: int) -> list:
     manifest = corpus_io.load_manifest(manifest_path)
@@ -288,7 +273,7 @@ def cmd_train(cfg: dict) -> int:
     with open(cfg["report"], "w", encoding="utf-8") as fh:
         json.dump(_null_non_finite(report.to_dict()), fh, indent=2, allow_nan=False)
 
-    single_stage, aug_fe, cost_formula = TABLE1_ROWS[schedule.mode]
+    single_stage, aug_fe, cost_formula, _ = sched.TABLE1[schedule.mode]
     measured = float(np.mean(report.wall_clock_per_epoch))
     predicted = report.cost_model.get("predicted_epoch_seconds")
     print(f"{'scheme':<8} {'single-stage':<13} {'aug FE':<7} cost/epoch")
@@ -408,15 +393,15 @@ def cmd_score(cfg: dict) -> int:
 # make-corpus
 # ---------------------------------------------------------------------------
 
+# generate_toy_corpus's defaults, plus the entries only the CLI has.
 MAKE_CORPUS_DEFAULTS = {
     "out_dir": None,
     "n_multi": 50,
     "n_single": 100,
     "vocab_size": 6,
-    "snr_db": 10.0,
-    "sample_rate": sched.TOY_SAMPLE_RATE,
+    **{name: p.default for name, p in inspect.signature(sched.generate_toy_corpus).parameters
+       .items() if p.default is not p.empty},
     "seed": 0,
-    "max_order": 2,
 }
 
 
@@ -427,19 +412,11 @@ def cmd_make_corpus(cfg: dict) -> int:
         cfg["n_multi"], cfg["n_single"], cfg["vocab_size"], rng, snr_db=cfg["snr_db"],
         max_order=cfg["max_order"], sample_rate=cfg["sample_rate"],
     )
-    (out_dir / "wav").mkdir(parents=True, exist_ok=True)
+    for name, utt_set in (("multi", multi_set), ("single", single_set)):
+        corpus_io.write_corpus(out_dir / f"{name}.jsonl", out_dir / "wav", (
+            (utt.utt_id, utt.wave, utt.labels.ids, utt.origin) for utt in utt_set))
     with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(tokens) + "\n")
-
-    for name, utt_set in (("multi", multi_set), ("single", single_set)):
-        records = [
-            corpus_io.write_utterance(out_dir, f"wav/{utt.utt_id}.wav", utt.utt_id, utt.wave,
-                                      utt.labels.ids, utt.origin)
-            for utt in utt_set
-        ]
-        corpus_io.save_manifest(
-            corpus_io.Manifest(utterances=records), out_dir / f"{name}.jsonl"
-        )
     print(
         f"wrote {len(multi_set)} multi-channel and {len(single_set)} single-channel "
         f"utterances, vocab size {len(tokens)} -> {out_dir}"

@@ -7,6 +7,7 @@ header so they stream and append cleanly.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -172,21 +173,28 @@ class Manifest:
                 raise ValueError(f"duplicate utterance id '{utt.utt_id}'")
             seen.add(utt.utt_id)
 
-    def __len__(self) -> int:
-        return len(self.utterances)
-
     def __iter__(self):
         return iter(self.utterances)
 
 
-def write_utterance(root, audio_path: str, utt_id: str, wave: Waveform, transcript,
-                    origin: str) -> Utterance:
-    """Write wave as float32 to root/audio_path; return its record (audio_path as given)."""
-    record = Utterance(utt_id=utt_id, audio_path=audio_path, channels=wave.channels,
-                       sample_rate=wave.sample_rate, duration=wave.n_samples / wave.sample_rate,
-                       transcript=transcript, origin=origin)
-    write_wav(Path(root) / audio_path, wave)
-    return record
+def write_corpus(manifest_path, audio_dir, utterances) -> int:
+    """Write each (utt_id, wave, transcript, origin) as float32 audio_dir/<utt_id>.wav, then
+    their manifest, its audio paths relative to its directory; returns the count. Creates
+    both directories. An id that is not a plain file name is a ValueError before its write."""
+    audio_dir, manifest_dir = Path(audio_dir), Path(manifest_path).parent
+    for directory in (audio_dir, manifest_dir):
+        directory.mkdir(parents=True, exist_ok=True)
+    relative = os.path.relpath(audio_dir.resolve(), manifest_dir.resolve())
+    records = []
+    for utt_id, wave, transcript, origin in utterances:
+        if utt_id in (".", "..") or "/" in utt_id or os.sep in utt_id:
+            raise ValueError(f"utterance id '{utt_id}' is not a plain file name")
+        records.append(Utterance(utt_id, str(Path(relative, f"{utt_id}.wav")), wave.channels,
+                                 wave.sample_rate, wave.n_samples / wave.sample_rate,
+                                 transcript, origin))
+        write_wav(audio_dir / f"{utt_id}.wav", wave)
+    save_manifest(Manifest(utterances=records), manifest_path)
+    return len(records)
 
 
 def save_manifest(manifest: Manifest, path) -> None:

@@ -8,12 +8,13 @@ by numpy FFTs (rfft, product, irfft) at a 5-smooth length, the arithmetic of
 scipy.signal.fftconvolve without importing scipy.
 """
 
+import inspect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus_io import read_config
+from .corpus_io import UsageError, read_config
 from .dsp import Waveform
 
 SOUND_SPEED = 343.0
@@ -21,8 +22,8 @@ SOUND_SPEED = 343.0
 SINC_HALF_WIDTH = 40
 DEFAULT_MAX_ORDER = 10
 DEFAULT_ABSORPTION = 0.35
-# Room-config keys, typed by their defaults ("room", "array" required). sample_rate is
-# ignored (inputs render at their own rate) but older configs, perfbench's too, carry it.
+# Room-config keys, typed by their defaults; "room" and "array" have required keys. sample_rate
+# is ignored (inputs render at their own rate) but older configs, perfbench's too, carry it.
 ROOM_CONFIG_DEFAULTS = {"room": {}, "array": {}, "max_order": DEFAULT_MAX_ORDER,
                         "sample_rate": 16000}
 
@@ -103,7 +104,7 @@ class RIR:
 # ---------------------------------------------------------------------------
 
 
-def array_preset(name: str, center) -> MicArray:
+def array_preset(preset: str, center) -> MicArray:
     """Build a named array centered at `center`.
 
     chime4-6ch: 6 mics on a 10 cm-spaced rectangle (2 rows of 3), a tablet
@@ -112,44 +113,50 @@ def array_preset(name: str, center) -> MicArray:
     are not public in coordinate form here.
     """
     center = np.asarray(center, dtype=np.float64)
-    if name == "chime4-6ch":
+    if preset == "chime4-6ch":
         offsets = [[x, y, 0.0] for y in (-0.05, 0.05) for x in (-0.1, 0.0, 0.1)]
         positions = center + np.asarray(offsets)
-        return MicArray(positions=positions, preset=name)
-    if name == "aishell4-8ch-circular":
+        return MicArray(positions=positions, preset=preset)
+    if preset == "aishell4-8ch-circular":
         angles = 2.0 * np.pi * np.arange(8) / 8
         offsets = 0.05 * np.stack([np.cos(angles), np.sin(angles), np.zeros(8)], axis=1)
-        return MicArray(positions=center + offsets, preset=name)
-    if name == "desk-4ch":
+        return MicArray(positions=center + offsets, preset=preset)
+    if preset == "desk-4ch":
         offsets = 0.05 * np.asarray(
             [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
         )
-        return MicArray(positions=center + offsets, preset=name)
-    raise ValueError(f"unknown array preset '{name}'")
+        return MicArray(positions=center + offsets, preset=preset)
+    raise ValueError(f"unknown array preset '{preset}'")
+
+
+def _from_keys(build, d: dict, where: str):
+    """build(**d); a key of d that build does not take, or a parameter without a default
+    that d lacks, is a UsageError naming it (where + key)."""
+    params = inspect.signature(build).parameters
+    required = [name for name, p in params.items() if p.default is p.empty]
+    for key in [key for key in d if key not in params] + [key for key in required if key not in d]:
+        raise UsageError(f"{'unknown' if key in d else 'missing'} config key '{where}{key}'")
+    return build(**d)
 
 
 def room_from_dict(d: dict) -> RoomSpec:
-    """RoomSpec from the "room" object of a room config (schema in README)."""
-    return RoomSpec(
-        dims=d["dims"],
-        source_pos=d["source_pos"],
-        absorption=d.get("absorption", DEFAULT_ABSORPTION),
-        sound_speed=d.get("sound_speed", SOUND_SPEED),
-    )
+    """RoomSpec from a room config's "room" object: its fields (absorption defaulted)."""
+    return _from_keys(RoomSpec, {"absorption": DEFAULT_ABSORPTION, **d}, "room.")
 
 
 def array_from_dict(d: dict) -> MicArray:
-    """MicArray from explicit "positions", else from a "preset" and "center"."""
+    """MicArray from its fields (preset "custom" by default), else from array_preset's."""
     if "positions" in d:
-        return MicArray(positions=d["positions"], preset=d.get("preset", "custom"))
-    return array_preset(d["preset"], d["center"])
+        return _from_keys(MicArray, {"preset": "custom", **d}, "array.")
+    return _from_keys(array_preset, d, "array.")
 
 
 def load_room_config(path) -> tuple[RoomSpec, MicArray, dict]:
-    """Read room/array specs from a JSON file (schema in README), typed like a --config file."""
-    cfg = read_config(path, ROOM_CONFIG_DEFAULTS)
+    """Read room/array specs from a JSON file (schema in README), typed like a --config file.
+    An unknown or missing key, at any level, is a UsageError naming it ("room.dims")."""
+    cfg = {**ROOM_CONFIG_DEFAULTS, **read_config(path, ROOM_CONFIG_DEFAULTS)}
     room, array = room_from_dict(cfg["room"]), array_from_dict(cfg["array"])
-    return room, array, {"max_order": cfg.get("max_order", DEFAULT_MAX_ORDER)}
+    return room, array, {"max_order": cfg["max_order"]}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .pipeline import (
 from .roomsim import MicArray, RoomSpec, array_preset, image_source_rir, \
     mix_at_snr, simulate_multichannel
 
-MODES = ("PT", "DS", "SIMU", "JO_ONLY")
 MULTI = "MULTI"
 SINGLE = "SINGLE"
 
@@ -150,9 +149,19 @@ class Report:
 # Cost model (Table-1 mechanism)
 # ---------------------------------------------------------------------------
 
+# Table 1, one row per mode: single-stage training?, augmented front-end data?, and the
+# epoch cost as text and as the function of (T1, T2, N) that epoch_cost_model evaluates.
+TABLE1 = {
+    "PT": ("no", "no", "T1", lambda t1, t2, n: t1),
+    "DS": ("yes", "no", "T1+T2", lambda t1, t2, n: t1 + t2),
+    "SIMU": ("yes", "yes", "(1+N)*T1", lambda t1, t2, n: (1.0 + n) * t1),
+    "JO_ONLY": ("yes", "no", "T1", lambda t1, t2, n: t1),
+}
+MODES = tuple(TABLE1)
+
 
 def epoch_cost_model(t1: float, t2: float, n: float, mode: str) -> float:
-    """Per-epoch cost: PT/JO_ONLY -> T1, DS -> T1 + T2, SIMU -> (1+N)*T1.
+    """Per-epoch cost of mode: its TABLE1 row's function of (T1, T2, N).
 
     T1 is one epoch over the multi-channel set (joint path), T2 one epoch
     over the single-channel set (back-end only), N the single/multi
@@ -162,13 +171,9 @@ def epoch_cost_model(t1: float, t2: float, n: float, mode: str) -> float:
         raise ValueError("epoch times must be T1 > 0 and T2 >= 0")
     if n < 0:
         raise ValueError("utterance ratio N must be >= 0")
-    if mode in ("PT", "JO_ONLY"):
-        return t1
-    if mode == "DS":
-        return t1 + t2
-    if mode == "SIMU":
-        return (1.0 + n) * t1
-    raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
+    if mode not in TABLE1:
+        raise ValueError(f"mode must be one of {MODES}, got '{mode}'")
+    return TABLE1[mode][3](t1, t2, n)
 
 
 # ---------------------------------------------------------------------------

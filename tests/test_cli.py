@@ -386,7 +386,7 @@ class TestMakeCorpusAndTrain:
         assert (out / "vocab.txt").exists()
         multi = _read_all(out / "multi.jsonl")
         single = _read_all(out / "single.jsonl")
-        assert len(multi) == 3 and len(single) == 4
+        assert len(multi.utterances) == 3 and len(single.utterances) == 4
         assert all(u.channels == 4 for u in multi)
         assert all(u.channels == 1 for u in single)
 
@@ -531,8 +531,8 @@ class TestMakeCorpusAndTrain:
         assert code == 0
         multi = corpus_io.load_manifest(out / "multi.jsonl")
         single = corpus_io.load_manifest(out / "single.jsonl")
-        assert len(multi) == 1  # flag beat the file
-        assert len(single) == 2  # file beat the default
+        assert len(multi.utterances) == 1  # flag beat the file
+        assert len(single.utterances) == 2  # file beat the default
 
 
 class TestTrainConfig:
@@ -589,6 +589,26 @@ class TestTrainConfig:
         assert report["config"]["array"]["preset"] == "chime4-6ch"
         assert len(report["config"]["array"]["positions"]) == 6
         assert report["config"]["room"]["dims"] == toy_room().dims.tolist()
+
+    @pytest.mark.parametrize("scene,key", [
+        ({"room": {"dims": [5.0, 4.0, 3.0], "source_pos": [2.0, 1.5, 1.2], "absorbtion": 0.9}},
+         "room.absorbtion"),
+        ({"room": {"dims": [5.0, 4.0, 3.0], "source_pos": [2.0, 1.5, 1.2], "sound_sped": 300}},
+         "room.sound_sped"),
+        ({"array": {"preset": "desk-4ch", "centre": [3.0, 2.5, 1.1]}}, "array.centre"),
+        ({"room": {"source_pos": [2.0, 1.5, 1.2]}}, "room.dims"),
+    ], ids=["absorbtion", "sound_sped", "centre", "no dims"])
+    def test_misspelt_or_missing_scene_key_is_usage_error(self, tmp_path, capsys, scene, key):
+        # Before: SIMU trained at absorption 0.35 and 343 m/s, ignoring the misspelt key.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"mode": "SIMU", "epochs": 1, **scene}))
+        self._train(tmp_path, "--epochs", "1")  # writes the corpus
+        (tmp_path / "report.json").unlink()
+        capsys.readouterr()
+        code, report = self._train(tmp_path, "--config", str(cfg), "--single-manifest",
+                                   str(tmp_path / "corpus" / "single.jsonl"))
+        assert code == 1 and report is None
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_vocab_size_is_not_a_config_key(self, tmp_path):
         cfg = tmp_path / "train.json"
@@ -731,7 +751,7 @@ class TestConfigTypes:
     def test_integral_float_count_accepted(self, tmp_path, capsys):
         code, _, out = self._run(tmp_path, capsys, "make-corpus", {"n_multi": 2.0})
         assert code == 0
-        assert len(_read_all(out / "multi.jsonl")) == 2
+        assert len(_read_all(out / "multi.jsonl").utterances) == 2
 
     def test_float_epsilon_accepted(self, tmp_path, capsys):
         code, from_file, _ = self._run(tmp_path, capsys, "gradcheck", {"epsilon": 1e-5})
@@ -842,7 +862,7 @@ class TestSimulate:
                      "--room-config", str(room_cfg), "--out-dir", str(out)])
         assert code == 0
         rendered = _read_all(out / "manifest.jsonl")
-        assert len(rendered) == 2
+        assert len(rendered.utterances) == 2
         assert all(u.channels == 4 for u in rendered)
         assert all(u.origin == "simulated" for u in rendered)
 
@@ -903,6 +923,55 @@ class TestSimulate:
         assert code == 1
         assert f"'{next(iter(top))}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("change,key", [
+        (lambda cfg: cfg["room"].update(absorbtion=0.9), "room.absorbtion"),
+        (lambda cfg: cfg["room"].update(sound_sped=300.0), "room.sound_sped"),
+        (lambda cfg: cfg["array"].update(centre=cfg["array"].pop("center")), "array.centre"),
+        (lambda cfg: cfg["array"].update(positions=[[3.0, 2.5, 1.1]]), "array.center"),
+        (lambda cfg: cfg["room"].pop("dims"), "room.dims"),
+        (lambda cfg: cfg.pop("room"), "room.dims"),
+        (lambda cfg: cfg.pop("array"), "array.preset"),
+    ], ids=["absorbtion", "sound_sped", "centre", "positions and center", "no dims", "no room",
+            "no array"])
+    def test_misspelt_or_missing_scene_key_is_usage_error(self, tmp_path, capsys, change, key):
+        # Before: a misspelt room key was ignored (rendered at absorption 0.35), and a
+        # missing one was a KeyError, exit 2.
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        cfg = json.loads(room_cfg.read_text())
+        change(cfg)
+        room_cfg.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_id_that_is_no_plain_file_name_is_data_error(self, tmp_path, capsys):
+        # Before: the WAV went to deep/a/escaped.wav, recorded as "../../escaped.wav", exit 0.
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        _rewrite_first_record(single, utt_id="../../escaped")
+        capsys.readouterr()
+        out = tmp_path / "deep" / "a" / "b" / "out"
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "utterance id '../../escaped'" in capsys.readouterr().err
+        assert not list((tmp_path / "deep").rglob("*.wav"))
+        assert not list(tmp_path.rglob("escaped*"))
+
+    def test_manifest_out_into_a_missing_directory(self, tmp_path, monkeypatch):
+        # Before: each WAV was written through the manifest's directory, so a missing one
+        # failed with "No such file or directory: 'm/../sim/x/toy-s0000.wav'", exit 2.
+        self._corpus_and_room(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = main(["simulate", "--manifest", "c/single.jsonl", "--room-config", "room.json",
+                     "--out-dir", "sim/x", "--manifest-out", "m/out.jsonl"])
+        assert code == 0
+        rendered = _read_all("m/out.jsonl")
+        assert [u.audio_path for u in rendered] == ["../sim/x/toy-s0000.wav",
+                                                    "../sim/x/toy-s0001.wav"]
 
     @pytest.mark.parametrize("field,value", [("channels", 2), ("sample_rate", 16000)])
     def test_record_disagreeing_with_wav_is_data_error(self, tmp_path, capsys, field, value):

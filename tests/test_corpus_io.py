@@ -1,6 +1,7 @@
 """corpus_io tests: WAV round-trips (with a scipy cross-check), manifests."""
 
 import json
+import re
 import struct
 import tracemalloc
 
@@ -17,7 +18,7 @@ from beamlab.corpus_io import (
     read_wav,
     resolve_audio_path,
     save_manifest,
-    write_utterance,
+    write_corpus,
     write_wav,
 )
 from beamlab.dsp import Waveform
@@ -214,7 +215,7 @@ class TestManifest:
         lines = path.read_text().strip().split("\n")
         assert json.loads(lines[0]) == {"manifest_version": 1}
         back = load_manifest(path)
-        assert len(back) == 2
+        assert len(back.utterances) == 2
         assert back.utterances[1].channels == 4
         assert back.utterances[1].transcript == [3]
         assert back.utterances[1].origin == "simulated"
@@ -269,23 +270,40 @@ class TestManifest:
         with pytest.raises(FileNotFoundError):
             read_utterance(tmp_path / "miss.jsonl", _utt("zz", channels=1))
 
-    def test_write_utterance_round_trip(self, tmp_path):
-        (tmp_path / "wav").mkdir()
+    def test_write_corpus_round_trip(self, tmp_path):
         wave = Waveform(samples=0.5 * np.sin(np.arange(3 * 800) / 7.0).reshape(3, 800),
                         sample_rate=8000)
-        record = write_utterance(tmp_path, "wav/u1.wav", "u1", wave, np.array([2, 1]),
-                                 "simulated")
-        save_manifest(Manifest(utterances=[record]), tmp_path / "m.jsonl")
-        (back,) = load_manifest(tmp_path / "m.jsonl")
-        assert back == record
-        assert read_utterance(tmp_path / "m.jsonl", back).channels == 3
-        assert (back.audio_path, back.channels, back.sample_rate) == ("wav/u1.wav", 3, 8000)
-        assert back.duration == 0.1 and back.transcript == [2, 1]
+        mono = Waveform(samples=np.full((1, 400), 0.25), sample_rate=16000)
+        utterances = [("u1", wave, np.array([2, 1]), "simulated"), ("u2", mono, [3], "single")]
+        # The manifest beside its audio directory, then in a directory of its own: each
+        # audio path is relative to the manifest's directory, and both are created.
+        for manifest, audio_path in ((tmp_path / "m.jsonl", "wav/u1.wav"),
+                                     (tmp_path / "lists" / "m.jsonl", "../wav/u1.wav")):
+            assert write_corpus(manifest, tmp_path / "wav", iter(utterances)) == 2
+            back, back_mono = load_manifest(manifest)
+            assert (back.audio_path, back.channels, back.sample_rate) == (audio_path, 3, 8000)
+            assert back.duration == 0.1 and back.transcript == [2, 1]
+            assert back.origin == "simulated" and back.utt_id == "u1"
+            assert read_utterance(manifest, back).channels == 3
+            assert read_utterance(manifest, back_mono).sample_rate == 16000
+            assert (back_mono.duration, back_mono.transcript) == (0.025, [3])
         np.testing.assert_array_equal(read_wav(tmp_path / "wav/u1.wav").samples,
                                       wave.samples.astype(np.float32))
 
-    def test_write_utterance_rejects_bad_record_before_writing(self, tmp_path):
+    def test_write_corpus_rejects_bad_record_before_writing(self, tmp_path):
         wave = Waveform(samples=np.zeros((1, 80)), sample_rate=8000)
         with pytest.raises(ValueError, match="origin"):
-            write_utterance(tmp_path, "u1.wav", "u1", wave, [1], "synthetic")
+            write_corpus(tmp_path / "m.jsonl", tmp_path, [("u1", wave, [1], "synthetic")])
+        assert not (tmp_path / "u1.wav").exists() and not (tmp_path / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("utt_id", ["../../escaped", "a/b", "..", "."])
+    def test_write_corpus_rejects_an_id_that_is_no_plain_file_name(self, tmp_path, utt_id):
+        # The id becomes a file name: a path separator would write outside audio_dir.
+        wave = Waveform(samples=np.zeros((1, 80)), sample_rate=8000)
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(ValueError, match=f"utterance id '{re.escape(utt_id)}'"):
+            write_corpus(out / "m.jsonl", out, [("ok", wave, [1], "single"),
+                                                (utt_id, wave, [1], "single")])
+        assert sorted(p.name for p in tmp_path.rglob("*.wav")) == ["ok.wav"]
+        assert not (out / "m.jsonl").exists()
         assert not (tmp_path / "u1.wav").exists()
