@@ -84,11 +84,10 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
     plus its adjoint: (W, vjp), vjp(g_W) -> (g_phi_ss, g_phi_nn). Where tr(G)
     is exactly zero (Phi_SS identically zero), W is a zero matrix.
 
-    The diagonal loading is treated as a constant shift in the adjoint: g_A
-    passes to g_phi_nn unchanged, dropping the dependence of the loading on
-    tr(Phi_NN). This is not negligible: the finite-difference check exceeds
-    its 1e-4 tolerance on some inputs (`beamlab gradcheck --seed 17001`,
-    `--seed 28000`) and passes with DIAGONAL_LOADING = 0 (ROADMAP item 1).
+    The adjoint is exact, the diagonal loading included: the loading
+    s = (delta/C) Re tr(Phi_NN) depends on Phi_NN, so g_phi_nn is g_A plus
+    (delta/C) Re tr(g_A) on its diagonal, with g_A the adjoint of the loaded
+    matrix A = Phi_NN + s I.
     """
     loaded = load_noise_psd(phi_nn)
     ratio = np.linalg.solve(loaded, phi_ss)
@@ -107,8 +106,14 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
         g_ratio[:, idx, idx] -= np.where(nz, diag_term, 0.0)[:, None]
         # G = A^-1 B with A = loaded noise PSD (Hermitian), B = speech PSD:
         #   g_B = A^-H g_G,   g_A = -g_B G^H.
+        # A = Phi_NN + s I with s = (delta/C) Re tr(Phi_NN), so the loading adds
+        #   g_Phi_NN = g_A + (delta/C) Re tr(g_A) I,  through a strided [F, C] diagonal view.
         g_phi_ss = np.linalg.solve(loaded, g_ratio)
-        return g_phi_ss, -g_phi_ss @ ratio.conj().transpose(0, 2, 1)
+        g_phi_nn = -g_phi_ss @ ratio.conj().transpose(0, 2, 1)
+        c = g_phi_nn.shape[-1]
+        diagonals = g_phi_nn.reshape(len(g_phi_nn), -1)[:, :: c + 1]
+        diagonals += (DIAGONAL_LOADING * np.trace(g_phi_nn, axis1=1, axis2=2).real / c)[:, None]
+        return g_phi_ss, g_phi_nn
 
     return out, vjp
 

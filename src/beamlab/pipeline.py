@@ -24,8 +24,8 @@ adds its context window). Gradients are plain dicts keyed like `param_arrays`:
 Numerical conventions shared with the rest of the package:
   * reference channel is selected once per utterance and treated as a
     constant (the argmax is not differentiated);
-  * the diagonal-loading term added to Phi_NN is treated as constant in
-    the adjoint (see `beamform.normalized_psd_ratio_vjp`).
+  * the diagonal loading added to Phi_NN, a multiple of its trace, has
+    its exact adjoint (see `beamform.normalized_psd_ratio_vjp`).
 """
 
 import json

@@ -297,24 +297,36 @@ class TestMvdr:
                                                          ref):
         # The composed chain mask -> PSD pair -> loaded ratio -> column ref,
         # against central differences of L = Re <g_h, h> in every mask entry;
-        # 35 bins span two PSD_BLOCK_BINS blocks. The adjoint treats the
-        # diagonal loading as a constant (ROADMAP item 1), which alone puts
-        # these draws at up to 7e-4 with the default loading; without it the
-        # chain's adjoint is exact, so this checks how the stages compose.
-        monkeypatch.setattr(beamform, "DIAGONAL_LOADING", 0.0)
-        rng = _rng(60 + channels)
-        bins = _random_bins(rng, 6, n_bins, channels, "tfc")
-        mask = rng.uniform(0.05, 0.95, size=(6, n_bins))
-        g_h = rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
-        _, ref0, vjp = mvdr_weights(bins, mask, ref)
-        assert ref0 == (select_reference(masked_psd(bins, mask)) if ref is None else ref)
+        # 35 bins span two PSD_BLOCK_BINS blocks. Without loading (delta = 0);
+        # the test below adds it.
+        _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, 0.0)
 
-        def loss_fn():
-            h, ref_now, _ = mvdr_weights(bins, mask, ref)
-            assert ref_now == ref0  # the argmax holds across every difference
-            return float(np.sum(g_h.conj() * h).real)
+    @pytest.mark.parametrize("ref", [None, 1], ids=["auto", "pinned"])
+    @pytest.mark.parametrize("channels", [2, 4])
+    @pytest.mark.parametrize("n_bins", [beamform.PSD_BLOCK_BINS - 1, beamform.PSD_BLOCK_BINS + 3])
+    @pytest.mark.parametrize("delta", [beamform.DIAGONAL_LOADING, 1e-2])
+    def test_mvdr_weights_vjp_with_loading_matches_finite_differences(
+            self, monkeypatch, delta, n_bins, channels, ref):
+        # The loading (delta/C) tr(Phi_NN) depends on Phi_NN, so its adjoint term
+        # counts: without it these draws are off by up to 7e-4 at the default delta.
+        _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, delta)
 
-        assert max_fd_error(loss_fn, mask, vjp(g_h)) < 1e-4
+
+def _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, delta):
+    monkeypatch.setattr(beamform, "DIAGONAL_LOADING", delta)
+    rng = _rng(60 + channels)
+    bins = _random_bins(rng, 6, n_bins, channels, "tfc")
+    mask = rng.uniform(0.05, 0.95, size=(6, n_bins))
+    g_h = rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
+    _, ref0, vjp = mvdr_weights(bins, mask, ref)
+    assert ref0 == (select_reference(masked_psd(bins, mask)) if ref is None else ref)
+
+    def loss_fn():
+        h, ref_now, _ = mvdr_weights(bins, mask, ref)
+        assert ref_now == ref0  # the argmax holds across every difference
+        return float(np.sum(g_h.conj() * h).real)
+
+    assert max_fd_error(loss_fn, mask, vjp(g_h)) < 1e-4
 
 
 class TestApplyAndReference:

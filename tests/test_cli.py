@@ -1069,6 +1069,14 @@ class TestGradcheck:
     def test_wide_preset(self):
         assert main(["gradcheck", "--preset", "wide", "--seed", "1"]) == 0
 
+    @pytest.mark.parametrize("seed", ["17001", "28000"])
+    def test_loading_adjoint_passes_seeds_that_failed_without_it(self, capsys, seed):
+        # Before: 1.364e-4 and 5.407e-4 (exit 3), with the loading's dependence on
+        # tr(Phi_NN) missing from the adjoint.
+        assert main(["gradcheck", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("max relative error: ")[1].split()[0]) < 1e-5
+
     def test_unknown_preset_is_usage_error(self):
         assert main(["gradcheck", "--preset", "gigantic"]) == 1
 
