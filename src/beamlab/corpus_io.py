@@ -3,7 +3,8 @@
 WAV support is deliberately narrow: read_wav takes RIFF/WAVE containing
 PCM 16-bit (what external corpora ship) or IEEE-float 32-bit, and write_wav
 writes IEEE-float 32-bit only. Manifests are JSON-lines with a version
-header so they stream and append cleanly.
+header so they stream and append cleanly; write_corpus, the one corpus
+writer, puts a set's WAVs in one directory and then its manifest.
 """
 
 import json

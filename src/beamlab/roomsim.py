@@ -5,7 +5,8 @@ Hann-windowed sinc pulse with amplitude (prod of wall reflection
 coefficients) / (4 pi distance); reflection coefficient per wall is
 sqrt(1 - absorption). Scenes are the source convolved with each RIR channel
 by numpy FFTs (rfft, product, irfft) at a 5-smooth length, the arithmetic of
-scipy.signal.fftconvolve without importing scipy.
+scipy.signal.fftconvolve without importing scipy. Room configs are read
+through the constructors: each key is checked against their parameters.
 """
 
 import inspect

@@ -1,5 +1,6 @@
 """Training schemes over single-channel data (PT / DS / SIMU), the epoch
-cost model, and the toy-corpus harness that trains and compares them.
+cost model of Table 1 (TABLE1, one row per mode), and the toy-corpus
+harness that trains and compares them.
 
 Modes:
   PT       pretrain the AM on single-channel data, then joint optimization

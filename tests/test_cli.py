@@ -597,7 +597,7 @@ class TestTrainConfig:
          "room.sound_sped"),
         ({"array": {"preset": "desk-4ch", "centre": [3.0, 2.5, 1.1]}}, "array.centre"),
         ({"room": {"source_pos": [2.0, 1.5, 1.2]}}, "room.dims"),
-    ], ids=["absorbtion", "sound_sped", "centre", "no dims"])
+    ], ids=["absorbtion", "sound_sped", "centre", "no_dims"])
     def test_misspelt_or_missing_scene_key_is_usage_error(self, tmp_path, capsys, scene, key):
         # Before: SIMU trained at absorption 0.35 and 343 m/s, ignoring the misspelt key.
         cfg = tmp_path / "train.json"
@@ -932,8 +932,8 @@ class TestSimulate:
         (lambda cfg: cfg["room"].pop("dims"), "room.dims"),
         (lambda cfg: cfg.pop("room"), "room.dims"),
         (lambda cfg: cfg.pop("array"), "array.preset"),
-    ], ids=["absorbtion", "sound_sped", "centre", "positions and center", "no dims", "no room",
-            "no array"])
+    ], ids=["absorbtion", "sound_sped", "centre", "positions_and_center", "no_dims", "no_room",
+            "no_array"])
     def test_misspelt_or_missing_scene_key_is_usage_error(self, tmp_path, capsys, change, key):
         # Before: a misspelt room key was ignored (rendered at absorption 0.35), and a
         # missing one was a KeyError, exit 2.
