@@ -14,7 +14,11 @@ Each differentiable operation's adjoint lives beside its forward
 (`beamform.mvdr_weights`, which chains `beamform.masked_psd_pair_vjp` and
 `beamform.normalized_psd_ratio_vjp`, `beamform.apply_beamformer_vjp`,
 `dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`); this
-module wires them into the joint graph.
+module wires them into the joint graph. `max_fd_error` is the one central-
+difference check, of `finite_diff_check` (`gradcheck`) and of every adjoint
+test. An "am.*" entry cannot change the mask net, the MVDR chain or the
+features, so `finite_diff_check` perturbs it on the cached front end: the
+AM and CTC on the unperturbed features, bit for bit `forward_joint`'s loss.
 
 Both nets have one parameter type, `backend.Mlp2Params` (the AM's `AmParams`
 adds its context window). Gradients are plain dicts keyed like `param_arrays`:
@@ -95,7 +99,7 @@ def _backend_tail(am_params: AmParams, spec: Spectrogram, xhat: np.ndarray,
     feats, feat_vjp = fbank_chain_vjp(xhat, mel, subsample_factor)
     log_probs, am_cache = am_forward_cached(feats, am_params)
     loss, g_lattice = (None, None) if labels is None else ctc_loss(log_probs, labels)
-    return {"feat_vjp": feat_vjp, "am": am_cache, "g_lattice": g_lattice, "loss": loss}
+    return dict(feats=feats, feat_vjp=feat_vjp, am=am_cache, g_lattice=g_lattice, loss=loss)
 
 
 def forward_backend(
@@ -207,19 +211,31 @@ def backward_joint(cache: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def central_difference(loss_fn, array: np.ndarray, index, epsilon: float) -> float:
-    """Central difference of loss_fn w.r.t. array[index], restoring the entry."""
-    original = array[index]
-    array[index] = original + epsilon
-    plus = loss_fn()
-    array[index] = original - epsilon
-    minus = loss_fn()
-    array[index] = original
-    return (plus - minus) / (2.0 * epsilon)
-
-
-def _relative_error(analytic: float, numeric: float) -> float:
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), REL_ERROR_FLOOR)
+def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon: float,
+                 name: str) -> float:
+    """Worst relative error of `analytic` against central differences of
+    loss_fn over every entry of `array`, each perturbed in place and restored.
+    Complex arrays are perturbed on Re and Im through their float64 view,
+    which matches the Wirtinger gradient g = dL/dRe + i dL/dIm entry for entry.
+    A non-finite analytic entry or perturbed loss is a ValueError naming `name`."""
+    if np.iscomplexobj(array):
+        array, analytic = array.view(np.float64), analytic.view(np.float64)
+    if not np.isfinite(analytic).all():
+        raise ValueError(f"non-finite analytic gradient for {name}")
+    worst = 0.0
+    for index in np.ndindex(array.shape):
+        original = array[index]
+        array[index] = original + epsilon
+        plus = loss_fn()
+        array[index] = original - epsilon
+        minus = loss_fn()
+        array[index] = original
+        numeric = (plus - minus) / (2.0 * epsilon)
+        if not np.isfinite(numeric):
+            raise ValueError(f"non-finite perturbed loss for {name} at index {index}")
+        worst = max(worst, abs(analytic[index] - numeric)
+                    / max(abs(analytic[index]), abs(numeric), REL_ERROR_FLOOR))
+    return worst
 
 
 def finite_diff_check(
@@ -230,13 +246,13 @@ def finite_diff_check(
     epsilon: float,
     corrupt_adjoint: bool,
 ) -> dict:
-    """Worst relative error of backward_joint vs central differences per
-    trainable array, keyed "mask.w1" ... "am.b2"; its max is the check's error.
+    """Worst relative error (`max_fd_error`) of backward_joint per trainable
+    array, keyed "mask.w1" ... "am.b2"; its max is the check's error.
 
-    Every entry of every trainable array is perturbed; the reference channel
-    is pinned to the unperturbed selection so the argmax cannot flip between
-    the two sides of a difference. corrupt_adjoint deliberately shifts one
-    analytic gradient entry first — a negative control that must fail.
+    The reference channel is pinned to the unperturbed selection so the
+    argmax cannot flip between the two sides of a difference; "am.*" entries
+    are perturbed on the cached front end. corrupt_adjoint shifts one analytic
+    gradient entry first — a negative control that must fail.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
         raise ValueError("invalid epsilon: must be a positive finite step")
@@ -244,27 +260,19 @@ def finite_diff_check(
     if not np.isfinite(loss0):
         raise ValueError("non-finite loss at the evaluation point")
     grads = backward_joint(cache)
-    for key, grad in grads.items():
-        if not np.isfinite(grad).all():
-            raise ValueError(f"non-finite analytic gradient for {key}")
     if corrupt_adjoint:
         grads["am.b2"][0] += 1.0
-    ref = cache["ref"]
+    ref, feats = cache["ref"], cache["feats"]
 
-    def loss_fn():
-        loss, _ = forward_joint(state, utt, labels, subsample_factor, ref_channel=ref)
-        return loss
+    def joint_loss():
+        return forward_joint(state, utt, labels, subsample_factor, ref_channel=ref)[0]
 
-    errors = {}
-    for key, array in param_arrays(state).items():
-        worst = 0.0
-        for index in np.ndindex(array.shape):
-            numeric = central_difference(loss_fn, array, index, epsilon)
-            if not np.isfinite(numeric):
-                raise ValueError(f"non-finite perturbed loss for {key} at index {index}")
-            worst = max(worst, _relative_error(grads[key][index], numeric))
-        errors[key] = worst
-    return errors
+    def am_loss():
+        return ctc_loss(am_forward_cached(feats, state.am_params)[0], labels)[0]
+
+    return {key: max_fd_error(am_loss if key.startswith("am.") else joint_loss, array,
+                              grads[key], epsilon, key)
+            for key, array in param_arrays(state).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from beamlab.backend import (
     mlp2_init,
 )
 from beamlab.backend import _extend_labels, _log_softmax
-from beamlab.pipeline import REL_ERROR_FLOOR, central_difference
+from beamlab.pipeline import max_fd_error
 
 
 def _rng(seed=0):
@@ -164,22 +164,6 @@ class TestContainers:
                      context=1)
 
 
-def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon=1e-5) -> float:
-    """Worst relative error of `analytic` against central differences of
-    loss_fn over every entry of `array` (perturbed in place). Complex arrays
-    are perturbed on Re and Im through their float64 view, which matches
-    the Wirtinger gradient g = dL/dRe + i dL/dIm entry for entry."""
-    if np.iscomplexobj(array):
-        array, analytic = array.view(np.float64), analytic.view(np.float64)
-    worst = 0.0
-    for index in np.ndindex(array.shape):
-        numeric = central_difference(loss_fn, array, index, epsilon)
-        err = abs(analytic[index] - numeric) / max(abs(analytic[index]), abs(numeric),
-                                                   REL_ERROR_FLOOR)
-        worst = max(worst, err)
-    return worst
-
-
 class TestMlp2:
     def test_backward_matches_finite_differences(self):
         rng = _rng(40)
@@ -193,8 +177,8 @@ class TestMlp2:
         _, hidden = mlp2_forward(params, x)
         grads, g_x = mlp2_backward(params, x, hidden, g_out)
         for name in backend.PARAM_NAMES:
-            assert max_fd_error(loss_fn, getattr(params, name), grads[name]) < 1e-4, name
-        assert max_fd_error(loss_fn, x, g_x) < 1e-4
+            assert max_fd_error(loss_fn, getattr(params, name), grads[name], 1e-5, name) < 1e-4
+        assert max_fd_error(loss_fn, x, g_x, 1e-5, "x") < 1e-4
 
     def test_hidden_major_matches_row_major_oracle(self):
         # The row-major [rows, H] formulation the hidden-major layout replaced.
@@ -305,27 +289,11 @@ class TestAmForward:
             lattice, _ = am_forward_cached(feats, params)
             return float(np.sum(lattice * g_out))
 
-        lattice, cache = am_forward_cached(feats, params)
+        _, cache = am_forward_cached(feats, params)
         grads, g_feats = am_backward(params, cache, g_out)
-        eps = 1e-6
         for name in ("w1", "b1", "w2", "b2"):
-            arr = getattr(params, name)
-            idx = (0,) if arr.ndim == 1 else (0, 0)
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = loss_of()
-            arr[idx] = orig - eps
-            dn = loss_of()
-            arr[idx] = orig
-            fd = (up - dn) / (2 * eps)
-            assert abs(grads[name][idx] - fd) < 1e-6, name
-        orig = feats[0, 0]
-        feats[0, 0] = orig + eps
-        up = loss_of()
-        feats[0, 0] = orig - eps
-        dn = loss_of()
-        feats[0, 0] = orig
-        assert abs(g_feats[0, 0] - (up - dn) / (2 * eps)) < 1e-6
+            assert max_fd_error(loss_of, getattr(params, name), grads[name], 1e-6, name) < 1e-6
+        assert max_fd_error(loss_of, feats, g_feats, 1e-6, "feats") < 1e-6
 
 
 class TestCtc:
@@ -355,18 +323,8 @@ class TestCtc:
         rng = _rng(8)
         lp = _random_lattice(rng, 5, 3)
         labels = _seq([1, 3], lp)
-        loss, grad = ctc_loss(lp, labels)
-        eps = 1e-5
-        for t in range(5):
-            for k in range(4):
-                orig = lp[t, k]
-                lp[t, k] = orig + eps
-                up, _ = ctc_loss(lp, labels)
-                lp[t, k] = orig - eps
-                dn, _ = ctc_loss(lp, labels)
-                lp[t, k] = orig
-                fd = (up - dn) / (2 * eps)
-                assert abs(grad[t, k] - fd) < 1e-4, (t, k)
+        _, grad = ctc_loss(lp, labels)
+        assert max_fd_error(lambda: ctc_loss(lp, labels)[0], lp, grad, 1e-5, "lp") < 1e-4
 
     def test_impossible_alignment_raises(self):
         lp = _random_lattice(_rng(9), 2, 3)

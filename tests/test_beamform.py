@@ -16,7 +16,7 @@ from beamlab.beamform import (
     select_reference,
 )
 from beamlab.dsp import Spectrogram
-from test_backend import max_fd_error
+from beamlab.pipeline import max_fd_error
 
 
 def _rng(seed=0):
@@ -176,7 +176,7 @@ class TestAdjoints:
             # step is a power of two so that 1 - (m + eps) is exact.
             eps = 2.0 ** -36 if f in clamped else 1e-5
             col = slice(f, f + 1)
-            assert max_fd_error(loss_fn, mask[:, col], g_mask[:, col], eps) < 1e-4, f
+            assert max_fd_error(loss_fn, mask[:, col], g_mask[:, col], eps, f"mask[:, {f}]") < 1e-4
 
     @pytest.mark.parametrize("layout", ["tfc", "ctf"])
     @pytest.mark.parametrize("n_bins", [257, 33])
@@ -210,8 +210,8 @@ class TestAdjoints:
 
         _, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
         g_phi_ss, g_phi_nn = vjp(g_w)
-        assert max_fd_error(loss_fn, phi_ss, g_phi_ss) < 1e-4
-        assert max_fd_error(loss_fn, phi_nn, g_phi_nn) < 1e-4
+        assert max_fd_error(loss_fn, phi_ss, g_phi_ss, 1e-5, "phi_ss") < 1e-4
+        assert max_fd_error(loss_fn, phi_nn, g_phi_nn, 1e-5, "phi_nn") < 1e-4
 
 
 class TestMvdr:
@@ -326,7 +326,7 @@ def _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, delta):
         assert ref_now == ref0  # the argmax holds across every difference
         return float(np.sum(g_h.conj() * h).real)
 
-    assert max_fd_error(loss_fn, mask, vjp(g_h)) < 1e-4
+    assert max_fd_error(loss_fn, mask, vjp(g_h), 1e-5, "mask") < 1e-4
 
 
 class TestApplyAndReference:

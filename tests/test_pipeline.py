@@ -8,6 +8,7 @@ from scipy.special import expit
 from beamlab import pipeline
 from beamlab.backend import LabelSequence, Mlp2Params, mlp2_init
 from beamlab.beamform import mvdr_weights
+from beamlab.cli import make_gradcheck_instance
 from beamlab.dsp import LOG_FLOOR, Spectrogram, mel_filterbank
 from beamlab.pipeline import (
     TrainState,
@@ -17,6 +18,7 @@ from beamlab.pipeline import (
     init_train_state,
     load_checkpoint,
     mask_net_forward,
+    max_fd_error,
     save_checkpoint,
 )
 from test_backend import brute_force_ctc
@@ -204,6 +206,41 @@ class TestMaskNet:
         np.testing.assert_allclose(mask, oracle, rtol=1e-12, atol=0)
 
 
+class TestMaxFdError:
+    """The one central-difference check, on L = sum |z|^2, whose gradient is 2z."""
+
+    @staticmethod
+    def _complex_instance():
+        rng = _rng(50)
+        z = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        return z, z.tobytes(), lambda: float(np.sum(z.real ** 2 + z.imag ** 2))
+
+    def test_exact_gradient_passes_and_restores_the_array(self):
+        z, before, loss_fn = self._complex_instance()
+        assert max_fd_error(loss_fn, z, 2.0 * z, 1e-5, "z") < 1e-8
+        assert z.tobytes() == before
+
+    def test_non_finite_analytic_gradient_names_the_array(self):
+        # Before: the tests' own copy returned a small error here, as max() drops the NaN.
+        z, before, loss_fn = self._complex_instance()
+        grad = 2.0 * z
+        grad[1, 2] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="non-finite analytic gradient for z$"):
+            max_fd_error(loss_fn, z, grad, 1e-5, "z")
+        assert z.tobytes() == before
+
+    def test_non_finite_perturbed_loss_names_the_float64_view_index(self):
+        z, before, loss_fn = self._complex_instance()
+        im = z[1, 1].imag  # entry (1, 3) of the [2, 6] float64 view
+
+        def nan_off_im():
+            return np.nan if z[1, 1].imag != im else loss_fn()
+
+        with pytest.raises(ValueError, match=r"non-finite perturbed loss for z at index \(1, 3\)"):
+            max_fd_error(nan_off_im, z, 2.0 * z, 1e-5, "z")
+        assert z.tobytes() == before
+
+
 class TestBackwardJoint:
     def test_finite_difference_seeds(self):
         for seed in (0, 1, 2):
@@ -212,6 +249,21 @@ class TestBackwardJoint:
             err = max(finite_diff_check(state, utt, labels, subsample_factor=2, epsilon=1e-5,
                                         corrupt_adjoint=False).values())
             assert err < 1e-4, (seed, err)
+
+    @pytest.mark.parametrize("seed", [0, 17001, 28000])
+    def test_cached_am_errors_equal_full_forward_reference(self, seed):
+        # "am.*" entries are perturbed on the cached features; every error must
+        # equal the one from full joint forwards with the same pinned reference.
+        state, utt, labels, subsample_factor = make_gradcheck_instance("default", seed)
+        errors = finite_diff_check(state, utt, labels, subsample_factor, 1e-5, False)
+        _, cache = forward_joint(state, utt, labels, subsample_factor)
+        grads = pipeline.backward_joint(cache)
+
+        def loss_fn():
+            return forward_joint(state, utt, labels, subsample_factor, cache["ref"])[0]
+
+        assert errors == {key: max_fd_error(loss_fn, array, grads[key], 1e-5, key)
+                          for key, array in pipeline.param_arrays(state).items()}
 
     def test_breakdown_covers_all_arrays(self):
         state, utt, labels = _tiny_instance(8, frames=12, am_hidden=4, mask_hidden=3)

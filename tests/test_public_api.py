@@ -133,13 +133,18 @@ def _call_findings():
     return sorted(unrelied), sorted(constant)
 
 
+def _dataclasses() -> dict:
+    """name -> (qualified name, ClassDef) of every public package dataclass."""
+    return {cls.name: (f"{path.stem}.{cls.name}", cls)
+            for path, tree in TREES.items() if path.parent == PACKAGE
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            and any("dataclass" in _references(d) for d in cls.decorator_list)}
+
+
 def _field_findings():
     """"module.Class.field" of each dataclass field default that every constructor call passes."""
-    classes = {cls.name: (f"{path.stem}.{cls.name}", cls)
-               for path, tree in TREES.items() if path.parent == PACKAGE
-               for cls in tree.body
-               if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
-               and any("dataclass" in _references(d) for d in cls.decorator_list)}
+    classes = _dataclasses()
     calls = _calls(classes)[0]
     unrelied = []
     for name, (qualified, cls) in classes.items():
@@ -156,22 +161,23 @@ def _field_findings():
     return sorted(unrelied)
 
 
+def _definitions() -> list:
+    """(file, statement) of each public top-level package function and class."""
+    return [(path, stmt) for path, tree in TREES.items() if path.parent == PACKAGE
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
+
+
 def _name_findings():
     """"module.name" of each public top-level function and class nothing references."""
-    # (file, top-level statement) pairs; a definition's own body does not
-    # count as a use of its name.
-    statements = [(path, stmt) for path, tree in TREES.items() for stmt in tree.body]
+    # A definition's own body does not count as a use of its name.
     used = set()
-    for _, stmt in statements:
-        used |= _references(stmt) - {getattr(stmt, "name", None)}
-    return sorted(
-        f"{path.stem}.{stmt.name}"
-        for path, stmt in statements
-        if path.parent == PACKAGE
-        and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
-        and stmt.name not in used
-    )
+    for tree in TREES.values():
+        for stmt in tree.body:
+            used |= _references(stmt) - {getattr(stmt, "name", None)}
+    return sorted(f"{path.stem}.{stmt.name}" for path, stmt in _definitions()
+                  if stmt.name not in used)
 
 
 def _member_findings():
@@ -225,3 +231,14 @@ def test_allowed_entries_are_still_found():
         *_call_findings())
     stale = sorted(ALLOWED - found)
     assert not stale, f"ALLOWED entries nothing flags any more: {stale}"
+
+
+if __name__ == "__main__":
+    # The counts ROADMAP aim 2 tracks, from the scanners above; CI writes them
+    # to its job summary.
+    defaults = sum(len(_defaults(fn)) for _, fn in _public_functions().values())
+    fields = sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                 for _, cls in _dataclasses().values() for stmt in cls.body)
+    print(f"\npublic-function parameters with defaults (top-level, src/beamlab): {defaults}")
+    print(f"\ndataclass field defaults (public package classes, src/beamlab): {fields}")
+    print(f"\npublic top-level functions and classes (src/beamlab): {len(_definitions())}")
