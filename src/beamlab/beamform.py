@@ -1,12 +1,15 @@
 """Mask-based MVDR beamformer.
 
 The MVDR weights follow the masked-statistics formulation: per-frequency
-speech/noise cross-channel PSD matrices of a speech mask m and of 1 - m,
-filter
+speech/noise cross-channel PSD sums Phi_SS = sum_t m x x^H and Phi_NN =
+sum_t (1 - m) x x^H of a speech mask m, filter
     h(f) = (Phi_NN^-1(f) Phi_SS(f) / tr{Phi_NN^-1(f) Phi_SS(f)}) u
 with u one-hot at the reference microphone, applied as x_hat = h^H x.
 `mvdr_weights` is that chain, mask to filter, for both `enhance` and the
-joint training path.
+joint training path. W = G / tr G, G = (Phi_NN + (delta/C) tr{Phi_NN} I)^-1 Phi_SS,
+is unchanged by any positive per-bin scale of Phi_SS or Phi_NN, the loading included,
+so the sums need no division by sum_t m: it would cancel in W, and its adjoint term
+Re <g, Phi> / d is zero (Euler, degree 0); only the reference selection sees the scale.
 
 The `*_vjp` functions return their forward's output and its adjoint
 (vector-Jacobian product) under the Wirtinger convention of `pipeline`.
@@ -32,41 +35,30 @@ def oracle_masks(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mask-weighted spatial covariance: bins [T,F,C], mask [T,F] -> [F,C,C],
-    Phi(f) = sum_t m x x^H / max(sum_t m, eps); an all-zero mask column gives a
-    zero matrix. Per bin, sum_t m x x^H = X^T (m conj X): one batched matmul per
-    block of bins, Hermitian by construction."""
-    numer = np.empty((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
+    """Mask-weighted spatial covariance sum, bins [T,F,C], mask [T,F] -> [F,C,C]:
+    Phi(f) = sum_t m x x^H = X^T (m conj X), not divided by sum_t m; one batched
+    matmul per block of bins, Hermitian by construction."""
+    phi = np.empty((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
     for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
         block = slice(f0, f0 + PSD_BLOCK_BINS)
         x = bins[:, block].transpose(1, 0, 2)  # [f, T, C] view
-        numer[block] = np.swapaxes(x, 1, 2) @ (x.conj() * mask[:, block].T[:, :, None])
-    denom = np.maximum(mask.sum(axis=0), MASK_EPS)
-    return numer / denom[:, None, None]
+        phi[block] = np.swapaxes(x, 1, 2) @ (x.conj() * mask[:, block].T[:, :, None])
+    return phi
 
 
 def masked_psd_pair_vjp(bins: np.ndarray, mask: np.ndarray):
-    """PSDs of masks m, 1 - m and their adjoint: (phi_ss, phi_nn, vjp(g_ss, g_nn) -> g_mask).
-    Re x^H g x is linear in g: one quadratic form on g_ss / d_ss - g_nn / d_nn (d: mask sums)."""
-    noise_mask = 1.0 - mask
-    phi_ss = masked_psd(bins, mask)
-    phi_nn = masked_psd(bins, noise_mask)
+    """Masked sums of m, 1 - m and their adjoint: (phi_ss, phi_nn, vjp(g_ss, g_nn) -> g_mask).
+    Both sums are linear in m, so g_m(t, f) = Re x^H (g_ss - g_nn) x: one quadratic form."""
+    phi_ss, phi_nn = masked_psd(bins, mask), masked_psd(bins, 1.0 - mask)
 
     def vjp(g_ss: np.ndarray, g_nn: np.ndarray) -> np.ndarray:
-        # Per PSD: (Re x^H g x - <g, phi>) / d; <g, phi> only where d is unclamped.
-        g_quad, offset = 0.0, 0.0
-        for sign, m, g, phi in ((1.0, mask, g_ss, phi_ss), (-1.0, noise_mask, g_nn, phi_nn)):
-            mask_sum = m.sum(axis=0)
-            denom = np.maximum(mask_sum, MASK_EPS)
-            inner = np.einsum("fij,fij->f", g.conj(), phi).real
-            g_quad = g_quad + sign * g / denom[:, None, None]
-            offset = offset + sign * np.where(mask_sum > MASK_EPS, inner, 0.0) / denom
+        g_diff = g_ss - g_nn
         quad = np.empty(mask.shape)
         for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
             block = slice(f0, f0 + PSD_BLOCK_BINS)
-            gx = bins[:, block].transpose(1, 0, 2) @ np.swapaxes(g_quad[block], 1, 2)  # [f, T, C]
+            gx = bins[:, block].transpose(1, 0, 2) @ np.swapaxes(g_diff[block], 1, 2)  # [f, T, C]
             quad[:, block] = np.einsum("tfk,ftk->tf", bins[:, block].conj(), gx).real
-        return quad - offset
+        return quad
 
     return phi_ss, phi_nn, vjp
 
@@ -75,8 +67,7 @@ def load_noise_psd(phi_nn: np.ndarray) -> np.ndarray:
     """Diagonal loading Phi_NN + delta*(tr(Phi_NN)/C)*I, delta = 1e-6."""
     c = phi_nn.shape[-1]
     trace = np.trace(phi_nn, axis1=1, axis2=2).real
-    eye = np.eye(c)
-    return phi_nn + (DIAGONAL_LOADING * trace / c)[:, None, None] * eye
+    return phi_nn + (DIAGONAL_LOADING * trace / c)[:, None, None] * np.eye(c)
 
 
 def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
@@ -121,13 +112,14 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
 def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None):
     """MVDR filter from a speech mask: (h [F, C], ref, vjp(g_h) -> g_mask).
 
-    Speech PSD of the mask, noise PSD of 1 - mask, loaded ratio normalized to
-    unit trace, column `ref`. ref None selects it from the speech PSD; the
-    selection is a constant of the adjoint (the argmax is not differentiated).
+    Masked speech and noise sums, loaded ratio normalized to unit trace, column
+    `ref`. ref None selects it from the speech sum over max(sum_t m, MASK_EPS),
+    a constant of the adjoint (the argmax is not differentiated).
     """
     phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
     weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
-    ref = select_reference(phi_ss) if ref is None else int(ref)
+    speech_sum = np.maximum(mask.sum(axis=0), MASK_EPS)[:, None, None]
+    ref = select_reference(phi_ss / speech_sum) if ref is None else int(ref)
     if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
 

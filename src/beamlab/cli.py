@@ -232,8 +232,7 @@ def _load_utt_set(manifest_path, vocab_size: int) -> list:
         labels = backend.LabelSequence(
             ids=np.asarray(record.transcript, dtype=np.int64), vocab_size=vocab_size
         )
-        utts.append(sched.Utt(utt_id=record.utt_id, wave=wave, labels=labels,
-                              origin=record.origin))
+        utts.append(sched.Utt(utt_id=record.utt_id, wave=wave, labels=labels))
     return utts
 
 
@@ -412,9 +411,9 @@ def cmd_make_corpus(cfg: dict) -> int:
         cfg["n_multi"], cfg["n_single"], cfg["vocab_size"], rng, snr_db=cfg["snr_db"],
         max_order=cfg["max_order"], sample_rate=cfg["sample_rate"],
     )
-    for name, utt_set in (("multi", multi_set), ("single", single_set)):
+    for name, origin, utt_set in (("multi", "real", multi_set), ("single", "single", single_set)):
         corpus_io.write_corpus(out_dir / f"{name}.jsonl", out_dir / "wav", (
-            (utt.utt_id, utt.wave, utt.labels.ids, utt.origin) for utt in utt_set))
+            (utt.utt_id, utt.wave, utt.labels.ids, origin) for utt in utt_set))
     with open(out_dir / "vocab.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(tokens) + "\n")
     print(

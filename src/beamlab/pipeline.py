@@ -1,9 +1,9 @@
 """The differentiable joint path: mask net -> MVDR -> fbank -> AM -> CTC.
 
 Forward and backward are written by hand. Real stages use ordinary
-reverse-mode rules; the complex stages (masked PSDs, the loaded-inverse
-ratio, trace normalization, the beamformer sum) use Wirtinger-calculus
-adjoints under the convention
+reverse-mode rules; the complex stages (masked PSD sums, linear in the
+mask, the loaded-inverse ratio, trace normalization, the beamformer sum) use
+Wirtinger-calculus adjoints under the convention
 
     g_Z = dL/d(Re Z) + i * dL/d(Im Z),    dL = Re <g_Z, dZ>,
 
@@ -26,8 +26,8 @@ adds its context window). Gradients are plain dicts keyed like `param_arrays`:
 `backward_joint` returns all eight keys, `backward_backend` the four "am.*" keys.
 
 Numerical conventions shared with the rest of the package:
-  * reference channel is selected once per utterance and treated as a
-    constant (the argmax is not differentiated);
+  * reference channel is selected once per utterance, from the speech sum
+    per unit mask, and treated as a constant (the argmax is not differentiated);
   * the diagonal loading added to Phi_NN, a multiple of its trace, has
     its exact adjoint (see `beamform.normalized_psd_ratio_vjp`).
 """
@@ -213,10 +213,10 @@ def backward_joint(cache: dict) -> dict:
 
 def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon: float,
                  name: str) -> float:
-    """Worst relative error of `analytic` against central differences of
-    loss_fn over every entry of `array`, each perturbed in place and restored.
-    Complex arrays are perturbed on Re and Im through their float64 view,
-    which matches the Wirtinger gradient g = dL/dRe + i dL/dIm entry for entry.
+    """Worst relative error of `analytic` against central differences of loss_fn
+    over every entry of `array`, each perturbed in place and restored even if
+    loss_fn raises. Complex arrays are perturbed on Re and Im through their float64
+    view, which matches the Wirtinger gradient g = dL/dRe + i dL/dIm entry for entry.
     A non-finite analytic entry or perturbed loss is a ValueError naming `name`."""
     if np.iscomplexobj(array):
         array, analytic = array.view(np.float64), analytic.view(np.float64)
@@ -225,11 +225,13 @@ def max_fd_error(loss_fn, array: np.ndarray, analytic: np.ndarray, epsilon: floa
     worst = 0.0
     for index in np.ndindex(array.shape):
         original = array[index]
-        array[index] = original + epsilon
-        plus = loss_fn()
-        array[index] = original - epsilon
-        minus = loss_fn()
-        array[index] = original
+        try:
+            array[index] = original + epsilon
+            plus = loss_fn()
+            array[index] = original - epsilon
+            minus = loss_fn()
+        finally:
+            array[index] = original
         numeric = (plus - minus) / (2.0 * epsilon)
         if not np.isfinite(numeric):
             raise ValueError(f"non-finite perturbed loss for {name} at index {index}")

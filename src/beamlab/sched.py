@@ -77,7 +77,6 @@ class Utt:
     utt_id: str
     wave: Waveform
     labels: LabelSequence
-    origin: str  # real | simulated | single
 
 
 @dataclass
@@ -528,7 +527,7 @@ def generate_toy_corpus(
     room, array = toy_room(), toy_array()
     tokens = [chr(ord("a") + i) if vocab_size <= 26 else f"t{i}" for i in range(vocab_size)]
 
-    def draw(utt_id: str, origin: str, rir) -> Utt:
+    def draw(utt_id: str, rir) -> Utt:
         # RNG order per utterance: label count, labels, then (rendered) noise.
         ids = rng.integers(1, vocab_size + 1, size=int(rng.integers(TOY_MIN_LABEL,
                                                                     TOY_MAX_LABEL + 1)))
@@ -536,12 +535,11 @@ def generate_toy_corpus(
                         sample_rate=sample_rate)
         if rir is not None:
             wave = _render_noisy(wave, rir, snr_db, rng)
-        return Utt(utt_id=utt_id, wave=wave, labels=LabelSequence(ids=ids, vocab_size=vocab_size),
-                   origin=origin)
+        return Utt(utt_id=utt_id, wave=wave, labels=LabelSequence(ids=ids, vocab_size=vocab_size))
 
     rir = image_source_rir(room, array, max_order, sample_rate) if n_multi else None
-    multi_set = [draw(f"toy-m{i:04d}", "real", rir) for i in range(n_multi)]
-    single_set = [draw(f"toy-s{i:04d}", "single", None) for i in range(n_single)]
+    multi_set = [draw(f"toy-m{i:04d}", rir) for i in range(n_multi)]
+    single_set = [draw(f"toy-s{i:04d}", None) for i in range(n_single)]
     return multi_set, single_set, tokens
 
 

@@ -40,16 +40,11 @@ def _random_bins(rng, frames, n_bins, channels, layout):
 # The 3-operand einsum kernels the batched matmuls replaced: the reference
 # oracle for masked_psd and its adjoint.
 def _einsum_psd(bins, mask):
-    numer = np.einsum("tf,tfi,tfj->fij", mask, bins, bins.conj())
-    return numer / np.maximum(mask.sum(axis=0), beamform.MASK_EPS)[:, None, None]
+    return np.einsum("tf,tfi,tfj->fij", mask, bins, bins.conj())
 
 
-def _einsum_psd_vjp(bins, mask, g_phi):
-    mask_sum = mask.sum(axis=0)
-    quad = np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
-    inner = np.einsum("fij,fij->f", g_phi.conj(), _einsum_psd(bins, mask)).real
-    active = mask_sum > beamform.MASK_EPS
-    return (quad - np.where(active, inner, 0.0)) / np.maximum(mask_sum, beamform.MASK_EPS)
+def _einsum_psd_vjp(bins, g_phi):
+    return np.einsum("tfi,fij,tfj->tf", bins.conj(), g_phi, bins).real
 
 
 def _assert_rel_close(actual, oracle, rtol=1e-12):
@@ -88,11 +83,10 @@ class TestPsd:
         mask = rng.uniform(size=(11, 5))
         phi = masked_psd(spec.bins, mask)
         for f in range(5):
-            num = np.zeros((2, 2), complex)
+            oracle = np.zeros((2, 2), complex)
             for t in range(11):
                 x = spec.bins[t, f][:, None]
-                num += mask[t, f] * (x @ x.conj().T)
-            oracle = num / max(mask[:, f].sum(), 1e-10)
+                oracle += mask[t, f] * (x @ x.conj().T)
             np.testing.assert_allclose(phi[f], oracle, atol=1e-12)
 
     def test_masked_psd_hermitian(self):
@@ -154,11 +148,10 @@ class TestAdjoints:
         rng = _rng(40)
         bins = _random_spec(rng, frames=8, window=16, channels=3).bins
         mask = rng.uniform(0.05, 0.95, size=bins.shape[:2])
-        # Columns whose speech (1, 5) or noise (3, 7) mask sum is under the
-        # MASK_EPS clamp run each PSD's inactive branch; the all-0 and all-1
-        # columns give a zero PSD, the 5e-12 ones a nonzero one.
-        clamped = {1: 0.0, 3: 1.0, 5: 5e-12, 7: 1.0 - 5e-12}
-        for f, value in clamped.items():
+        # Columns whose speech (1, 5) or noise (3, 7) mask is zero or nearly
+        # so: the all-0 and all-1 columns give a zero PSD, the 5e-12 ones a
+        # nonzero one.
+        for f, value in {1: 0.0, 3: 1.0, 5: 5e-12, 7: 1.0 - 5e-12}.items():
             mask[:, f] = value
         g_ss = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
         g_nn = rng.normal(size=(9, 3, 3)) + 1j * rng.normal(size=(9, 3, 3))
@@ -171,12 +164,8 @@ class TestAdjoints:
         np.testing.assert_array_equal(phi_ss, masked_psd(bins, mask))
         np.testing.assert_array_equal(phi_nn, masked_psd(bins, 1.0 - mask))
         g_mask = vjp(g_ss, g_nn)
-        for f in range(mask.shape[1]):
-            # A clamped sum is linear only while it stays under MASK_EPS; the
-            # step is a power of two so that 1 - (m + eps) is exact.
-            eps = 2.0 ** -36 if f in clamped else 1e-5
-            col = slice(f, f + 1)
-            assert max_fd_error(loss_fn, mask[:, col], g_mask[:, col], eps, f"mask[:, {f}]") < 1e-4
+        # Both sums are linear in the mask, so one step fits every column.
+        assert max_fd_error(loss_fn, mask, g_mask, 1e-5, "mask") < 1e-4
 
     @pytest.mark.parametrize("layout", ["tfc", "ctf"])
     @pytest.mark.parametrize("n_bins", [257, 33])
@@ -185,16 +174,16 @@ class TestAdjoints:
         rng = _rng(42)
         bins = _random_bins(rng, 12, n_bins, 4, layout)
         mask = rng.uniform(size=(12, n_bins))
-        mask[:, 31], mask[:, 32] = 0.0, 1.0  # an inactive speech and noise sum
+        mask[:, 31], mask[:, 32] = 0.0, 1.0  # a zero speech and noise sum
         g_ss = rng.normal(size=(n_bins, 4, 4)) + 1j * rng.normal(size=(n_bins, 4, 4))
         g_nn = rng.normal(size=(n_bins, 4, 4)) + 1j * rng.normal(size=(n_bins, 4, 4))
         phi_ss, phi_nn, vjp = masked_psd_pair_vjp(bins, mask)
         _assert_rel_close(phi_ss, _einsum_psd(bins, mask))
         _assert_rel_close(phi_nn, _einsum_psd(bins, 1.0 - mask))
-        oracle_ss = _einsum_psd_vjp(bins, mask, g_ss)
-        oracle_nn = _einsum_psd_vjp(bins, 1.0 - mask, g_nn)
-        # One quadratic form on g_ss/d_ss - g_nn/d_nn in place of two: the
-        # tolerance is relative to the terms, which may cancel.
+        oracle_ss = _einsum_psd_vjp(bins, g_ss)
+        oracle_nn = _einsum_psd_vjp(bins, g_nn)
+        # One quadratic form on g_ss - g_nn in place of two: the tolerance is
+        # relative to the terms, which may cancel.
         scale = max(np.abs(oracle_ss).max(), np.abs(oracle_nn).max())
         np.testing.assert_allclose(vjp(g_ss, g_nn), oracle_ss - oracle_nn, rtol=1e-12,
                                    atol=1e-12 * scale)
@@ -208,10 +197,19 @@ class TestAdjoints:
         def loss_fn():  # L = Re <g_W, W>
             return float(np.sum(g_w.conj() * normalized_psd_ratio_vjp(phi_ss, phi_nn)[0]).real)
 
-        _, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
+        weights, vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
         g_phi_ss, g_phi_nn = vjp(g_w)
         assert max_fd_error(loss_fn, phi_ss, g_phi_ss, 1e-5, "phi_ss") < 1e-4
         assert max_fd_error(loss_fn, phi_nn, g_phi_nn, 1e-5, "phi_nn") < 1e-4
+        # W is unchanged by positive per-bin scales of either PSD, the loading
+        # included, so (Euler, degree 0) Re <g_Phi, Phi> vanishes per bin: what
+        # lets masked_psd skip the division by the mask sums.
+        s_ss, s_nn = (rng.uniform(0.01, 100.0, size=(4, 1, 1)) for _ in range(2))
+        _assert_rel_close(normalized_psd_ratio_vjp(s_ss * phi_ss, s_nn * phi_nn)[0], weights)
+        for g_phi, phi in ((g_phi_ss, phi_ss), (g_phi_nn, phi_nn)):
+            inner = np.einsum("fij,fij->f", g_phi.conj(), phi).real
+            norms = np.linalg.norm(g_phi, axis=(1, 2)) * np.linalg.norm(phi, axis=(1, 2))
+            assert np.all(np.abs(inner) <= 1e-12 * norms)
 
 
 class TestMvdr:
@@ -319,7 +317,8 @@ def _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, delta):
     mask = rng.uniform(0.05, 0.95, size=(6, n_bins))
     g_h = rng.normal(size=(n_bins, channels)) + 1j * rng.normal(size=(n_bins, channels))
     _, ref0, vjp = mvdr_weights(bins, mask, ref)
-    assert ref0 == (select_reference(masked_psd(bins, mask)) if ref is None else ref)
+    speech_psd = masked_psd(bins, mask) / mask.sum(axis=0)[:, None, None]
+    assert ref0 == (select_reference(speech_psd) if ref is None else ref)
 
     def loss_fn():
         h, ref_now, _ = mvdr_weights(bins, mask, ref)

@@ -387,8 +387,8 @@ class TestMakeCorpusAndTrain:
         multi = _read_all(out / "multi.jsonl")
         single = _read_all(out / "single.jsonl")
         assert len(multi.utterances) == 3 and len(single.utterances) == 4
-        assert all(u.channels == 4 for u in multi)
-        assert all(u.channels == 1 for u in single)
+        assert all(u.channels == 4 and u.origin == "real" for u in multi)
+        assert all(u.channels == 1 and u.origin == "single" for u in single)
 
     def test_train_writes_report(self, tmp_path, capsys):
         out = tmp_path / "corpus"

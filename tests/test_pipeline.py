@@ -240,6 +240,17 @@ class TestMaxFdError:
             max_fd_error(nan_off_im, z, 2.0 * z, 1e-5, "z")
         assert z.tobytes() == before
 
+    def test_raising_loss_propagates_and_restores_the_array(self):
+        # Before: the first entry stayed perturbed, [1.00001, 1, 1].
+        array = np.ones(3)
+
+        def raising_loss():
+            raise RuntimeError("degenerate scene")
+
+        with pytest.raises(RuntimeError, match="degenerate scene"):
+            max_fd_error(raising_loss, array, np.zeros(3), 1e-5, "array")
+        assert array.tobytes() == np.ones(3).tobytes()
+
 
 class TestBackwardJoint:
     def test_finite_difference_seeds(self):

@@ -614,11 +614,9 @@ class TestToyCorpus:
         assert len(multi) == 3 and len(single) == 4
         for utt in multi:
             assert utt.wave.channels == 4
-            assert utt.origin == "real"
             assert 3 <= len(utt.labels) <= 6
         for utt in single:
             assert utt.wave.channels == 1
-            assert utt.origin == "single"
 
     def test_deterministic(self):
         a_multi, a_single, _ = _toy_sets(seed=11, n_multi=2, n_single=2)
