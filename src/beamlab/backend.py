@@ -3,7 +3,8 @@
 The acoustic model is a deliberately small 2-layer net over +-3-frame
 context windows (affine -> tanh -> affine -> log-softmax). CTC is the plain
 node-potential objective; the forward-backward recursions run entirely in
-log space with blank id 0 and no rescaling.
+log space with blank id 0 and no rescaling. Both return their output and
+its vjp (`am_forward_cached`, `ctc_loss`); CTC's beta pass runs in its vjp.
 
 The AM and the pipeline's mask net are both 2-layer tanh nets with one
 parameter type, Mlp2Params, and one forward/backward (mlp2_forward,
@@ -148,14 +149,13 @@ def mlp2_forward(params, x: np.ndarray):
     return hidden.T @ params.w2 + params.b2, hidden
 
 
-def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray,
-                  input_grad: bool = True):
-    """Reverse pass of mlp2_forward: (grads keyed by PARAM_NAMES, g_x; None if not input_grad)."""
+def mlp2_backward(params, x: np.ndarray, hidden: np.ndarray, g_out: np.ndarray):
+    """Reverse pass of mlp2_forward: (grads keyed by PARAM_NAMES, g_x)."""
     g_pre = hidden * hidden  # [H, rows]; in place: tanh' = 1 - hidden^2, times g_hidden
     np.subtract(1.0, g_pre, out=g_pre)
     g_pre *= np.dot(params.w2, g_out.T)
     grads = (x.T @ g_pre.T, g_pre.sum(axis=1), hidden @ g_out, g_out.sum(axis=0))
-    return dict(zip(PARAM_NAMES, grads)), g_pre.T @ params.w1.T if input_grad else None
+    return dict(zip(PARAM_NAMES, grads)), g_pre.T @ params.w1.T
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def am_forward_cached(features: np.ndarray, params: AmParams):
-    """Raw AM forward returning (log_probs, cache for am_backward)."""
+    """Raw AM forward: (log_probs, vjp), vjp(g_log_probs) -> (param grads keyed by
+    PARAM_NAMES, g_features), am_backward on this forward's arrays."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be [frames, dims]")
@@ -178,20 +179,17 @@ def am_forward_cached(features: np.ndarray, params: AmParams):
     ctx = context_window(features, params.context)
     logits, hidden = mlp2_forward(params, ctx)
     log_probs = _log_softmax(logits)
-    cache = {"n_frames": features.shape[0], "ctx": ctx, "hidden": hidden,
-             "log_probs": log_probs}
-    return log_probs, cache
+    return log_probs, lambda g: am_backward(params, ctx, hidden, log_probs, g)
 
 
-def am_backward(params: AmParams, cache: dict, g_log_probs: np.ndarray):
-    """Reverse pass through the AM.
-
-    Returns (param_grads dict with keys w1/b1/w2/b2, g_features).
-    """
-    softmax = np.exp(cache["log_probs"])
+def am_backward(params: AmParams, ctx: np.ndarray, hidden: np.ndarray,
+                log_probs: np.ndarray, g_log_probs: np.ndarray):
+    """Reverse pass through the AM from its forward's context windows, hidden
+    layer and log_probs: (param grads keyed by PARAM_NAMES, g_features)."""
+    softmax = np.exp(log_probs)
     g_logits = g_log_probs - softmax * g_log_probs.sum(axis=1, keepdims=True)
-    grads, g_ctx = mlp2_backward(params, cache["ctx"], cache["hidden"], g_logits)
-    return grads, context_window_adjoint(g_ctx, cache["n_frames"], params.context)
+    grads, g_ctx = mlp2_backward(params, ctx, hidden, g_logits)
+    return grads, context_window_adjoint(g_ctx, len(ctx), params.context)
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +211,14 @@ def min_frames(ids: np.ndarray) -> int:
     return int(ids.size) + repeats
 
 
-def ctc_loss(log_probs, labels: LabelSequence) -> tuple[float, np.ndarray]:
-    """Exact CTC negative log-likelihood and its lattice gradient.
+def ctc_loss(log_probs, labels: LabelSequence):
+    """Exact CTC negative log-likelihood and its vjp: (loss, vjp() -> dL/d log_probs).
 
     alpha and beta run in buffers padded with two -inf states, so each frame
     is 3 calls on slices: logaddexp(stay, step), logaddexp with the skip where
-    allowed, add the emissions. The gradient treats every lattice entry as a
-    free variable (no softmax coupling): the plain adjoint of the sum.
+    allowed, add the emissions. alpha gives the loss; beta and the per-symbol
+    reduction run only when vjp is called. The gradient treats every lattice
+    entry as a free variable (no softmax coupling): the plain adjoint of the sum.
     """
     log_probs = np.asarray(log_probs, dtype=np.float64)
     ids = labels.ids
@@ -246,24 +245,27 @@ def ctc_loss(log_probs, labels: LabelSequence) -> tuple[float, np.ndarray]:
         row += lp[t]
     loss = -float(np.logaddexp(alpha[-1, -2], alpha[-1, -1]))  # last blank or label
 
-    beta = np.full((n_frames, n_states + 2), NEG_INF)  # state s at column s
-    beta[-1, max(n_states - 2, 0):n_states] = lp[-1, max(n_states - 2, 0):]
-    for t in range(n_frames - 2, -1, -1):
-        nxt, row = beta[t + 1], beta[t, :n_states]
-        np.logaddexp(nxt[:-2], nxt[1:-1], out=row)
-        np.logaddexp(row, nxt[2:], out=row, where=can_skip[2:])
-        row += lp[t]
+    def vjp() -> np.ndarray:
+        beta = np.full((n_frames, n_states + 2), NEG_INF)  # state s at column s
+        beta[-1, max(n_states - 2, 0):n_states] = lp[-1, max(n_states - 2, 0):]
+        for t in range(n_frames - 2, -1, -1):
+            nxt, row = beta[t + 1], beta[t, :n_states]
+            np.logaddexp(nxt[:-2], nxt[1:-1], out=row)
+            np.logaddexp(row, nxt[2:], out=row, where=can_skip[2:])
+            row += lp[t]
 
-    # alpha*beta counts the emission at (t, s) twice. Collapse states to
-    # symbols with one logaddexp.reduceat over the states sorted by symbol
-    # (stable, so each symbol sums its states in state order); then
-    # dL/d log_probs[t,k] = -exp(lse - lp - log p).
-    gamma = alpha[:, 2:] + beta[:, :n_states]  # [T, S]
-    order = np.argsort(ext, kind="stable")
-    starts = np.flatnonzero(np.diff(ext[order], prepend=-1))
-    grad_log = np.full((n_frames, n_symbols), NEG_INF)
-    grad_log[:, ext[order[starts]]] = np.logaddexp.reduceat(gamma[:, order], starts, axis=1)
-    return loss, -np.exp(grad_log - log_probs + loss)
+        # alpha*beta counts the emission at (t, s) twice. Collapse states to
+        # symbols with one logaddexp.reduceat over the states sorted by symbol
+        # (stable, so each symbol sums its states in state order); then
+        # dL/d log_probs[t,k] = -exp(lse - lp - log p).
+        gamma = alpha[:, 2:] + beta[:, :n_states]  # [T, S]
+        order = np.argsort(ext, kind="stable")
+        starts = np.flatnonzero(np.diff(ext[order], prepend=-1))
+        grad_log = np.full((n_frames, n_symbols), NEG_INF)
+        grad_log[:, ext[order[starts]]] = np.logaddexp.reduceat(gamma[:, order], starts, axis=1)
+        return -np.exp(grad_log - log_probs + loss)
+
+    return loss, vjp
 
 
 # ---------------------------------------------------------------------------

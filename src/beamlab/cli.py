@@ -131,7 +131,7 @@ def cmd_enhance(cfg: dict) -> int:
 
 
 def _channel_0_mask(mask_params, noisy, clean, window_size: int, hop: int) -> np.ndarray:
-    """[T, F] speech mask from channel 0: mask_params' mask net (its cache dropped
+    """[T, F] speech mask from channel 0: mask_params' mask net (its vjp dropped
     at once), or if None the ideal ratio mask of the clean and noisy channel."""
     if mask_params is not None:
         noisy_0 = _channel_bins(noisy, 0, window_size, hop)

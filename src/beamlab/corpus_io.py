@@ -146,6 +146,9 @@ class Utterance:
     origin: str
 
     def __post_init__(self):
+        # Integers only (bool is not one): int() reads "12" as [1, 2] and [1.7] as [1].
+        if not all(type(t) is int or isinstance(t, np.integer) for t in self.transcript):
+            raise ValueError(f"transcript must be a list of integer ids, got {self.transcript!r}")
         self.transcript = [int(t) for t in self.transcript]
         if not self.utt_id:
             raise ValueError("utterance id must be non-empty")

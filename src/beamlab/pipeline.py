@@ -10,15 +10,16 @@ Wirtinger-calculus adjoints under the convention
 with <A, B> = sum conj(A) * B. The two identities doing the heavy lifting
 are d(A^-1) = -A^-1 dA A^-1 and the conjugate pairing of a real loss.
 
-Each differentiable operation's adjoint lives beside its forward
-(`beamform.mvdr_weights`, which chains `beamform.masked_psd_pair_vjp` and
-`beamform.normalized_psd_ratio_vjp`, `beamform.apply_beamformer_vjp`,
-`dsp.fbank_chain_vjp`, `backend.mlp2_backward`, `backend.am_backward`); this
-module wires them into the joint graph. `max_fd_error` is the one central-
-difference check, of `finite_diff_check` (`gradcheck`) and of every adjoint
-test. An "am.*" entry cannot change the mask net, the MVDR chain or the
-features, so `finite_diff_check` perturbs it on the cached front end: the
-AM and CTC on the unperturbed features, bit for bit `forward_joint`'s loss.
+Every stage returns its output and its vjp (vector-Jacobian product), written
+beside its forward: the mask net (`mask_net_forward`, sigmoid included), the
+MVDR chain (`beamform.mvdr_weights`, over `beamform.masked_psd_pair_vjp` and
+`beamform.normalized_psd_ratio_vjp`), `beamform.apply_beamformer_vjp`,
+`dsp.fbank_chain_vjp`, `backend.am_forward_cached` and `backend.ctc_loss`.
+`backward_joint` composes the vjps `forward_joint` keeps. `max_fd_error` is
+the one central-difference check, of `finite_diff_check` (`gradcheck`) and of
+every adjoint test. An "am.*" entry cannot change the mask net, the MVDR chain
+or the features, so `finite_diff_check` perturbs it on the cached front end:
+the AM and CTC on the unperturbed features, bit for bit `forward_joint`'s loss.
 
 Both nets have one parameter type, `backend.Mlp2Params` (the AM's `AmParams`
 adds its context window). Gradients are plain dicts keyed like `param_arrays`:
@@ -38,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backend as _backend
-from .backend import PARAM_NAMES, AmParams, LabelSequence, Mlp2Params, am_backward, \
-    am_forward_cached, ctc_loss, mlp2_backward, mlp2_forward
+from .backend import PARAM_NAMES, AmParams, LabelSequence, Mlp2Params, am_forward_cached, \
+    ctc_loss, mlp2_backward, mlp2_forward
 from .beamform import apply_beamformer_vjp, mvdr_weights
 from .dsp import LOG_FLOOR, Spectrogram, fbank_chain_vjp, mel_filterbank
 
@@ -92,14 +93,16 @@ def param_arrays(state: TrainState) -> dict:
 
 
 def _backend_tail(am_params: AmParams, spec: Spectrogram, xhat: np.ndarray,
-                  labels: LabelSequence | None, subsample_factor: int) -> dict:
-    """mel -> feature chain -> AM -> CTC on single-channel bins [T, F]; labels None skips CTC."""
+                  labels: LabelSequence | None, subsample_factor: int):
+    """mel -> feature chain -> AM -> CTC on single-channel bins [T, F]: (loss, cache with
+    "feats", "log_probs", "feat_vjp", "am_vjp" and "ctc_vjp"); labels None skips CTC (both None)."""
     mel = mel_filterbank(_n_mels_for(am_params), spec.freq_bins, spec.window_size,
                          spec.sample_rate)
     feats, feat_vjp = fbank_chain_vjp(xhat, mel, subsample_factor)
-    log_probs, am_cache = am_forward_cached(feats, am_params)
-    loss, g_lattice = (None, None) if labels is None else ctc_loss(log_probs, labels)
-    return dict(feats=feats, feat_vjp=feat_vjp, am=am_cache, g_lattice=g_lattice, loss=loss)
+    log_probs, am_vjp = am_forward_cached(feats, am_params)
+    loss, ctc_vjp = (None, None) if labels is None else ctc_loss(log_probs, labels)
+    return loss, dict(feats=feats, log_probs=log_probs, feat_vjp=feat_vjp, am_vjp=am_vjp,
+                      ctc_vjp=ctc_vjp)
 
 
 def forward_backend(
@@ -111,14 +114,12 @@ def forward_backend(
     """Single-channel loss: fbank -> cmvn -> deltas -> subsample -> AM -> CTC."""
     if spec.channels != 1:
         raise ValueError("backend path requires a single-channel spectrogram")
-    tail = _backend_tail(am_params, spec, spec.bins[:, :, 0], labels, subsample_factor)
-    return tail["loss"], {"am_params": am_params, **tail}
+    return _backend_tail(am_params, spec, spec.bins[:, :, 0], labels, subsample_factor)
 
 
 def backward_backend(cache: dict) -> dict:
-    """The "am.*" gradients for a forward_backend cache."""
-    am_grads, _ = am_backward(cache["am_params"], cache["am"], cache["g_lattice"])
-    return {f"am.{name}": grad for name, grad in am_grads.items()}
+    """The "am.*" gradients for a forward_backend cache: CTC's vjp, then the AM's."""
+    return {f"am.{name}": grad for name, grad in cache["am_vjp"](cache["ctc_vjp"]())[0].items()}
 
 
 def _n_mels_for(am_params: AmParams) -> int:
@@ -135,7 +136,8 @@ def _n_mels_for(am_params: AmParams) -> int:
 def mask_net_forward(mask_params: Mlp2Params, bins: np.ndarray):
     """Speech mask in (0,1) from channel-0 log magnitudes, [T, F]: a sigmoid over
     the mask net's one logit. The context is the edge-padded log magnitude at
-    f-1, f, f+1: three [T, F] planes, so w1 [3, H] is a 3-tap filter over frequency."""
+    f-1, f, f+1: three [T, F] planes, so w1 [3, H] is a 3-tap filter over frequency.
+    Returns (mask, vjp); vjp(g_mask) -> the parameter gradients keyed by PARAM_NAMES."""
     n_frames, n_bins = bins.shape[:2]
     x = bins[:, :, 0]
     planes = np.empty((3, n_frames, n_bins))
@@ -145,8 +147,12 @@ def mask_net_forward(mask_params: Mlp2Params, bins: np.ndarray):
     ctx = planes.reshape(3, -1).T
     logits, hidden = mlp2_forward(mask_params, ctx)
     mask = (1.0 / (1.0 + np.exp(-logits))).reshape(n_frames, n_bins)  # a third of expit's time
-    cache = {"ctx": ctx, "hidden": hidden, "mask": mask}
-    return mask, cache
+
+    def vjp(g_mask: np.ndarray) -> dict:
+        g_logit = (g_mask * mask * (1.0 - mask)).reshape(-1, 1)  # sigmoid' = m (1 - m)
+        return mlp2_backward(mask_params, ctx, hidden, g_logit)[0]
+
+    return mask, vjp
 
 
 def forward_joint(
@@ -159,25 +165,18 @@ def forward_joint(
     """Joint loss L = -log p(l | Feature(x_hat)) and the backward cache; labels None: decode only.
 
     ref_channel pins the reference microphone (otherwise select_reference
-    chooses it from the speech PSD).
+    chooses it from the speech PSD). The cache holds "ref", "feats", "log_probs" and
+    each stage's vjp: "mask_vjp", "mvdr_vjp", "beam_vjp", "feat_vjp", "am_vjp", "ctc_vjp".
     """
     bins = utt.bins
     if bins.shape[2] < 1:
         raise ValueError("need at least one channel")
-    mask, mask_cache = mask_net_forward(state.mask_params, bins)
-
+    mask, mask_vjp = mask_net_forward(state.mask_params, bins)
     h, ref, mvdr_vjp = mvdr_weights(bins, mask, ref_channel)
     xhat, beam_vjp = apply_beamformer_vjp(h, bins)
-    tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
-    cache = {
-        "state": state,
-        "mask_cache": mask_cache,
-        "mvdr_vjp": mvdr_vjp,
-        "ref": ref,
-        "beam_vjp": beam_vjp,
-        **tail,
-    }
-    return tail["loss"], cache
+    loss, tail = _backend_tail(state.am_params, utt, xhat, labels, subsample_factor)
+    return loss, {"ref": ref, "mask_vjp": mask_vjp, "mvdr_vjp": mvdr_vjp,
+                  "beam_vjp": beam_vjp, **tail}
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +186,13 @@ def forward_joint(
 
 def backward_joint(cache: dict) -> dict:
     """Exact reverse-mode gradients of a forward_joint cache for every trainable
-    array, keyed like param_arrays: "mask.w1" ... "mask.b2", "am.w1" ... "am.b2"."""
-    state = cache["state"]
-
-    # Back-end and feature stages (real-valued until |z|^2).
-    am_grads, g_feats = am_backward(state.am_params, cache["am"], cache["g_lattice"])
-    g_xhat = cache["feat_vjp"](g_feats)
-
-    # The beamformer, then the MVDR chain back to the speech mask.
-    g_mask = cache["mvdr_vjp"](cache["beam_vjp"](g_xhat))
-
-    # Sigmoid, then the mask net's 2-layer MLP.
-    mc = cache["mask_cache"]
-    g_logit = (g_mask * mc["mask"] * (1.0 - mc["mask"])).reshape(-1, 1)
-    mask_grads, _ = mlp2_backward(state.mask_params, mc["ctx"], mc["hidden"], g_logit,
-                                  input_grad=False)
-    return {**{f"mask.{name}": grad for name, grad in mask_grads.items()},
-            **{f"am.{name}": grad for name, grad in am_grads.items()}}
+    array, keyed like param_arrays: "mask.w1" ... "mask.b2", "am.w1" ... "am.b2".
+    CTC's vjp, then the AM's, then the front end's back to the mask net's."""
+    am_grads, grad = cache["am_vjp"](cache["ctc_vjp"]())
+    for stage in ("feat_vjp", "beam_vjp", "mvdr_vjp", "mask_vjp"):
+        grad = cache[stage](grad)  # the mask net's vjp returns its parameter gradients
+    return {**{f"mask.{name}": g for name, g in grad.items()},
+            **{f"am.{name}": g for name, g in am_grads.items()}}
 
 
 # ---------------------------------------------------------------------------

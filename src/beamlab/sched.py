@@ -443,7 +443,7 @@ def _token_errors(state, data, cfg, utt_ids) -> tuple:
     for utt_id in utt_ids:
         spec, labels = data[utt_id]
         _, cache = forward_joint(state, spec, None, subsample_factor=cfg.subsample)
-        sub, ins, dele = edit_distance(greedy_decode(cache["am"]["log_probs"]).ids, labels.ids)
+        sub, ins, dele = edit_distance(greedy_decode(cache["log_probs"]).ids, labels.ids)
         total_err += sub + ins + dele
         total_ref += len(labels)
     return total_err, total_ref

@@ -17,6 +17,7 @@ from beamlab.beamform import (
 )
 from beamlab.dsp import Spectrogram
 from beamlab.pipeline import max_fd_error
+from adjoint_checks import dot_product_sides
 
 
 def _rng(seed=0):
@@ -188,6 +189,25 @@ class TestAdjoints:
         np.testing.assert_allclose(vjp(g_ss, g_nn), oracle_ss - oracle_nn, rtol=1e-12,
                                    atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("channels", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n_bins", [31, 32, 33])
+    def test_masked_psd_pair_vjp_dot_product(self, n_bins, channels):
+        # m -> (Phi(m), Phi(1 - m)) is affine, with linear part J v = (Phi(v), -Phi(v)),
+        # Phi = masked_psd: F on both sides of PSD_BLOCK_BINS.
+        rng = _rng(70 + n_bins + channels)
+        bins = _random_bins(rng, 10, n_bins, channels, "tfc")
+        mask, v = rng.uniform(size=(2, 10, n_bins))
+        u = rng.normal(size=(2, n_bins, channels, channels)) + 1j * rng.normal(
+            size=(2, n_bins, channels, channels))
+        _, _, vjp = masked_psd_pair_vjp(bins, mask)
+
+        def forward(w):
+            phi = masked_psd(bins, w)
+            return np.stack([phi, -phi])
+
+        lhs, rhs = dot_product_sides(forward, lambda g: vjp(*g), v, u)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
     def test_normalized_psd_ratio_vjp_matches_finite_differences(self):
         rng = _rng(41)
         phi_ss = _random_psd(rng, 4, 3)
@@ -348,9 +368,7 @@ class TestApplyAndReference:
         u = rng.normal(size=(frames, n_bins)) + 1j * rng.normal(size=(frames, n_bins))
         xhat, vjp = apply_beamformer_vjp(h, bins)
         np.testing.assert_allclose(xhat, np.einsum("fc,tfc->tf", h.conj(), bins), rtol=1e-14)
-        j_v, _ = apply_beamformer_vjp(v, bins)
-        lhs = np.vdot(j_v, u).real
-        rhs = np.vdot(v, vjp(u)).real
+        lhs, rhs = dot_product_sides(lambda w: apply_beamformer_vjp(w, bins)[0], vjp, v, u)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     def test_select_reference_prefers_loud_channel(self):

@@ -4,6 +4,7 @@ import json
 import re
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -233,6 +234,14 @@ class TestManifest:
         path.write_text('[1]\n')
         with pytest.raises(ValueError, match="malformed manifest line 1"):
             load_manifest(path)
+        # Transcripts that are not lists of integers: before, "12" loaded as
+        # [1, 2], [1.7, 2] as [1, 2] and [true] as [1].
+        record = asdict(_utt())
+        for transcript in ("12", [1.7, 2], [True]):
+            path.write_text('{"manifest_version": 1}\n'
+                            + json.dumps({**record, "transcript": transcript}) + "\n")
+            with pytest.raises(ValueError, match="malformed manifest line 2: transcript"):
+                load_manifest(path)
 
     def test_missing_version_header(self, tmp_path):
         path = tmp_path / "nov.jsonl"

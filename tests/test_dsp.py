@@ -21,6 +21,7 @@ from beamlab.dsp import (
     stft,
 )
 from beamlab.pipeline import max_fd_error
+from adjoint_checks import dot_product_sides
 
 
 def _rng(seed=0):
@@ -331,8 +332,7 @@ class TestDeltas:
         rng = _rng(5)
         x = rng.normal(size=(9, 4))
         y = rng.normal(size=(9, 4))
-        lhs = np.sum(delta_features(x) * y)
-        rhs = np.sum(x * delta_features_adjoint(y))
+        lhs, rhs = dot_product_sides(delta_features, delta_features_adjoint, x, y)
         assert abs(lhs - rhs) < 1e-12
 
     def test_add_deltas_dims(self):

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import expit
 
 from beamlab import pipeline
-from beamlab.backend import LabelSequence, Mlp2Params, mlp2_init
+from beamlab.backend import PARAM_NAMES, LabelSequence, Mlp2Params, mlp2_forward, mlp2_init
 from beamlab.beamform import mvdr_weights
 from beamlab.cli import make_gradcheck_instance
 from beamlab.dsp import LOG_FLOOR, Spectrogram, mel_filterbank
@@ -177,20 +177,28 @@ class TestForwardJoint:
         monkeypatch.setattr(pipeline, "ctc_loss", no_ctc)
         loss, decode = forward_joint(state, utt, None, subsample_factor=3)
         assert loss is None
-        np.testing.assert_array_equal(decode["am"]["log_probs"], cache["am"]["log_probs"])
+        np.testing.assert_array_equal(decode["log_probs"], cache["log_probs"])
 
 
 class TestMaskNet:
     @pytest.mark.parametrize("n_bins", [1, 2, 9, 129])
-    def test_context_planes_match_clipped_gather(self, n_bins):
-        # The [T*F, 3] clipped-index gather the three shifted planes replaced.
+    def test_context_planes_match_clipped_gather(self, n_bins, monkeypatch):
+        # The [T*F, 3] clipped-index gather the three shifted planes replaced,
+        # read as the MLP's input.
         rng = _rng(20 + n_bins)
         bins = rng.normal(size=(7, n_bins, 2)) + 1j * rng.normal(size=(7, n_bins, 2))
-        _, cache = mask_net_forward(Mlp2Params(**mlp2_init(rng, 3, 8, 1)), bins)
+        inputs = []
+
+        def recorded(params, ctx):
+            inputs.append(ctx)
+            return mlp2_forward(params, ctx)
+
+        monkeypatch.setattr(pipeline, "mlp2_forward", recorded)
+        mask_net_forward(Mlp2Params(**mlp2_init(rng, 3, 8, 1)), bins)
         x = bins[:, :, 0]
         logmag = 0.5 * np.log(x.real ** 2 + x.imag ** 2 + LOG_FLOOR)
         idx = np.clip(np.arange(n_bins)[:, None] + np.array([-1, 0, 1]), 0, n_bins - 1)
-        np.testing.assert_array_equal(cache["ctx"], logmag[:, idx].reshape(-1, 3))
+        np.testing.assert_array_equal(inputs[0], logmag[:, idx].reshape(-1, 3))
 
     def test_mask_matches_gather_formulation(self):
         # The parent formulation end to end: |x|^2 via abs, gather, row-major MLP.
@@ -204,6 +212,25 @@ class TestMaskNet:
         hidden = np.tanh(logmag[:, idx].reshape(-1, 3) @ params.w1 + params.b1)
         oracle = expit(hidden @ params.w2 + params.b2).reshape(9, 17)
         np.testing.assert_allclose(mask, oracle, rtol=1e-12, atol=0)
+
+    def test_vjp_finite_difference(self):
+        # The stage alone, sigmoid included, against an arbitrary upstream g_mask:
+        # L = sum(mask * g_mask) over 20 seeds of a 6 x 9 x 2 instance, H = 8 as in training.
+        for seed in range(20):
+            rng = _rng(60 + seed)
+            bins = rng.normal(size=(6, 9, 2)) + 1j * rng.normal(size=(6, 9, 2))
+            params = Mlp2Params(**mlp2_init(rng, 3, 8, 1))
+            params.b1, params.b2 = rng.normal(size=8), rng.normal(size=1)
+            g_mask = rng.normal(size=(6, 9))
+            mask, vjp = mask_net_forward(params, bins)
+            grads = vjp(g_mask)
+
+            def loss_of():
+                return float(np.sum(mask_net_forward(params, bins)[0] * g_mask))
+
+            for name in PARAM_NAMES:
+                err = max_fd_error(loss_of, getattr(params, name), grads[name], 1e-5, name)
+                assert err < 1e-6, (seed, name, err)
 
 
 class TestMaxFdError:
