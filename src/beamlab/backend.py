@@ -41,7 +41,8 @@ class LabelSequence:
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         if self.ids.size and (self.ids.min() < 1 or self.ids.max() > self.vocab_size):
-            raise ValueError("label ids must lie in [1, vocab_size]; 0 is the blank")
+            raise ValueError(f"label ids must lie in [1, vocab_size] = [1, {self.vocab_size}]; "
+                             "0 is the blank")
 
     def __len__(self) -> int:
         return int(self.ids.size)
@@ -110,7 +111,6 @@ def _context_indices(n_frames: int, context: int) -> np.ndarray:
 
 def context_window(features: np.ndarray, context: int) -> np.ndarray:
     """Stack +-context frames per row (edges replicated), [T, (2c+1)*D]."""
-    features = np.asarray(features, dtype=np.float64)
     idx = _context_indices(features.shape[0], context)
     return features[idx].reshape(features.shape[0], -1)
 
@@ -171,7 +171,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def am_forward_cached(features: np.ndarray, params: AmParams):
     """Raw AM forward: (log_probs, vjp), vjp(g_log_probs) -> (param grads keyed by
     PARAM_NAMES, g_features), am_backward on this forward's arrays."""
-    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be [frames, dims]")
     if features.shape[1] * (2 * params.context + 1) != params.w1.shape[0]:
@@ -206,9 +205,7 @@ def _extend_labels(ids: np.ndarray) -> np.ndarray:
 
 def min_frames(ids: np.ndarray) -> int:
     """Shortest feasible path length: |l| plus one blank per adjacent repeat."""
-    ids = np.asarray(ids)
-    repeats = int(np.sum(ids[1:] == ids[:-1])) if ids.size > 1 else 0
-    return int(ids.size) + repeats
+    return int(ids.size + np.sum(ids[1:] == ids[:-1]))
 
 
 def ctc_loss(log_probs, labels: LabelSequence):
@@ -220,7 +217,6 @@ def ctc_loss(log_probs, labels: LabelSequence):
     reduction run only when vjp is called. The gradient treats every lattice
     entry as a free variable (no softmax coupling): the plain adjoint of the sum.
     """
-    log_probs = np.asarray(log_probs, dtype=np.float64)
     ids = labels.ids
     n_frames, n_symbols = log_probs.shape
     if ids.size and (ids.min() < 1 or ids.max() >= n_symbols):
@@ -275,7 +271,6 @@ def ctc_loss(log_probs, labels: LabelSequence):
 
 def collapse_path(path: np.ndarray) -> np.ndarray:
     """The B mapping: drop consecutive repeats, then blanks."""
-    path = np.asarray(path, dtype=np.int64)
     if path.size == 0:
         return path
     keep = np.concatenate(([True], path[1:] != path[:-1]))

@@ -119,7 +119,7 @@ def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None):
     phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
     weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
     speech_sum = np.maximum(mask.sum(axis=0), MASK_EPS)[:, None, None]
-    ref = select_reference(phi_ss / speech_sum) if ref is None else int(ref)
+    ref = select_reference(phi_ss / speech_sum) if ref is None else ref
     if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
 
@@ -151,7 +151,6 @@ def select_reference(phi_ss: np.ndarray) -> int:
 
     Approximates principal-component selection; ties break to the lowest index.
     """
-    phi_ss = np.asarray(phi_ss)
     if phi_ss.ndim != 3 or phi_ss.shape[0] < 1:
         raise ValueError("phi_ss must be [freq_bins, C, C] with >= 1 bin")
     power = np.einsum("fcc->c", phi_ss).real / phi_ss.shape[0]

@@ -99,8 +99,10 @@ def cmd_enhance(cfg: dict) -> int:
     clean = None
     if cfg["clean"] is not None:
         clean = corpus_io.read_wav(cfg["clean"])
-        if clean.samples.shape != noisy.samples.shape:
-            raise ValueError("clean reference must match the input shape exactly")
+        if (clean.samples.shape, clean.sample_rate) != (noisy.samples.shape, noisy.sample_rate):
+            raise ValueError(f"clean reference must match the input shape and sample rate "
+                             f"exactly: clean {clean.samples.shape} at {clean.sample_rate} Hz, "
+                             f"input {noisy.samples.shape} at {noisy.sample_rate} Hz")
 
     # One [T, F, C] spectrogram at most, the noisy one: the mask comes from
     # channel-0 spectrograms before it is built, and the SNR gain transforms
@@ -108,7 +110,8 @@ def cmd_enhance(cfg: dict) -> int:
     mask = _channel_0_mask(mask_params, noisy, clean, window_size, hop)
     spec = stft(noisy, window_size, hop)
     del noisy
-    # The adjoint is dropped at once: it holds the [T, F] noise mask.
+    # The adjoint is dropped at once: it holds the noisy [T, F, C] bins and the speech
+    # mask, so without it the noisy spectrogram is freed when spec is replaced below.
     h, ref = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)[:2]
     if not np.isfinite(h).all():
         raise sched.NumericalError(f"non-finite MVDR filter for '{in_path}'")
@@ -225,13 +228,14 @@ TRAIN_DEFAULTS = {
 }
 
 def _load_utt_set(manifest_path, vocab_size: int) -> list:
-    manifest = corpus_io.load_manifest(manifest_path)
+    """The manifest's utterances, each with its labels checked before its WAV is read."""
     utts = []
-    for record in manifest:
+    for record in corpus_io.load_manifest(manifest_path):
+        try:
+            labels = backend.LabelSequence(ids=record.transcript, vocab_size=vocab_size)
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: utterance '{record.utt_id}': {exc}") from None
         wave = corpus_io.read_utterance(manifest_path, record)
-        labels = backend.LabelSequence(
-            ids=np.asarray(record.transcript, dtype=np.int64), vocab_size=vocab_size
-        )
         utts.append(sched.Utt(utt_id=record.utt_id, wave=wave, labels=labels))
     return utts
 

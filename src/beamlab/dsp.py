@@ -31,7 +31,7 @@ STFT_BLOCK_SAMPLES = 1 << 16
 class Waveform:
     """Sampled audio, one or more channels.
 
-    samples: float array [channels, n_samples], finite amplitudes.
+    samples: 2-D float array [channels >= 1, n_samples >= 1], finite amplitudes.
     sample_rate: Hz.
     """
 
@@ -39,9 +39,10 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 2:
-            raise ValueError("waveform samples must be [channels, n_samples]")
+        self.samples = np.asarray(self.samples, dtype=np.float64)
+        if self.samples.ndim != 2 or self.samples.shape[0] < 1:
+            raise ValueError("waveform samples must be [channels >= 1, n_samples], "
+                             f"not {self.samples.shape}")
         if self.samples.shape[1] == 0:
             raise ValueError("waveform must contain at least one sample")
         if not np.all(np.isfinite(self.samples)):
@@ -61,7 +62,7 @@ class Waveform:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT tensor indexed (frame t, frequency f, channel c)."""
+    """Complex STFT tensor indexed (frame t, frequency f, channel c); [T, F] is one channel."""
 
     bins: np.ndarray
     sample_rate: int
@@ -72,8 +73,8 @@ class Spectrogram:
         self.bins = np.asarray(self.bins, dtype=np.complex128)
         if self.bins.ndim == 2:
             self.bins = self.bins[:, :, None]
-        if self.bins.ndim != 3:
-            raise ValueError("spectrogram bins must be [frames, freq_bins, channels]")
+        if self.bins.ndim != 3 or self.bins.shape[2] < 1:
+            raise ValueError("spectrogram bins must be [frames, freq_bins, channels >= 1]")
         if self.bins.shape[1] != self.window_size // 2 + 1:
             raise ValueError(
                 f"freq_bins {self.bins.shape[1]} inconsistent with window_size "

@@ -169,8 +169,6 @@ def forward_joint(
     each stage's vjp: "mask_vjp", "mvdr_vjp", "beam_vjp", "feat_vjp", "am_vjp", "ctc_vjp".
     """
     bins = utt.bins
-    if bins.shape[2] < 1:
-        raise ValueError("need at least one channel")
     mask, mask_vjp = mask_net_forward(state.mask_params, bins)
     h, ref, mvdr_vjp = mvdr_weights(bins, mask, ref_channel)
     xhat, beam_vjp = apply_beamformer_vjp(h, bins)
@@ -305,12 +303,12 @@ def load_checkpoint(path) -> TrainState:
         step, seed = int(payload["step"]), int(payload["seed"])
         mask, am = payload["mask_params"], payload["am_params"]
         group = "mask_params"
-        mask_params = Mlp2Params(**{n: np.asarray(mask[n]) for n in PARAM_NAMES})
+        mask_params = Mlp2Params(**{n: mask[n] for n in PARAM_NAMES})
         if mask_params.w1.shape[0] != 3 or mask_params.w2.shape[1] != 1:
             raise ValueError("the mask net maps 3 log magnitudes to 1 logit, "
                              f"not w1 {mask_params.w1.shape} and w2 {mask_params.w2.shape}")
         group = "am_params"
-        am_params = AmParams(**{n: np.asarray(am[n]) for n in PARAM_NAMES},
+        am_params = AmParams(**{n: am[n] for n in PARAM_NAMES},
                              context=int(am["context"]))
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc

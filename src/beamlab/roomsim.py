@@ -89,13 +89,15 @@ class MicArray:
 
 @dataclass
 class RIR:
-    """Room impulse responses, taps [C, n_taps] on a shared time base."""
+    """Room impulse responses, taps [C >= 1, n_taps >= 1] on a shared time base."""
 
     taps: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.taps = np.atleast_2d(np.asarray(self.taps, dtype=np.float64))
+        self.taps = np.asarray(self.taps, dtype=np.float64)
+        if self.taps.ndim != 2 or self.taps.size == 0:
+            raise ValueError(f"RIR taps must be [C >= 1, n_taps >= 1], not {self.taps.shape}")
         if not np.all(np.isfinite(self.taps)):
             raise ValueError("RIR taps must be finite")
 
@@ -266,23 +268,20 @@ def simulate_multichannel(source: Waveform, rir: RIR) -> Waveform:
 def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Scale noise so the reference-channel SNR equals snr_db, then sum.
 
-    snr_db = +inf is a sentinel for a zero noise scale; NaN and -inf are
-    errors. Noise longer than the speech is truncated; shorter noise is an error.
+    The noise must have the speech's shape and sample rate. snr_db = +inf is a
+    sentinel for a zero noise scale; NaN and -inf are errors.
     """
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
-    if speech.channels != noise.channels:
-        raise ValueError("speech and noise channel counts must match")
-    if speech.sample_rate != noise.sample_rate:
-        raise ValueError("speech and noise sample rates must match")
-    if noise.n_samples < speech.n_samples:
-        raise ValueError("noise must be at least as long as speech")
-    noise_cut = noise.samples[:, : speech.n_samples]
+    if (noise.samples.shape, noise.sample_rate) != (speech.samples.shape, speech.sample_rate):
+        raise ValueError(f"noise must match the speech's shape and sample rate: noise "
+                         f"{noise.samples.shape} at {noise.sample_rate} Hz, speech "
+                         f"{speech.samples.shape} at {speech.sample_rate} Hz")
     if snr_db == np.inf:
         return Waveform(samples=speech.samples.copy(), sample_rate=speech.sample_rate)
     p_speech = np.mean(speech.samples[0] ** 2)
-    p_noise = np.mean(noise_cut[0] ** 2)
+    p_noise = np.mean(noise.samples[0] ** 2)
     if p_speech <= 0.0 or p_noise <= 0.0:
         raise ValueError("zero-power input to mix_at_snr")
     scale = np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return Waveform(samples=speech.samples + scale * noise_cut, sample_rate=speech.sample_rate)
+    return Waveform(samples=speech.samples + scale * noise.samples, sample_rate=speech.sample_rate)

@@ -26,7 +26,7 @@ import os
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -128,18 +128,18 @@ class Batch:
 
 @dataclass
 class Report:
-    """Self-contained record of one training run."""
+    """Self-contained record of one training run, built whole once run_training has decoded."""
 
     mode: str
     seed: int
     config: dict
-    epoch_losses: list = field(default_factory=list)  # mean joint loss per epoch
-    single_losses: list = field(default_factory=list)  # mean back-end-only loss
-    pretrain_losses: list = field(default_factory=list)
-    toy_error: float = float("nan")
-    wall_clock_per_epoch: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)
-    cost_model: dict = field(default_factory=dict)
+    epoch_losses: list  # mean joint loss per epoch
+    single_losses: list  # mean back-end-only loss per epoch that ran SINGLE batches
+    pretrain_losses: list  # mean loss per pretraining epoch; [] outside PT
+    toy_error: float
+    wall_clock_per_epoch: list
+    counters: dict
+    cost_model: dict
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -374,7 +374,7 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     """
     if not multi_set:  # the cost model divides by it; SIMU's renders would train without it
         raise ValueError("multi-channel set must not be empty")
-    sim_set = single_set if cfg.mode == "SIMU" else []
+    sim_set = list(single_set) if cfg.mode == "SIMU" else []
     # The single-channel utterances whose STFTs the run reads: DS's, or PT's when it pretrains.
     cached_single = list(single_set) if cfg.mode == "DS" or (
         cfg.mode == "PT" and cfg.pretrain_epochs) else []
@@ -382,12 +382,15 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
     single_ids = [u.utt_id for u in cached_single]
     if len(set(jo_ids + single_ids)) != len(jo_ids) + len(single_ids):
         raise ValueError("utterance ids must be unique across the multi- and single-channel sets")
+    for utt in cached_single + sim_set:  # before any STFT
+        if utt.wave.channels != 1:
+            raise ValueError(f"single-channel set: utterance '{utt.utt_id}' has "
+                             f"{utt.wave.channels} channels")
 
     streams = _spawn_streams(cfg.seed)
     state = init_train_state(streams["init"], n_mels=cfg.n_mels, vocab_size=cfg.vocab_size,
                              am_hidden=cfg.am_hidden, mask_hidden=cfg.mask_hidden,
                              context=cfg.context, seed=cfg.seed)
-    report = Report(mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg))
 
     # The run cache, one STFT per utterance: pretraining, the epochs and the decode share it.
     data = {u.utt_id: (stft(u.wave, cfg.window_size, cfg.hop), u.labels)
@@ -396,10 +399,10 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
 
     # Per batch kind (MULTI, SINGLE): utterances trained and seconds spent, over all epochs.
     utts, seconds = {MULTI: 0, SINGLE: 0}, {MULTI: 0.0, SINGLE: 0.0}
+    epoch_losses, single_losses, wall_clock, pretrain_losses = [], [], [], []
     with _helper_process(data, cfg) as helper:
         if cfg.mode == "PT":
-            report.pretrain_losses = _pretrain(state, cfg, single_ids, data,
-                                               streams["pretrain"], helper)
+            pretrain_losses = _pretrain(state, cfg, single_ids, data, streams["pretrain"], helper)
         for epoch in range(cfg.epochs):
             plan = plan_epoch(jo_ids, single_ids if cfg.mode == "DS" else [], cfg,
                               streams["plan"])
@@ -410,28 +413,27 @@ def run_training(cfg: ScheduleConfig, multi_set, single_set, return_state: bool 
                 losses[batch.kind].append(_run_batch(state, batch, data, cfg, helper))
                 seconds[batch.kind] += time.perf_counter() - t0
                 utts[batch.kind] += len(batch.utt_ids)
-            report.epoch_losses.append(float(np.mean(losses[MULTI])))
+            epoch_losses.append(float(np.mean(losses[MULTI])))
             if losses[SINGLE]:
-                report.single_losses.append(float(np.mean(losses[SINGLE])))
-            report.wall_clock_per_epoch.append(time.perf_counter() - t_epoch)
+                single_losses.append(float(np.mean(losses[SINGLE])))
+            wall_clock.append(time.perf_counter() - t_epoch)
 
-        report.toy_error = evaluate_token_error(state, data, cfg,
-                                                [u.utt_id for u in multi_set], helper)
+        toy_error = evaluate_token_error(state, data, cfg, [u.utt_id for u in multi_set], helper)
 
     n_multi, n_single = len(multi_set), len(single_set)
-    report.counters = {
-        "epochs": cfg.epochs,
-        "frontend_utts_per_epoch": utts[MULTI] // cfg.epochs,
-        "single_utts_per_epoch": utts[SINGLE] // cfg.epochs,
-        "multi_set_size": n_multi,
-        "single_set_size": n_single,
-    }
     # Table-1 style prediction from the measured per-utterance costs.
     n_ratio = n_single / n_multi
     t1 = seconds[MULTI] / max(utts[MULTI], 1) * n_multi
     t2 = seconds[SINGLE] / max(utts[SINGLE], 1) * n_single
-    report.cost_model = {"n_ratio": n_ratio, "t1_seconds": t1, "t2_seconds": t2,
-                         "predicted_epoch_seconds": epoch_cost_model(t1, t2, n_ratio, cfg.mode)}
+    report = Report(
+        mode=cfg.mode, seed=cfg.seed, config=config_to_dict(cfg), epoch_losses=epoch_losses,
+        single_losses=single_losses, pretrain_losses=pretrain_losses, toy_error=toy_error,
+        wall_clock_per_epoch=wall_clock,
+        counters={"epochs": cfg.epochs, "frontend_utts_per_epoch": utts[MULTI] // cfg.epochs,
+                  "single_utts_per_epoch": utts[SINGLE] // cfg.epochs,
+                  "multi_set_size": n_multi, "single_set_size": n_single},
+        cost_model={"n_ratio": n_ratio, "t1_seconds": t1, "t2_seconds": t2,
+                    "predicted_epoch_seconds": epoch_cost_model(t1, t2, n_ratio, cfg.mode)})
     if return_state:
         return report, state
     return report

@@ -247,6 +247,26 @@ class TestEnhance:
         assert "must match the input shape" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_clean_rate_mismatch_is_data_error_before_stft(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # Before: a clean reference of the input's shape at 8 kHz for a 16 kHz
+        # input exited 0 and printed an SNR gain.
+        noisy, clean = _make_scene(tmp_path)
+        wave = corpus_io.read_wav(clean)
+        corpus_io.write_wav(clean, dataclasses.replace(wave, sample_rate=8000))
+
+        def no_stft(*args):
+            raise AssertionError("stft called before the rate check")
+
+        monkeypatch.setattr(cli, "stft", no_stft)
+        out = tmp_path / "enh.wav"
+        assert main(["enhance", "--input", str(noisy), "--out", str(out),
+                     "--masks", "oracle", "--clean", str(clean)]) == 2
+        err = capsys.readouterr().err
+        assert "must match the input shape and sample rate" in err
+        assert "at 8000 Hz" in err and "at 16000 Hz" in err
+        assert not out.exists()
+
     def test_non_finite_filter_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         # A NaN in the MVDR filter is a numerical fault (exit 3), named with its
         # input, and nothing is written.
@@ -471,6 +491,25 @@ class TestMakeCorpusAndTrain:
         report = json.loads(report_path.read_text(), parse_constant=reject)
         assert report["pretrain_losses"] == [None, None]
         assert all(np.isfinite(report["epoch_losses"]))
+
+    def test_out_of_vocabulary_id_is_data_error_naming_its_source(self, tmp_path, capsys):
+        # Before: "label ids must lie in [1, vocab_size]; 0 is the blank", naming
+        # no manifest, utterance or vocabulary size. The labels are checked
+        # before the WAV is read: here it is gone.
+        out = tmp_path / "corpus"
+        main(["make-corpus", "--out-dir", str(out), "--n-multi", "2",
+              "--n-single", "0", "--seed", "3"])
+        manifest = out / "multi.jsonl"
+        utt_id = _rewrite_first_record(manifest, transcript=[1, 7])
+        record = corpus_io.load_manifest(manifest).utterances[0]
+        corpus_io.resolve_audio_path(manifest, record.audio_path).unlink()
+        capsys.readouterr()
+        code = main(["train", "--epochs", "1", "--multi-manifest", str(manifest),
+                     "--vocab", str(out / "vocab.txt"), "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert (f"{manifest}: utterance '{utt_id}': label ids must lie in [1, vocab_size] "
+                "= [1, 6]") in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("field,value", [("channels", 1), ("sample_rate", 16000)])
     def test_train_record_disagreeing_with_wav_is_data_error(self, tmp_path, capsys,

@@ -63,10 +63,17 @@ class TestContainers:
         with pytest.raises(ValueError):
             Waveform(samples=np.array([[0.0, np.nan]]), sample_rate=8000)
 
-    def test_waveform_1d_autoexpands(self):
-        w = Waveform(samples=np.zeros(16), sample_rate=8000)
-        assert w.samples.shape == (1, 16)
-        assert w.channels == 1 and w.n_samples == 16
+    def test_waveform_rejects_1d_and_zero_channels(self):
+        # Before: 1-D samples became one channel, and a [0, n] array was
+        # accepted, on which write_wav raised ZeroDivisionError.
+        for shape in ((16,), (0, 16)):
+            with pytest.raises(ValueError, match=r"\[channels >= 1, n_samples\]"):
+                Waveform(samples=np.zeros(shape), sample_rate=8000)
+
+    def test_spectrogram_rejects_zero_channels(self):
+        with pytest.raises(ValueError, match="channels >= 1"):
+            Spectrogram(bins=np.zeros((3, 9, 0), complex), sample_rate=8000,
+                        window_size=16, hop=8)
 
     def test_spectrogram_bin_count_checked(self):
         with pytest.raises(ValueError):
@@ -268,7 +275,7 @@ class TestMelFbank:
         # The chain's first M columns at factor 1 are the normalized log mel
         # energies of the power spectrum.
         rng = _rng(1)
-        wave = Waveform(samples=rng.normal(size=1024), sample_rate=8000)
+        wave = Waveform(samples=rng.normal(size=(1, 1024)), sample_rate=8000)
         bins = stft(wave, 256, 128).bins[:, :, 0]
         fb = mel_filterbank(6, 129, 256, 8000)
         feats, _ = fbank_chain_vjp(bins, fb, 1)

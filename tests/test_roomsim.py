@@ -227,6 +227,12 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_multichannel(src, rir)
 
+    def test_rir_rejects_1d_and_empty_taps(self):
+        # Before: 1-D taps became one channel.
+        for shape in ((10,), (0, 10), (2, 0)):
+            with pytest.raises(ValueError, match=r"RIR taps must be \[C >= 1, n_taps >= 1\]"):
+                roomsim.RIR(taps=np.ones(shape), sample_rate=8000)
+
     def test_sample_rate_mismatch_rejected(self):
         src = Waveform(samples=np.ones((1, 100)), sample_rate=8000)
         rir = roomsim.RIR(taps=np.ones((2, 10)), sample_rate=16000)
@@ -238,12 +244,12 @@ class TestMixAtSnr:
     def test_achieves_requested_snr(self):
         rng = _rng(2)
         speech = Waveform(samples=rng.normal(size=(2, 4000)), sample_rate=8000)
-        noise = Waveform(samples=rng.normal(size=(2, 5000)), sample_rate=8000)
+        noise = Waveform(samples=rng.normal(size=(2, 4000)), sample_rate=8000)
         for snr in (-5.0, 0.0, 10.0):
             mixed = mix_at_snr(speech, noise, snr)
             resid = mixed.samples - speech.samples
             p_s = np.mean(speech.samples[0] ** 2)
-            p_n = np.mean(resid[0, : speech.n_samples] ** 2)
+            p_n = np.mean(resid[0] ** 2)
             measured = 10.0 * np.log10(p_s / p_n)
             assert abs(measured - snr) < 1e-9
 
@@ -265,10 +271,15 @@ class TestMixAtSnr:
             mix_at_snr(speech, noise, snr)
 
     def test_short_noise_rejected(self):
+        # Noise of another shape or rate is one error; before, longer noise was
+        # cut to the speech's length, though no caller passed any.
         speech = Waveform(samples=np.ones((1, 100)), sample_rate=8000)
-        noise = Waveform(samples=np.ones((1, 50)), sample_rate=8000)
-        with pytest.raises(ValueError, match="at least as long"):
-            mix_at_snr(speech, noise, 0.0)
+        for shape, rate in (((1, 50), 8000), ((1, 150), 8000), ((2, 100), 8000),
+                            ((1, 100), 16000)):
+            noise = Waveform(samples=np.ones(shape), sample_rate=rate)
+            with pytest.raises(ValueError, match="noise must match the speech's shape and "
+                                                 "sample rate"):
+                mix_at_snr(speech, noise, 0.0)
 
     def test_zero_power_rejected(self):
         speech = Waveform(samples=np.full((1, 100), 1e-200), sample_rate=8000)

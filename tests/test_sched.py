@@ -353,6 +353,21 @@ class TestSchemes:
         with pytest.raises(ValueError, match="unique"):
             run_training(_cfg(mode="SIMU", epochs=1), multi, single)
 
+    def test_multi_channel_single_utterance_named_before_any_stft(self, monkeypatch):
+        # Before: DS and PT failed after every STFT (DS perhaps after MULTI
+        # batches) with "backend path requires a single-channel spectrogram",
+        # SIMU with "source must be single-channel"; neither named the utterance.
+        multi, single, _ = _toy_sets(n_multi=2, n_single=2, seed=8)
+        single = single[:1] + [replace(multi[1], utt_id="four-ch")]
+
+        def no_stft(*args):
+            raise AssertionError("stft called before the single-set check")
+
+        monkeypatch.setattr(sched, "stft", no_stft)
+        for mode in ("DS", "PT", "SIMU"):
+            with pytest.raises(ValueError, match="utterance 'four-ch' has 4 channels"):
+                run_training(_cfg(mode=mode, epochs=1, pretrain_epochs=1), multi, single)
+
     def test_epoch_stft_cache_serves_decoding(self, monkeypatch):
         # One STFT per utterance per run, and CTC only on training passes:
         # the final decode reads the epoch cache and skips CTC. One CPU, so
