@@ -35,7 +35,10 @@ class LabelSequence:
     vocab_size: int
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        ids = np.asarray(self.ids)
+        if ids.size and ids.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1
+            raise ValueError(f"label ids must be integers, not {ids.dtype} values {ids.tolist()}")
+        self.ids = np.asarray(ids, dtype=np.int64)
         if self.ids.ndim != 1:
             raise ValueError("label ids must be a 1-D sequence")
         if self.vocab_size < 1:

@@ -17,6 +17,8 @@ The `*_vjp` functions return their forward's output and its adjoint
 
 import numpy as np
 
+from .dsp import STFT_BLOCK_SAMPLES, _in_two
+
 MASK_EPS = 1e-10
 # Relative diagonal loading applied to Phi_NN before inversion.
 DIAGONAL_LOADING = 1e-6
@@ -37,13 +39,34 @@ def oracle_masks(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Mask-weighted spatial covariance sum, bins [T,F,C], mask [T,F] -> [F,C,C]:
     Phi(f) = sum_t m x x^H = X^T (m conj X), not divided by sum_t m; one batched
-    matmul per block of bins, Hermitian by construction."""
-    phi = np.empty((bins.shape[1], bins.shape[2], bins.shape[2]), dtype=np.complex128)
-    for f0 in range(0, bins.shape[1], PSD_BLOCK_BINS):
-        block = slice(f0, f0 + PSD_BLOCK_BINS)
-        x = bins[:, block].transpose(1, 0, 2)  # [f, T, C] view
-        phi[block] = np.swapaxes(x, 1, 2) @ (x.conj() * mask[:, block].T[:, :, None])
+    matmul per block of bins, Hermitian by construction. Bins of at least
+    STFT_BLOCK_SAMPLES entries (a 16 kHz array scene, never a toy utterance) are
+    summed in two halves of frequencies, one per CPU (dsp._in_two), in blocks of
+    half the size; every bin's matmul is unchanged, and so is the result."""
+    frames, n_bins, channels = bins.shape
+    phi = np.empty((n_bins, channels, channels), dtype=np.complex128)
+    if bins.size < STFT_BLOCK_SAMPLES:
+        scratch = np.empty((frames, PSD_BLOCK_BINS, channels), dtype=np.complex128)
+        _masked_psd_blocks(phi, bins, mask, scratch)
+        return phi
+    half = (n_bins + 1) // 2
+    scratch = np.empty((2, frames, PSD_BLOCK_BINS // 2, channels), dtype=np.complex128)
+    _in_two(lambda: _masked_psd_blocks(phi[:half], bins[:, :half], mask[:, :half], scratch[0]),
+            lambda: _masked_psd_blocks(phi[half:], bins[:, half:], mask[:, half:], scratch[1]))
     return phi
+
+
+def _masked_psd_blocks(phi: np.ndarray, bins: np.ndarray, mask: np.ndarray,
+                       scratch: np.ndarray) -> None:
+    """phi[f] = sum_t m x x^H into phi [F,C,C], scratch.shape[1] bins at a time;
+    scratch [T, block, C], laid out like the bins, holds each block's m conj X."""
+    step = scratch.shape[1]
+    for f0 in range(0, bins.shape[1], step):
+        block = slice(f0, f0 + step)
+        x = bins[:, block].transpose(1, 0, 2)  # [f, T, C] view
+        weighted = np.conjugate(x, out=scratch[:, : x.shape[0]].transpose(1, 0, 2))
+        weighted *= mask[:, block].T[:, :, None]
+        np.matmul(np.swapaxes(x, 1, 2), weighted, out=phi[block])
 
 
 def masked_psd_pair_vjp(bins: np.ndarray, mask: np.ndarray):

@@ -6,7 +6,10 @@ Shape conventions used throughout the package:
     features      [T, D]               (frames, feature dims)
 """
 
+import ctypes
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +21,9 @@ CMVN_VAR_FLOOR = 1e-8
 
 # Windowed samples per rfft call in stft (more only when one frame of every
 # channel exceeds it); bounds its temporary. A toy utterance (4 channels x
-# <= 60 frames x 256) still takes one call.
+# <= 60 frames x 256) still takes one call. It is also the size rule of the
+# two-CPU split (_in_two): stft splits an input of more than one block, and
+# beamform.masked_psd bins of at least this many entries.
 STFT_BLOCK_SAMPLES = 1 << 16
 
 
@@ -120,29 +125,47 @@ def stft(wave: Waveform, window_size: int, hop: int) -> Spectrogram:
         raise ValueError("input too short: need at least one full window")
 
     # [C, T, window] strided view of the frames, windowed and transformed in
-    # blocks of frames over all channels into a preallocated output. The first
-    # block is windowed before the output is allocated (a toy utterance, one
-    # block, ran about 6% slower the other way round) and its buffer is reused
-    # by the rest. The output is a C-contiguous [T, F, C] array, channels
-    # innermost whatever the samples' order: the order masked_psd reads fastest.
+    # blocks of frames over all channels into a preallocated output. The output
+    # is a C-contiguous [T, F, C] array, channels innermost whatever the
+    # samples' order: the order masked_psd reads fastest. One block is windowed
+    # before the output is allocated (a toy utterance ran about 6% slower the
+    # other way round). A longer input is split into two halves of frames, one
+    # per CPU (_in_two), each windowed in blocks of half the size into a buffer
+    # allocated here, so both together hold at most one block; every frame's
+    # rfft is the same call on the same samples, so the output is unchanged.
     frames = np.lib.stride_tricks.sliding_window_view(wave.samples, window_size, axis=1)[:, ::hop]
     window = periodic_hann(window_size)
     n_channels, n_frames = frames.shape[:2]
     n_bins = window_size // 2 + 1
     step = max(1, STFT_BLOCK_SAMPLES // (n_channels * window_size))
-    windowed = frames[:, :step] * window
-    spec = np.empty((n_frames, n_bins, n_channels), dtype=np.complex128).transpose(2, 0, 1)
-    for t in range(0, n_frames, step):
-        block = windowed[:, : n_frames - t]
-        if t:
-            np.multiply(frames[:, t : t + step], window, out=block)
-        np.fft.rfft(block, axis=2, out=spec[:, t : t + step])
+    shape = (n_frames, n_bins, n_channels)
+    if n_frames <= step:
+        windowed = frames * window
+        spec = np.empty(shape, dtype=np.complex128).transpose(2, 0, 1)
+        np.fft.rfft(windowed, axis=2, out=spec)
+    else:
+        spec = np.empty(shape, dtype=np.complex128).transpose(2, 0, 1)
+        half = (n_frames + 1) // 2
+        buffers = np.empty((2, n_channels, max(1, step // 2), window_size))
+        _in_two(lambda: _rfft_blocks(frames[:, :half], window, buffers[0], spec[:, :half]),
+                lambda: _rfft_blocks(frames[:, half:], window, buffers[1], spec[:, half:]))
     return Spectrogram(
         bins=spec.transpose(1, 2, 0),
         sample_rate=wave.sample_rate,
         window_size=window_size,
         hop=hop,
     )
+
+
+def _rfft_blocks(frames: np.ndarray, window: np.ndarray, buffer: np.ndarray,
+                 out: np.ndarray) -> None:
+    """out[:, t] = rfft(frames[:, t] * window) for frames [C, T, W], windowed
+    buffer.shape[1] frames at a time into buffer [C, block, W]."""
+    step = buffer.shape[1]
+    for t in range(0, frames.shape[1], step):
+        block = buffer[:, : frames.shape[1] - t]
+        np.multiply(frames[:, t : t + step], window, out=block)
+        np.fft.rfft(block, axis=2, out=out[:, t : t + step])
 
 
 def istft(spec: Spectrogram) -> Waveform:
@@ -272,3 +295,58 @@ def check_subsample_factor(factor: int) -> None:
     """A factor below 1 would reverse the frames (< 0) or fail to slice (0)."""
     if factor < 1:
         raise ValueError(f"subsample factor must be >= 1, got {factor}")
+
+
+# ---------------------------------------------------------------------------
+# Two CPUs
+# ---------------------------------------------------------------------------
+
+
+def _other_cpus() -> set:
+    """The usable CPUs other than the one this thread runs on; empty with one
+    usable CPU or without os.sched_getaffinity. A kernel that does not balance
+    load leaves a new thread or process on its parent's CPU, so a second worker
+    (_in_two's thread, sched's batch helper) must be pinned to these."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    return cpus - {ctypes.CDLL(None).sched_getcpu()} if len(cpus) > 1 else set()
+
+
+def _in_two(first, second):
+    """(first(), second()): first on a thread pinned to _other_cpus() while this
+    thread runs second, or both here, in order, with one usable CPU. The thread
+    is joined before this returns or raises; if both raise, first's exception
+    wins. The callers split numpy work that releases the GIL (FFTs, matmuls,
+    ufunc loops) and allocate every large buffer before the call, on this
+    thread: the worker's own malloc arena would add its high-water mark to the
+    process's peak memory."""
+    cpus = _other_cpus()
+    if not cpus:
+        return first(), second()
+    out = {}
+
+    def run():
+        try:
+            os.sched_setaffinity(0, cpus)
+            out["first"] = first()
+        except BaseException as exc:
+            out["error"] = exc
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        mine = second()
+    finally:
+        worker.join()
+        if "error" in out:
+            raise out["error"]
+    return out["first"], mine
+
+
+# One thread started and joined at import, while the heap is still small.
+# glibc keeps a finished thread's stack and thread-local block for the next
+# thread, so _in_two's threads reuse them instead of allocating them on the
+# first large call, between the arrays of a large heap, where they split a
+# free region and raised a 16 kHz run's peak memory by about 5 MB.
+_first_thread = threading.Thread(target=int)
+_first_thread.start()
+_first_thread.join()

@@ -48,9 +48,9 @@ class RoomSpec:
     sound_speed: float = SOUND_SPEED
 
     def __post_init__(self):
-        self.dims = np.asarray(self.dims, dtype=np.float64)
-        self.source_pos = np.asarray(self.source_pos, dtype=np.float64)
-        absorption = np.asarray(self.absorption, dtype=np.float64)
+        self.dims = _finite_reals("dims", self.dims)
+        self.source_pos = _finite_reals("source_pos", self.source_pos)
+        absorption = _finite_reals("absorption", self.absorption)
         if absorption.ndim == 0:
             absorption = np.full(6, float(absorption))
         if absorption.shape != (6,):
@@ -64,8 +64,20 @@ class RoomSpec:
             raise ValueError("source must lie strictly inside the room")
         if np.any(self.absorption <= 0) or np.any(self.absorption > 1):
             raise ValueError("absorption must lie in (0, 1]")
-        if self.sound_speed <= 0:
-            raise ValueError("sound_speed must be positive")
+        if _finite_reals("sound_speed", self.sound_speed).ndim or self.sound_speed <= 0:
+            raise ValueError("sound_speed must be one positive number")
+
+
+def _finite_reals(field: str, value) -> np.ndarray:
+    """value as a float64 array; a ValueError naming the field if it holds anything but
+    real numbers (a string, None, a bool) or a NaN or infinity, which every range check
+    would pass."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{field} must be numeric, not {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{field} must be finite, not {value!r}")
+    return np.asarray(array, dtype=np.float64)
 
 
 @dataclass

@@ -20,7 +20,6 @@ forked helper inherits it and computes half of every batch and of the
 decode, and Reports stay bit-identical to one process.
 """
 
-import ctypes
 import multiprocessing as mp
 import os
 import signal
@@ -31,7 +30,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .backend import LabelSequence, edit_distance, greedy_decode
-from .dsp import Waveform, check_subsample_factor, stft
+from .dsp import Waveform, _other_cpus, check_subsample_factor, stft
 from .pipeline import (
     TrainState,
     backward_backend,
@@ -303,11 +302,10 @@ def _helper_loop(conn, data, cfg, cpus) -> None:
 @contextmanager
 def _helper_process(data, cfg):
     """A pipe to a helper forked off our CPU (see _split) if two CPUs are usable, else None."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if len(cpus) < 2 or "fork" not in mp.get_all_start_methods() or mp.current_process().daemon:
+    cpus = _other_cpus()
+    if not cpus or "fork" not in mp.get_all_start_methods() or mp.current_process().daemon:
         yield None
         return
-    cpus -= {ctypes.CDLL(None).sched_getcpu()}  # not ours: see _helper_loop
     conn, child_conn = mp.Pipe()
     proc = mp.get_context("fork").Process(target=_helper_loop, daemon=True,
                                           args=(child_conn, data, cfg, cpus))

@@ -1,5 +1,7 @@
 """beamform tests: masks, PSD estimation, MVDR, reference selection, apply."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from beamlab.beamform import (
     oracle_masks,
     select_reference,
 )
-from beamlab.dsp import Spectrogram
+from beamlab.dsp import STFT_BLOCK_SAMPLES, Spectrogram
 from beamlab.pipeline import max_fd_error
 from adjoint_checks import dot_product_sides
 
@@ -117,6 +119,36 @@ class TestPsd:
         bins = _random_bins(rng, frames, n_bins, channels, layout)
         mask = rng.uniform(size=(frames, n_bins))
         _assert_rel_close(masked_psd(bins, mask), _einsum_psd(bins, mask))
+
+    @pytest.mark.parametrize("n_bins", [33, 257])
+    @pytest.mark.parametrize("channels", [4, 8])
+    def test_pair_above_size_rule_equals_serial_sums(self, monkeypatch, n_bins, channels):
+        # Bins of STFT_BLOCK_SAMPLES entries or more are summed in two halves of
+        # frequencies on two threads, in blocks of half the size: each bin's
+        # matmul is the serial one, so the sums are equal, not just close.
+        frames = -(-STFT_BLOCK_SAMPLES // (n_bins * channels))
+        rng = _rng(n_bins + channels)
+        bins = _random_bins(rng, frames, n_bins, channels, "tfc")
+        mask = rng.uniform(size=(frames, n_bins))
+        split = []
+        in_two = beamform._in_two
+        monkeypatch.setattr(beamform, "_in_two", lambda *calls: split.append(1) or in_two(*calls))
+        phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, mask)
+        assert split == [1, 1]
+        for phi, m in ((phi_ss, mask), (phi_nn, 1.0 - mask)):
+            serial = np.stack([bins[:, f].T @ (bins[:, f].conj() * m[:, f, None])
+                               for f in range(n_bins)])
+            assert np.array_equal(phi, serial)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu = masked_psd_pair_vjp(bins, mask)
+        assert np.array_equal(one_cpu[0], phi_ss) and np.array_equal(one_cpu[1], phi_nn)
+
+    def test_size_rule_keeps_toy_shapes_on_one_thread(self, monkeypatch):
+        # The toy corpus's largest spectrogram, 60 frames x 129 bins x 4 channels,
+        # is summed without _in_two (a call of None would raise).
+        monkeypatch.setattr(beamform, "_in_two", None)
+        rng = _rng(9)
+        masked_psd_pair_vjp(_random_bins(rng, 60, 129, 4, "tfc"), rng.uniform(size=(60, 129)))
 
     @pytest.mark.parametrize("layout", ["tfc", "ctf"])
     def test_zero_mask_column_on_block_boundary(self, layout):

@@ -987,6 +987,29 @@ class TestSimulate:
         assert f"config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sound_speed", "fast", "sound_speed must be numeric, not 'fast'"),
+        ("absorption", None, "absorption must be numeric, not None"),
+        ("dims", [5.0, float("nan"), 3.0], "dims must be finite"),
+        ("source_pos", [2.0, float("nan"), 1.5], "source_pos must be finite"),
+    ])
+    def test_non_numeric_or_non_finite_room_field_is_data_error(self, tmp_path, capsys, field,
+                                                               value, message):
+        # Before: "fast" escaped main as a TypeError with a traceback (exit 1); null
+        # absorption read as NaN, passed the range check and failed as "RIR taps must
+        # be finite"; a NaN dimension or coordinate was accepted. JSON writes the
+        # NaNs as its NaN literal, which the config reader accepts.
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        cfg = json.loads(room_cfg.read_text())
+        cfg["room"][field] = value
+        room_cfg.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "r").exists()
+
     def test_id_that_is_no_plain_file_name_is_data_error(self, tmp_path, capsys):
         # Before: the WAV went to deep/a/escaped.wav, recorded as "../../escaped.wav", exit 0.
         single, room_cfg = self._corpus_and_room(tmp_path)

@@ -2,16 +2,22 @@
 (`fbank_chain_vjp`: log mel, CMVN, deltas, subsampling) against a reference
 written from its formulas."""
 
+import ctypes
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from beamlab import dsp
 from beamlab.dsp import (
     CMVN_VAR_FLOOR,
     STFT_BLOCK_SAMPLES,
     Spectrogram,
     Waveform,
+    _in_two,
     delta_features,
     delta_features_adjoint,
     fbank_chain_vjp,
@@ -159,7 +165,9 @@ class TestStft:
             assert spec.bins.flags.c_contiguous
 
     def test_rfft_calls_per_block(self, monkeypatch):
-        # A toy utterance is one call; a long one takes blocks of frames.
+        # A toy utterance is one call; a longer one is two halves of frames, each
+        # in blocks of half the size (8 frames of 8 x 512): 17 frames are 9 + 8,
+        # 559 are 280 + 279. The counts hold on one CPU or two.
         calls, rfft = [], np.fft.rfft
 
         def counted(*args, **kwargs):
@@ -168,11 +176,12 @@ class TestStft:
 
         monkeypatch.setattr(np.fft, "rfft", counted)
         for (channels, window, n_frames), expected in (((4, 256, 60), 1), ((8, 512, 16), 1),
-                                                       ((8, 512, 17), 2), ((8, 512, 559), 35)):
+                                                       ((8, 512, 17), 3), ((8, 512, 559), 70)):
             calls.clear()
             n_samples = (n_frames - 1) * 128 + window
             stft(Waveform(samples=np.ones((channels, n_samples)), sample_rate=16000), window, 128)
             assert len(calls) == expected, (channels, window, n_frames)
+            assert sum(shape[1] for shape in calls) == n_frames
 
     def test_peak_is_output_plus_one_block(self):
         # 8 channels, 16 kHz, 4.5 s, interleaved as read_wav gives them: a
@@ -208,6 +217,67 @@ class TestStft:
             stft(wave, 256, 0)
         with pytest.raises(ValueError):
             stft(wave, 256, 512)
+
+
+class TestInTwo:
+    """dsp._in_two, which runs stft's and masked_psd's halves on two CPUs."""
+
+    def test_results_come_back_in_order(self):
+        assert _in_two(lambda: "first", lambda: "second") == ("first", "second")
+
+    @pytest.mark.parametrize("raiser", ["first", "second"])
+    def test_exception_reraised_after_the_join(self, raiser):
+        # The side that does not raise sleeps, so a raise before the join would
+        # come before its side effect and leave its thread running.
+        done, threads = [], threading.active_count()
+
+        def side(name):
+            def call():
+                if name == raiser:
+                    raise KeyError(name)
+                time.sleep(0.05)
+                done.append(name)
+            return call
+
+        with pytest.raises(KeyError, match=raiser):
+            _in_two(side("first"), side("second"))
+        assert threading.active_count() == threads
+        # In order on one CPU: a raising first never lets second start.
+        if raiser == "second" or len(os.sched_getaffinity(0)) > 1:
+            assert done == [{"first": "second", "second": "first"}[raiser]]
+
+    def test_first_exception_wins(self):
+        def fail(exc):
+            def call():
+                raise exc
+            return call
+
+        with pytest.raises(KeyError):
+            _in_two(fail(KeyError("first")), fail(ValueError("second")))
+
+    def test_one_cpu_runs_both_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert dsp._other_cpus() == set()
+        assert _in_two(threading.get_ident, threading.get_ident) == (threading.get_ident(),) * 2
+
+    def test_worker_runs_off_the_callers_cpu(self):
+        # The kernel may not balance load, so the thread must not share our CPU.
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two usable CPUs")
+        getcpu = ctypes.CDLL(None).sched_getcpu
+        (theirs, their_cpus, their_id), (mine, my_id) = _in_two(
+            lambda: (getcpu(), os.sched_getaffinity(0), threading.get_ident()),
+            lambda: (getcpu(), threading.get_ident()))
+        assert their_id != my_id
+        assert theirs != mine and theirs in their_cpus and mine not in their_cpus
+        assert their_cpus == os.sched_getaffinity(0) - {mine}
+
+    def test_stft_split_equals_one_cpu(self, monkeypatch):
+        # 8 x 512 frames: 559 frames are 35 blocks, so the input is split.
+        wave = Waveform(samples=_rng(5).normal(size=(8, 72000)), sample_rate=16000)
+        split = stft(wave, 512, 128).bins
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert np.array_equal(split, stft(wave, 512, 128).bins)
 
 
 class TestIstft:
