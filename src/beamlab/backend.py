@@ -36,11 +36,13 @@ class LabelSequence:
 
     def __post_init__(self):
         ids = np.asarray(self.ids)
-        if ids.size and ids.dtype.kind not in "iu":  # a cast would truncate 1.7 to 1
-            raise ValueError(f"label ids must be integers, not {ids.dtype} values {ids.tolist()}")
-        self.ids = np.asarray(ids, dtype=np.int64)
-        if self.ids.ndim != 1:
+        if ids.ndim != 1:
             raise ValueError("label ids must be a 1-D sequence")
+        # A cast would truncate 1.7 to 1, and numpy reads [True, 2] as the integers [1, 2].
+        if ids.size and (ids.dtype.kind not in "iu"
+                         or any(isinstance(i, (bool, np.bool_)) for i in self.ids)):
+            raise ValueError(f"label ids must be integers, not {self.ids!r}")
+        self.ids = np.asarray(ids, dtype=np.int64)
         if self.vocab_size < 1:
             raise ValueError("vocab_size must be >= 1")
         if self.ids.size and (self.ids.min() < 1 or self.ids.max() > self.vocab_size):

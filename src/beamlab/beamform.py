@@ -38,19 +38,20 @@ def oracle_masks(clean: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def masked_psd(bins: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Mask-weighted spatial covariance sum, bins [T,F,C], mask [T,F] -> [F,C,C]:
-    Phi(f) = sum_t m x x^H = X^T (m conj X), not divided by sum_t m; one batched
-    matmul per block of bins, Hermitian by construction. Bins of at least
-    STFT_BLOCK_SAMPLES entries (a 16 kHz array scene, never a toy utterance) are
-    summed in two halves of frequencies, one per CPU (dsp._in_two), in blocks of
-    half the size; every bin's matmul is unchanged, and so is the result."""
+    Phi(f) = sum_t m x x^H = X^T (m conj X), not divided by sum_t m, in the bins'
+    dtype; one batched matmul per block of bins, Hermitian by construction. Bins
+    of at least STFT_BLOCK_SAMPLES entries (a 16 kHz array scene, never a toy
+    utterance) are summed in two halves of frequencies, one per CPU
+    (dsp._in_two), in blocks of half the size; every bin's matmul is unchanged,
+    and so is the result."""
     frames, n_bins, channels = bins.shape
-    phi = np.empty((n_bins, channels, channels), dtype=np.complex128)
+    phi = np.empty((n_bins, channels, channels), dtype=bins.dtype)
     if bins.size < STFT_BLOCK_SAMPLES:
-        scratch = np.empty((frames, PSD_BLOCK_BINS, channels), dtype=np.complex128)
+        scratch = np.empty((frames, PSD_BLOCK_BINS, channels), dtype=bins.dtype)
         _masked_psd_blocks(phi, bins, mask, scratch)
         return phi
     half = (n_bins + 1) // 2
-    scratch = np.empty((2, frames, PSD_BLOCK_BINS // 2, channels), dtype=np.complex128)
+    scratch = np.empty((2, frames, PSD_BLOCK_BINS // 2, channels), dtype=bins.dtype)
     _in_two(lambda: _masked_psd_blocks(phi[:half], bins[:, :half], mask[:, :half], scratch[0]),
             lambda: _masked_psd_blocks(phi[half:], bins[:, half:], mask[:, half:], scratch[1]))
     return phi
@@ -133,15 +134,18 @@ def normalized_psd_ratio_vjp(phi_ss: np.ndarray, phi_nn: np.ndarray):
 
 
 def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None):
-    """MVDR filter from a speech mask: (h [F, C], ref, vjp(g_h) -> g_mask).
+    """MVDR filter from a speech mask: (h [F, C] complex128, ref, vjp(g_h) -> g_mask).
 
     Masked speech and noise sums, loaded ratio normalized to unit trace, column
     `ref`. ref None selects it from the speech sum over max(sum_t m, MASK_EPS),
-    a constant of the adjoint (the argmax is not differentiated).
+    a constant of the adjoint (the argmax is not differentiated). complex64 bins
+    give complex64 sums; the loading, the solve and the reference selection run
+    on them upcast to complex128.
     """
     phi_ss, phi_nn, psd_vjp = masked_psd_pair_vjp(bins, mask)
+    phi_ss, phi_nn = (phi.astype(np.complex128, copy=False) for phi in (phi_ss, phi_nn))
     weights, ratio_vjp = normalized_psd_ratio_vjp(phi_ss, phi_nn)
-    speech_sum = np.maximum(mask.sum(axis=0), MASK_EPS)[:, None, None]
+    speech_sum = np.maximum(mask.sum(axis=0, dtype=np.float64), MASK_EPS)[:, None, None]
     ref = select_reference(phi_ss / speech_sum) if ref is None else ref
     if not 0 <= ref < bins.shape[2]:
         raise ValueError("ref channel out of range")
@@ -156,8 +160,9 @@ def mvdr_weights(bins: np.ndarray, mask: np.ndarray, ref: int | None):
 
 
 def apply_beamformer(h: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Enhanced single channel x_hat(t,f) = h(f)^H x(t,f): h [F,C], bins [T,F,C] -> [T,F]."""
-    return np.einsum("fc,tfc->tf", h.conj(), bins)
+    """Enhanced single channel x_hat(t,f) = h(f)^H x(t,f): h [F,C], bins [T,F,C] -> [T,F],
+    in the bins' dtype (h is cast to it, so complex64 bins are never copied to complex128)."""
+    return np.einsum("fc,tfc->tf", h.astype(bins.dtype, copy=False).conj(), bins)
 
 
 def apply_beamformer_vjp(h: np.ndarray, bins: np.ndarray):

@@ -90,7 +90,10 @@ def cmd_enhance(cfg: dict) -> int:
         raise UsageError("--masks oracle requires --clean")
     mask_params = (pipeline.load_checkpoint(_require(cfg, "checkpoint")).mask_params
                    if cfg["masks"] == "checkpoint" else None)
-    noisy = corpus_io.read_wav(in_path)
+    # Single precision from here on: the WAVs hold float32 (or 16-bit) samples, so
+    # stft gives complex64 bins, and the PSD sums, the beamformer and istft follow
+    # them; mvdr_weights loads and solves in complex128.
+    noisy = _as_float32(corpus_io.read_wav(in_path))
     if noisy.channels < 2:
         raise ValueError(
             "input is single-channel: beamforming needs a microphone array "
@@ -98,18 +101,17 @@ def cmd_enhance(cfg: dict) -> int:
         )
     clean = None
     if cfg["clean"] is not None:
-        clean = corpus_io.read_wav(cfg["clean"])
+        clean = _as_float32(corpus_io.read_wav(cfg["clean"]))
         if (clean.samples.shape, clean.sample_rate) != (noisy.samples.shape, noisy.sample_rate):
             raise ValueError(f"clean reference must match the input shape and sample rate "
                              f"exactly: clean {clean.samples.shape} at {clean.sample_rate} Hz, "
                              f"input {noisy.samples.shape} at {noisy.sample_rate} Hz")
 
-    # One [T, F, C] spectrogram at most, the noisy one: the mask comes from
-    # channel-0 spectrograms before it is built, and the SNR gain transforms
-    # the clean channels one at a time.
-    mask = _channel_0_mask(mask_params, noisy, clean, window_size, hop)
+    # One [T, F, C] spectrogram at a time: the noisy one, whose channel 0 the mask
+    # reads, is released before the SNR gain builds the clean one.
     spec = stft(noisy, window_size, hop)
     del noisy
+    mask = _channel_0_mask(mask_params, spec.bins, clean, window_size, hop)
     # The adjoint is dropped at once: it holds the noisy [T, F, C] bins and the speech
     # mask, so without it the noisy spectrogram is freed when spec is replaced below.
     h, ref = beamform.mvdr_weights(spec.bins, mask, None if ref < 0 else ref)[:2]
@@ -133,36 +135,38 @@ def cmd_enhance(cfg: dict) -> int:
     return 0
 
 
-def _channel_0_mask(mask_params, noisy, clean, window_size: int, hop: int) -> np.ndarray:
-    """[T, F] speech mask from channel 0: mask_params' mask net (its vjp dropped
-    at once), or if None the ideal ratio mask of the clean and noisy channel."""
+def _as_float32(wave):
+    return replace(wave, samples=wave.samples.astype(np.float32))
+
+
+def _channel_0_mask(mask_params, bins, clean, window_size: int, hop: int) -> np.ndarray:
+    """[T, F] speech mask from channel 0 of the noisy bins [T, F, C]: mask_params'
+    mask net (its vjp dropped at once), or if None the ideal ratio mask of the
+    clean channel 0 and the noisy one.
+
+    The clean channel is transformed in float64. Where speech has about 1e-14 of
+    its peak power (near Nyquist), a complex64 transform's roundoff is as large
+    as the speech, and there the mask alone sets the direction of the unit-trace
+    filter: on perfbench's 18 oracle scenes, complex64 clean bins moved the SNR
+    gain from the all-float64 path's by up to 8.2e-3 dB, float64 ones by 6.3e-6 dB."""
     if mask_params is not None:
-        noisy_0 = _channel_bins(noisy, 0, window_size, hop)
-        return pipeline.mask_net_forward(mask_params, noisy_0[:, :, None])[0]
-    clean_0 = _channel_bins(clean, 0, window_size, hop)
-    return beamform.oracle_masks(clean_0, _channel_bins(noisy, 0, window_size, hop) - clean_0)
-
-
-def _channel_bins(wave, channel: int, window_size: int, hop: int) -> np.ndarray:
-    """[T, F] STFT of one channel of wave."""
-    one = replace(wave, samples=wave.samples[channel : channel + 1])
-    return stft(one, window_size, hop).bins[:, :, 0]
+        return pipeline.mask_net_forward(mask_params, bins)[0]
+    clean_0 = replace(clean, samples=clean.samples[:1].astype(np.float64))
+    clean_0 = stft(clean_0, window_size, hop).bins[:, :, 0].astype(bins.dtype)
+    return beamform.oracle_masks(clean_0, bins[:, :, 0] - clean_0)
 
 
 def _snr_gain_db(h, clean, noisy_ref, enhanced, ref: int, window_size: int, hop: int) -> float:
     """Beamformers are linear: the noise output is the enhanced output minus
-    the clean one, and the noise input is noisy minus clean. The clean output
-    h^H X_clean is summed one clean channel at a time."""
-    clean_out = np.zeros_like(enhanced)
-    for c in range(clean.channels):
-        clean_c = _channel_bins(clean, c, window_size, hop)
-        clean_out += h[:, c].conj() * clean_c
-        if c == ref:
-            p_in_s = np.sum(np.abs(clean_c) ** 2)
-            p_in_n = np.sum(np.abs(noisy_ref - clean_c) ** 2)
-    noise_out = enhanced - clean_out
-    p_out_s = np.sum(np.abs(clean_out) ** 2)
-    p_out_n = np.sum(np.abs(noise_out) ** 2)
+    the clean one h^H X_clean, and the noise input is noisy minus clean. The
+    clean [T, F, C] spectrogram is released before the power sums' temporaries."""
+    clean_bins = stft(clean, window_size, hop).bins
+    clean_out = beamform.apply_beamformer(h, clean_bins)
+    clean_ref = clean_bins[:, :, ref].copy()
+    del clean_bins
+    p_in_s, p_in_n, p_out_s, p_out_n = (
+        np.sum(np.abs(x) ** 2)
+        for x in (clean_ref, noisy_ref - clean_ref, clean_out, enhanced - clean_out))
     if min(p_in_s, p_in_n, p_out_s, p_out_n) <= 0:
         raise ValueError("zero-power component while measuring SNR gain")
     snr_in = 10.0 * np.log10(p_in_s / p_in_n)

@@ -146,8 +146,14 @@ class Utterance:
     origin: str
 
     def __post_init__(self):
+        for field in ("utt_id", "audio_path", "origin"):
+            _json_typed(field, getattr(self, field), str)
+        for field in ("channels", "sample_rate"):
+            _json_typed(field, getattr(self, field), int)
+        _json_typed("duration", self.duration, float)
         # Integers only (bool is not one): int() reads "12" as [1, 2] and [1.7] as [1].
-        if not all(type(t) is int or isinstance(t, np.integer) for t in self.transcript):
+        if not (isinstance(self.transcript, (list, tuple, np.ndarray))
+                and all(type(t) is int or isinstance(t, np.integer) for t in self.transcript)):
             raise ValueError(f"transcript must be a list of integer ids, got {self.transcript!r}")
         self.transcript = [int(t) for t in self.transcript]
         if not self.utt_id:
@@ -162,6 +168,23 @@ class Utterance:
             raise ValueError("duration must be >= 0")
         if any(t < 1 for t in self.transcript):
             raise ValueError("transcript ids must be >= 1 (0 is the blank)")
+
+
+def _json_typed(field: str, value, kind: type) -> None:
+    """A ValueError naming the field unless value is a str (kind str), an integer
+    (int) or a finite real number (float); a bool is neither number. Without it a
+    list id or a null path failed later as a TypeError, naming no field."""
+    number = (isinstance(value, (int, float, np.integer, np.floating))
+              and not isinstance(value, bool))
+    if kind is str:
+        ok = isinstance(value, str)
+    elif kind is int:
+        ok = number and isinstance(value, (int, np.integer))
+    else:
+        ok = number and np.isfinite(value)
+    if not ok:
+        what = {str: "a string", int: "an integer", float: "a finite number"}[kind]
+        raise ValueError(f"{field} must be {what}, not {value!r}")
 
 
 @dataclass

@@ -136,9 +136,11 @@ class TestContainers:
         seq = LabelSequence(ids=np.array([1, 3]), vocab_size=3)
         assert len(seq) == 2
 
-    @pytest.mark.parametrize("ids", [[1.7, 2.2], [1.0, 2.0], [True], ["1", "2"]])
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], [1.0, 2.0], [True], ["1", "2"], [True, 2],
+                                     [2, np.True_]])
     def test_label_ids_that_are_not_integers_rejected(self, ids):
-        # Before: cast to int64, so [1.7, 2.2] was silently [1, 2].
+        # Before: cast to int64, so [1.7, 2.2] was silently [1, 2], and numpy read
+        # [True, 2] as the integers [1, 2].
         with pytest.raises(ValueError, match="label ids must be integers"):
             LabelSequence(ids=ids, vocab_size=6)
         assert LabelSequence(ids=np.array([1, 2], dtype=np.uint8), vocab_size=6).ids.dtype == np.int64

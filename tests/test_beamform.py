@@ -125,23 +125,39 @@ class TestPsd:
     def test_pair_above_size_rule_equals_serial_sums(self, monkeypatch, n_bins, channels):
         # Bins of STFT_BLOCK_SAMPLES entries or more are summed in two halves of
         # frequencies on two threads, in blocks of half the size: each bin's
-        # matmul is the serial one, so the sums are equal, not just close.
+        # matmul is the serial one, so the sums are equal, not just close, in
+        # enhance's complex64 as in complex128.
         frames = -(-STFT_BLOCK_SAMPLES // (n_bins * channels))
         rng = _rng(n_bins + channels)
         bins = _random_bins(rng, frames, n_bins, channels, "tfc")
         mask = rng.uniform(size=(frames, n_bins))
-        split = []
         in_two = beamform._in_two
-        monkeypatch.setattr(beamform, "_in_two", lambda *calls: split.append(1) or in_two(*calls))
-        phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, mask)
-        assert split == [1, 1]
-        for phi, m in ((phi_ss, mask), (phi_nn, 1.0 - mask)):
-            serial = np.stack([bins[:, f].T @ (bins[:, f].conj() * m[:, f, None])
-                               for f in range(n_bins)])
-            assert np.array_equal(phi, serial)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        one_cpu = masked_psd_pair_vjp(bins, mask)
-        assert np.array_equal(one_cpu[0], phi_ss) and np.array_equal(one_cpu[1], phi_nn)
+        for dtype, real in ((np.complex128, np.float64), (np.complex64, np.float32)):
+            bins, mask, split = bins.astype(dtype), mask.astype(real), []
+            with monkeypatch.context() as patch:
+                patch.setattr(beamform, "_in_two",
+                              lambda *calls: split.append(1) or in_two(*calls))
+                phi_ss, phi_nn, _ = masked_psd_pair_vjp(bins, mask)
+            assert split == [1, 1]
+            for phi, m in ((phi_ss, mask), (phi_nn, 1.0 - mask)):
+                serial = np.stack([bins[:, f].T @ (bins[:, f].conj() * m[:, f, None])
+                                   for f in range(n_bins)])
+                assert phi.dtype == dtype and np.array_equal(phi, serial)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+                one_cpu = masked_psd_pair_vjp(bins, mask)
+            assert np.array_equal(one_cpu[0], phi_ss) and np.array_equal(one_cpu[1], phi_nn)
+
+    @pytest.mark.parametrize("frames, n_bins, channels", [(51, 129, 4), (559, 257, 8)])
+    def test_complex64_sums_match_complex128(self, frames, n_bins, channels):
+        # enhance's single-precision sums, below and above the size rule.
+        rng = _rng(frames)
+        bins = _random_bins(rng, frames, n_bins, channels, "tfc")
+        mask = rng.uniform(size=(frames, n_bins))
+        double = masked_psd(bins, mask)
+        single = masked_psd(bins.astype(np.complex64), mask.astype(np.float32))
+        assert single.dtype == np.complex64
+        assert np.abs(single - double).max() <= 1e-5 * np.abs(double).max()
 
     def test_size_rule_keeps_toy_shapes_on_one_thread(self, monkeypatch):
         # The toy corpus's largest spectrogram, 60 frames x 129 bins x 4 channels,
@@ -378,6 +394,31 @@ def _check_mvdr_vjp(monkeypatch, n_bins, channels, ref, delta):
         return float(np.sum(g_h.conj() * h).real)
 
     assert max_fd_error(loss_fn, mask, vjp(g_h), 1e-5, "mask") < 1e-4
+
+
+class TestSinglePrecision:
+    """enhance's complex64 bins: the sums stay complex64, the MVDR solve runs in
+    complex128, and the beamformer output follows the bins."""
+
+    def test_mvdr_weights_solve_in_double_precision(self):
+        rng = _rng(12)
+        bins = _random_bins(rng, 80, 33, 4, "tfc")
+        bins[:, :, 2] *= 3.0  # a clear reference channel
+        mask = rng.uniform(size=(80, 33))
+        h, ref, _ = mvdr_weights(bins, mask, None)
+        h_single, ref_single, _ = mvdr_weights(bins.astype(np.complex64),
+                                               mask.astype(np.float32), None)
+        assert h_single.dtype == np.complex128 and ref_single == ref == 2
+        assert np.abs(h_single - h).max() <= 1e-4 * np.abs(h).max()
+
+    def test_apply_beamformer_follows_the_bins(self):
+        rng = _rng(13)
+        bins = _random_bins(rng, 40, 33, 4, "tfc")
+        h = rng.normal(size=(33, 4)) + 1j * rng.normal(size=(33, 4))
+        single = apply_beamformer(h, bins.astype(np.complex64))
+        assert single.dtype == np.complex64
+        double = apply_beamformer(h, bins)
+        assert np.abs(single - double).max() <= 1e-5 * np.abs(double).max()
 
 
 class TestApplyAndReference:

@@ -259,6 +259,21 @@ class TestManifest:
         with pytest.raises(ValueError):
             _utt("u1", origin="synthetic")
 
+    @pytest.mark.parametrize("field,value", [
+        ("utt_id", ["u1"]), ("utt_id", 3), ("audio_path", 3), ("audio_path", None),
+        ("origin", 1), ("channels", True), ("channels", 2.0), ("channels", "2"),
+        ("sample_rate", False), ("sample_rate", 8000.0), ("duration", "x"),
+        ("duration", None), ("duration", True), ("duration", float("nan")),
+        ("transcript", 5), ("transcript", "12"),
+    ])
+    def test_field_of_wrong_json_type_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            _utt(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        utt = _utt(channels=np.int64(2), sample_rate=np.int32(8000), duration=np.float32(0.5))
+        assert utt.channels == 2 and utt.duration == 0.5
+
     def test_verify_audio(self, tmp_path):
         # read_utterance checks each record against the WAV it points at.
         wav_path = tmp_path / "u1.wav"

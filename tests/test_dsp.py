@@ -7,13 +7,16 @@ import os
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beamlab import dsp
+from beamlab.beamform import apply_beamformer, mvdr_weights, oracle_masks
 from beamlab.dsp import (
     CMVN_VAR_FLOOR,
+    ISTFT_ENVELOPE_FLOOR,
     STFT_BLOCK_SAMPLES,
     Spectrogram,
     Waveform,
@@ -80,6 +83,22 @@ class TestContainers:
         with pytest.raises(ValueError, match="channels >= 1"):
             Spectrogram(bins=np.zeros((3, 9, 0), complex), sample_rate=8000,
                         window_size=16, hop=8)
+
+    def test_double_and_single_precision_kept_without_a_copy(self):
+        # enhance's float32 samples and complex64 bins stay single precision, and
+        # float64 or complex128 arrays are used as they are, never copied.
+        for samples in (np.ones((2, 8)), np.ones((2, 8), np.float32)):
+            wave = Waveform(samples=samples, sample_rate=8000)
+            assert wave.samples.dtype == samples.dtype and np.shares_memory(wave.samples, samples)
+        for bins in (np.ones((3, 9, 2), np.complex128), np.ones((3, 9, 2), np.complex64)):
+            spec = Spectrogram(bins=bins, sample_rate=8000, window_size=16, hop=8)
+            assert spec.bins.dtype == bins.dtype and np.shares_memory(spec.bins, bins)
+        # Every other input becomes double precision, as before.
+        for samples in ([[1, 2]], np.ones((1, 2), np.int16), np.ones((1, 2), np.float16)):
+            assert Waveform(samples=samples, sample_rate=8000).samples.dtype == np.float64
+        for bins in (np.ones((1, 9)), np.ones((1, 9), np.float32)):
+            spec = Spectrogram(bins=bins, sample_rate=8000, window_size=16, hop=8)
+            assert spec.bins.dtype == np.complex128
 
     def test_spectrogram_bin_count_checked(self):
         with pytest.raises(ValueError):
@@ -201,6 +220,15 @@ class TestStft:
         extras = 2 * np.getbufsize() * 8 + spec.bins.size + 16 * 1024
         assert peak <= spec.bins.nbytes + block + extras, (peak - spec.bins.nbytes) / 1024
 
+    @pytest.mark.parametrize("n_samples", [4000, 72000])  # one block; two halves
+    def test_float32_gives_complex64_close_to_float64(self, n_samples):
+        samples = _rng(6).normal(size=(8, n_samples))
+        double = stft(Waveform(samples=samples, sample_rate=16000), 512, 128).bins
+        single = stft(Waveform(samples=samples.astype(np.float32), sample_rate=16000),
+                      512, 128).bins
+        assert single.dtype == np.complex64 and single.flags.c_contiguous
+        assert np.abs(single - double).max() <= 1e-5 * np.abs(double).max()
+
     def test_rejects_non_power_of_two(self):
         wave = Waveform(samples=np.zeros((1, 1000)), sample_rate=8000)
         with pytest.raises(ValueError, match="power of two"):
@@ -273,11 +301,15 @@ class TestInTwo:
         assert their_cpus == os.sched_getaffinity(0) - {mine}
 
     def test_stft_split_equals_one_cpu(self, monkeypatch):
-        # 8 x 512 frames: 559 frames are 35 blocks, so the input is split.
-        wave = Waveform(samples=_rng(5).normal(size=(8, 72000)), sample_rate=16000)
-        split = stft(wave, 512, 128).bins
+        # 8 x 512 frames: 559 frames are 35 blocks, so the input is split; in
+        # float64 and in enhance's float32.
+        samples = _rng(5).normal(size=(8, 72000))
+        waves = [Waveform(samples=samples.astype(dtype), sample_rate=16000)
+                 for dtype in (np.float64, np.float32)]
+        split = [stft(wave, 512, 128).bins for wave in waves]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert np.array_equal(split, stft(wave, 512, 128).bins)
+        for wave, bins in zip(waves, split):
+            assert np.array_equal(bins, stft(wave, 512, 128).bins)
 
 
 class TestIstft:
@@ -290,6 +322,33 @@ class TestIstft:
             n = min(len(out), len(x))
             err = np.max(np.abs(out[win : n - win] - x[win : n - win]))
             assert err < 1e-10, (win, hop, err)
+
+    def test_complex64_bins_give_float32_samples(self):
+        x = _rng(8).normal(size=(1, 16000))
+        double = istft(stft(Waveform(samples=x, sample_rate=16000), 512, 128)).samples
+        single = istft(stft(Waveform(samples=x.astype(np.float32), sample_rate=16000),
+                            512, 128)).samples
+        assert single.dtype == np.float32
+        assert np.abs(single - double).max() <= 1e-5 * np.abs(double).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_beamformed_edges_stay_below_interior_peak(self, seed):
+        # A beamformed spectrogram is not the STFT of any signal, so near the ends,
+        # where the window envelope falls to w(1)^2 = 1.4e-9, dividing by it made
+        # full-scale clicks: before the envelope floor the first and last hop
+        # samples of these scenes were 370 to 770 times the interior peak.
+        rng = _rng(seed)
+        n, hop = 16000, 128
+        source = rng.normal(size=n) * np.repeat(rng.uniform(size=n // 400), 400)
+        clean = 0.1 * np.stack([np.roll(source, d) for d in rng.integers(0, 8, size=4)])
+        noisy = stft(Waveform(samples=clean + 0.05 * rng.normal(size=clean.shape),
+                              sample_rate=16000), 512, hop)
+        speech = stft(Waveform(samples=clean[:1], sample_rate=16000), 512, hop).bins[:, :, 0]
+        mask = oracle_masks(speech, noisy.bins[:, :, 0] - speech)
+        h, _, _ = mvdr_weights(noisy.bins, mask, None)
+        out = istft(replace(noisy, bins=apply_beamformer(h, noisy.bins))).samples[0]
+        interior = np.abs(out[hop:-hop]).max()
+        assert max(np.abs(out[:hop]).max(), np.abs(out[-hop:]).max()) < 1.25 * interior
 
     def test_multichannel_rejected(self):
         wave = Waveform(samples=np.zeros((2, 1000)), sample_rate=8000)
@@ -312,8 +371,9 @@ class TestIstft:
             for t in range(n_frames):
                 oracle[t * hop : t * hop + 512] += frames[t] * window
                 envelope[t * hop : t * hop + 512] += window * window
-            covered = envelope > 1e-12
+            covered = envelope >= ISTFT_ENVELOPE_FLOOR * envelope.max()
             oracle[covered] /= envelope[covered]
+            oracle[~covered] = 0.0
             assert np.array_equal(istft(spec).samples[0], oracle), hop
 
 
@@ -340,6 +400,18 @@ class TestMelFbank:
         fb = mel_filterbank(8, 257, 512, 16000)
         peaks = fb.argmax(axis=1)
         assert np.all(np.diff(peaks) > 0)
+
+    @pytest.mark.parametrize("n_mels, window, sample_rate", [(4, 16, 16000), (40, 512, 16000),
+                                                             (10, 256, 8000)])
+    def test_mel_matmul_dot_product(self, n_mels, window, sample_rate):
+        # fbank_chain_vjp's mel stage, energies = power @ filters.T, and the
+        # matmul its vjp applies, g_power = g_energies @ filters.
+        filters = mel_filterbank(n_mels, window // 2 + 1, window, sample_rate)
+        rng = _rng(n_mels)
+        v = rng.normal(size=(20, window // 2 + 1))
+        u = rng.normal(size=(20, n_mels))
+        lhs, rhs = dot_product_sides(lambda p: p @ filters.T, lambda g: g @ filters, v, u)
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_log_fbank_matches_manual(self):
         # The chain's first M columns at factor 1 are the normalized log mel
