@@ -30,14 +30,26 @@ ISTFT_ENVELOPE_FLOOR = 1e-3
 # Windowed samples per rfft call in stft (more only when one frame of every
 # channel exceeds it); bounds its temporary. A toy utterance (4 channels x
 # <= 60 frames x 256) still takes one call. It is also the size rule of the
-# two-CPU split (_in_two): stft splits an input of more than one block, and
-# beamform.masked_psd bins of at least this many entries.
+# two-CPU split (_in_two): stft splits an input of more than one block;
+# beamform.masked_psd bins and the roomsim.simulate_multichannel output
+# [C, n] of at least this many entries are split too. Toy shapes stay below
+# it, so training never splits.
 STFT_BLOCK_SAMPLES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """np.isfinite(values).all(), from the sum first: a NaN or infinite entry makes
+    the sum NaN or infinite, so a finite sum proves every entry finite, and only a
+    sum that is not finite (a non-finite entry, or finite ones that overflow it)
+    takes the elementwise check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    return bool(np.isfinite(total) or np.isfinite(values).all())
 
 
 def _as_array(values, single, double) -> np.ndarray:
@@ -67,7 +79,7 @@ class Waveform:
                              f"not {self.samples.shape}")
         if self.samples.shape[1] == 0:
             raise ValueError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(self.samples)):
+        if not _all_finite(self.samples):
             raise ValueError("waveform amplitudes must be finite")
         self.sample_rate = int(self.sample_rate)
         if self.sample_rate <= 0:
@@ -106,7 +118,7 @@ class Spectrogram:
                 f"freq_bins {self.bins.shape[1]} inconsistent with window_size "
                 f"{self.window_size} (expected {self.window_size // 2 + 1})"
             )
-        if not np.all(np.isfinite(self.bins)):
+        if not _all_finite(self.bins):
             raise ValueError("spectrogram entries must be finite")
 
     @property
@@ -206,7 +218,8 @@ def istft(spec: Spectrogram) -> Waveform:
     window = periodic_hann(spec.window_size).astype(np.finfo(spec.bins.dtype).dtype,
                                                     copy=False)
     frames = np.fft.irfft(spec.bins[:, :, 0], n=spec.window_size, axis=1)
-    out = _overlap_add(frames * window, spec.frames, spec.hop)
+    frames *= window  # in place: no second [T, W] array
+    out = _overlap_add(frames, spec.frames, spec.hop)
     envelope = _overlap_add((window * window)[None, :], spec.frames, spec.hop)
     covered = envelope >= ISTFT_ENVELOPE_FLOOR * envelope.max()
     out[covered] /= envelope[covered]
@@ -347,7 +360,11 @@ def _in_two(first, second):
     wins. The callers split numpy work that releases the GIL (FFTs, matmuls,
     ufunc loops) and allocate every large buffer before the call, on this
     thread: the worker's own malloc arena would add its high-water mark to the
-    process's peak memory."""
+    process's peak memory. They are stft (halves of frames),
+    beamform.masked_psd (halves of frequencies) and
+    roomsim.simulate_multichannel (halves of RIR rows), each only above the
+    STFT_BLOCK_SAMPLES size rule. istft is not split: on a 2-vCPU host its
+    halves of a 4.5 s, 16 kHz scene took 1.28 ms against 1.11 ms on one CPU."""
     cpus = _other_cpus()
     if not cpus:
         return first(), second()

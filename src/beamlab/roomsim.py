@@ -5,8 +5,11 @@ Hann-windowed sinc pulse with amplitude (prod of wall reflection
 coefficients) / (4 pi distance); reflection coefficient per wall is
 sqrt(1 - absorption). Scenes are the source convolved with each RIR channel
 by numpy FFTs (rfft, product, irfft) at a 5-smooth length, the arithmetic of
-scipy.signal.fftconvolve without importing scipy. Room configs are read
-through the constructors: each key is checked against their parameters.
+scipy.signal.fftconvolve without importing scipy; a large scene's RIR rows are
+convolved in two halves, one per CPU (dsp._in_two). Room configs are read
+through the constructors: each key is checked against their parameters, and
+max_order and sound_speed against the bounds that keep the image enumeration
+and the taps small (MAX_IMAGE_ORDER, MIN_SOUND_SPEED).
 """
 
 import inspect
@@ -16,9 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus_io import UsageError, read_config
-from .dsp import Waveform
+from .dsp import STFT_BLOCK_SAMPLES, Waveform, _in_two
 
 SOUND_SPEED = 343.0
+# Slowest accepted sound speed, m/s; sound in a gas at room conditions is faster (sulfur
+# hexafluoride: about 130 m/s). The taps grow as 1 / sound_speed, so without a floor a
+# tiny speed sized the taps' np.zeros without bound.
+MIN_SOUND_SPEED = 100.0
+# RIR rows per FFT call in simulate_multichannel, which bounds its spectrum scratch
+# (per CPU). On a 2-vCPU host perfbench's 16-utterance simulate took 129 ms with 2
+# rows per call and 143 ms with 1 (medians of 40, interleaved), but the larger
+# scratch of the worker thread's FFTs grows its malloc arena, which glibc keeps
+# resident, from 1.1 to 2.8 MB.
+CONVOLVE_BLOCK_ROWS = 2
+# Highest accepted image order: _enumerate_images loops over 8 (2 ceil(max_order / 2) + 1)^3
+# candidate images in Python, 74,088 at 20 (10,648 at the default 10), and the walls
+# leave an order-20 image 0.65^10 = 1.3% of its amplitude at the default absorption.
+MAX_IMAGE_ORDER = 20
 # Half-width of the windowed-sinc fractional-delay kernel, in taps.
 SINC_HALF_WIDTH = 40
 DEFAULT_MAX_ORDER = 10
@@ -64,8 +81,10 @@ class RoomSpec:
             raise ValueError("source must lie strictly inside the room")
         if np.any(self.absorption <= 0) or np.any(self.absorption > 1):
             raise ValueError("absorption must lie in (0, 1]")
-        if _finite_reals("sound_speed", self.sound_speed).ndim or self.sound_speed <= 0:
-            raise ValueError("sound_speed must be one positive number")
+        speed = _finite_reals("sound_speed", self.sound_speed)
+        if speed.ndim or speed < MIN_SOUND_SPEED:
+            raise ValueError(f"sound_speed must be one number of at least MIN_SOUND_SPEED = "
+                             f"{MIN_SOUND_SPEED} m/s, not {self.sound_speed!r}")
 
 
 def _finite_reals(field: str, value) -> np.ndarray:
@@ -171,12 +190,20 @@ def load_room_config(path) -> tuple[RoomSpec, MicArray, dict]:
     An unknown or missing key, at any level, is a UsageError naming it ("room.dims")."""
     cfg = {**ROOM_CONFIG_DEFAULTS, **read_config(path, ROOM_CONFIG_DEFAULTS)}
     room, array = room_from_dict(cfg["room"]), array_from_dict(cfg["array"])
-    return room, array, {"max_order": cfg["max_order"]}
+    return room, array, {"max_order": _checked_max_order(cfg["max_order"])}
 
 
 # ---------------------------------------------------------------------------
 # Image-source method
 # ---------------------------------------------------------------------------
+
+
+def _checked_max_order(max_order: int) -> int:
+    """max_order, or a ValueError naming it if it lies outside [0, MAX_IMAGE_ORDER]."""
+    if not 0 <= max_order <= MAX_IMAGE_ORDER:
+        raise ValueError(f"max_order must lie in [0, MAX_IMAGE_ORDER = {MAX_IMAGE_ORDER}], "
+                         f"not {max_order!r}")
+    return max_order
 
 
 def _enumerate_images(room: RoomSpec, max_order: int):
@@ -216,8 +243,7 @@ def image_source_rir(
     Each image contributes gain/(4 pi d) at fractional delay d/c (in samples),
     interpolated with a +-40-tap Hann-windowed sinc.
     """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    _checked_max_order(max_order)
     if np.any(array.positions <= 0) or np.any(array.positions >= room.dims):
         raise ValueError("all microphones must lie strictly inside the room")
     positions, gains = _enumerate_images(room, max_order)
@@ -263,6 +289,12 @@ def simulate_multichannel(source: Waveform, rir: RIR) -> Waveform:
     n_taps + n_samples - 1 samples, with n the 5-smooth length of
     _fast_rfft_len; a length-1 operand scales the other. These are the
     operations of scipy.signal.fftconvolve, and the tests check its bits.
+    Each row's irfft writes into one [C, n] buffer allocated here, and the result
+    is its [C, n_out] view; the spectra pass through a scratch of
+    CONVOLVE_BLOCK_ROWS rows. A buffer of at least STFT_BLOCK_SAMPLES samples (a
+    16 kHz array scene, never a toy one) with two or more rows is filled in two
+    halves of rows, one per CPU (dsp._in_two), each with its own scratch; every
+    row's FFTs and product are the same calls, so the output is unchanged.
     """
     if source.channels != 1:
         raise ValueError("source must be single-channel")
@@ -270,11 +302,32 @@ def simulate_multichannel(source: Waveform, rir: RIR) -> Waveform:
         raise ValueError("sample rate mismatch between source and RIR")
     if min(rir.taps.shape[1], source.n_samples) == 1:  # a scaling: no FFT, exact products
         return Waveform(samples=rir.taps * source.samples, sample_rate=source.sample_rate)
-    n_out = rir.taps.shape[1] + source.n_samples - 1
+    channels, n_taps = rir.taps.shape
+    n_out = n_taps + source.n_samples - 1
     n = _fast_rfft_len(n_out)
-    out = np.fft.irfft(np.fft.rfft(rir.taps, n, axis=1) * np.fft.rfft(source.samples, n, axis=1),
-                       n, axis=1)
-    return Waveform(samples=np.ascontiguousarray(out[:, :n_out]), sample_rate=source.sample_rate)
+    source_bins = np.fft.rfft(source.samples, n, axis=1)
+    out = np.empty((channels, n))
+    split = channels > 1 and out.size >= STFT_BLOCK_SAMPLES
+    bins = np.empty((1 + split, CONVOLVE_BLOCK_ROWS, n // 2 + 1), dtype=np.complex128)
+    if not split:
+        _convolve_rows(rir.taps, source_bins, bins[0], out)
+    else:
+        half = (channels + 1) // 2
+        _in_two(lambda: _convolve_rows(rir.taps[:half], source_bins, bins[0], out[:half]),
+                lambda: _convolve_rows(rir.taps[half:], source_bins, bins[1], out[half:]))
+    return Waveform(samples=out[:, :n_out], sample_rate=source.sample_rate)
+
+
+def _convolve_rows(taps: np.ndarray, source_bins: np.ndarray, bins: np.ndarray,
+                   out: np.ndarray) -> None:
+    """out[r] = irfft(rfft(taps[r], n) * source_bins, n) for taps [c, n_taps] and out
+    [c, n], bins.shape[0] rows at a time through bins [rows, n // 2 + 1]."""
+    n, step = out.shape[1], bins.shape[0]
+    for r in range(0, len(taps), step):
+        block = bins[: len(taps) - r]
+        np.fft.rfft(taps[r : r + step], n, axis=1, out=block)
+        block *= source_bins
+        np.fft.irfft(block, n, axis=1, out=out[r : r + step])
 
 
 def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:

@@ -1071,6 +1071,26 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("where,key,value,message", [
+        (None, "max_order", 21, "max_order must lie in [0, MAX_IMAGE_ORDER = 20], not 21"),
+        ("room", "sound_speed", 99.99,
+         "sound_speed must be one number of at least MIN_SOUND_SPEED = 100.0 m/s, not 99.99"),
+    ], ids=["max_order", "sound_speed"])
+    def test_room_config_past_a_bound_is_data_error(self, tmp_path, capsys, where, key, value,
+                                                   message):
+        # Before: a huge max_order looped over 8 (max_order + 2)^3 candidate images in
+        # Python, and a tiny sound_speed sized the taps without bound.
+        single, room_cfg = self._corpus_and_room(tmp_path)
+        cfg = json.loads(room_cfg.read_text())
+        (cfg if where is None else cfg[where])[key] = value
+        room_cfg.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = main(["simulate", "--manifest", str(single), "--room-config", str(room_cfg),
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "r").exists()
+
     def test_id_that_is_no_plain_file_name_is_data_error(self, tmp_path, capsys):
         # Before: the WAV went to deep/a/escaped.wav, recorded as "../../escaped.wav", exit 0.
         single, room_cfg = self._corpus_and_room(tmp_path)

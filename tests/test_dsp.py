@@ -7,6 +7,7 @@ import os
 import threading
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,35 @@ class TestContainers:
     def test_waveform_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Waveform(samples=np.array([[0.0, np.nan]]), sample_rate=8000)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        # The check sums first; a non-finite entry makes the sum non-finite.
+        for dtype in (np.float64, np.float32):
+            samples = np.ones((2, 8), dtype)
+            samples[1, 5] = bad
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                Waveform(samples=samples, sample_rate=8000)
+        for dtype in (np.complex128, np.complex64):
+            for entry in (complex(bad, 1.0), complex(1.0, bad)):  # real or imaginary part
+                bins = np.ones((3, 9, 2), dtype)
+                bins[2, 4, 1] = entry
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    Spectrogram(bins=bins, sample_rate=8000, window_size=16, hop=8)
+
+    def test_finite_entries_whose_sum_overflows_accepted(self):
+        # Two float32 values of 3e38 sum to inf: the elementwise check decides.
+        # Neither the overflow nor an inf - inf in the sum warns.
+        samples = np.full((1, 2), 3e38, np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(samples.sum())
+        bins = np.full((2, 9, 1), 3e38 - 3e38j, np.complex64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Waveform(samples=samples, sample_rate=8000).samples.dtype == np.float32
+            assert Spectrogram(bins=bins, sample_rate=8000, window_size=16, hop=8).channels == 1
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                Waveform(samples=[[np.inf, -np.inf]], sample_rate=8000)
 
     def test_waveform_rejects_1d_and_zero_channels(self):
         # Before: 1-D samples became one channel, and a [0, n] array was

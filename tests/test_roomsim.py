@@ -1,14 +1,18 @@
 """roomsim tests: geometry, image enumeration, RIR synthesis, mixing."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamlab import roomsim
 from beamlab.corpus_io import UsageError
-from beamlab.dsp import Waveform
+from beamlab.dsp import STFT_BLOCK_SAMPLES, Waveform
 from beamlab.roomsim import (
+    MAX_IMAGE_ORDER,
+    MIN_SOUND_SPEED,
     SOUND_SPEED,
     MicArray,
     RoomSpec,
@@ -185,6 +189,41 @@ class TestImages:
             image_source_rir(REFERENCE_ROOM, mic, max_order=1, sample_rate=8000)
 
 
+class TestBounds:
+    """MAX_IMAGE_ORDER and MIN_SOUND_SPEED: values just past them are rejected
+    before the image enumeration and before the taps are allocated."""
+
+    def test_max_order_past_bound_rejected_before_enumeration(self, monkeypatch):
+        # Before: max_order 10**4 looped over about 8 * 10**12 candidate images in Python.
+        monkeypatch.setattr(roomsim, "_enumerate_images", None)
+        array = array_preset("desk-4ch", [5.0, 3.0, 1.5])
+        for order in (MAX_IMAGE_ORDER + 1, 10 ** 4, -1):
+            with pytest.raises(ValueError, match=f"max_order must lie in \\[0, MAX_IMAGE_ORDER "
+                                                 f"= {MAX_IMAGE_ORDER}\\], not {order}"):
+                image_source_rir(REFERENCE_ROOM, array, max_order=order, sample_rate=16000)
+
+    def test_sound_speed_past_bound_rejected_without_allocating(self):
+        # Before: sound_speed 1e-6 sized the taps' np.zeros at over 1e11 samples per channel.
+        tracemalloc.start()
+        try:
+            for speed in (np.nextafter(MIN_SOUND_SPEED, 0.0), 1e-6, 0.0, -343.0):
+                with pytest.raises(ValueError, match="sound_speed must be one number of at "
+                                                     "least MIN_SOUND_SPEED"):
+                    RoomSpec(dims=[10.0, 7.5, 3.5], source_pos=[2.5, 3.73, 1.76],
+                             absorption=0.35, sound_speed=speed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_values_at_the_bounds_accepted(self):
+        room = RoomSpec(dims=[5.0, 4.0, 3.0], source_pos=[1.5, 2.0, 1.5], absorption=0.3,
+                        sound_speed=MIN_SOUND_SPEED)
+        mic = MicArray(positions=[[3.5, 2.0, 1.5]], preset="custom")
+        rir = image_source_rir(room, mic, max_order=MAX_IMAGE_ORDER, sample_rate=8000)
+        assert rir.taps.shape[0] == 1 and np.all(np.isfinite(rir.taps))
+
+
 class TestSimulate:
     def test_convolution_matches_numpy_oracle(self):
         rng = _rng(1)
@@ -214,6 +253,50 @@ class TestSimulate:
         out = simulate_multichannel(src, rir)
         assert out.channels == array.channels
         assert np.array_equal(out.samples, fftconvolve(rir.taps, src.samples, axes=1))
+
+    @pytest.mark.parametrize("preset", ["aishell4-8ch-circular", "chime4-6ch"])
+    def test_split_rows_equal_one_cpu(self, monkeypatch, preset):
+        # The RIR rows of a 1 s, 16 kHz source fill an output of more than
+        # STFT_BLOCK_SAMPLES, so they are convolved in two halves of rows on two
+        # threads (8 rows: 4 and 4; 6 rows: 3 and 3, a block of 2 and one of 1);
+        # each row's FFTs are the one-CPU ones, so the scene is equal.
+        array = array_preset(preset, [5.0, 3.0, 1.5])
+        rir = image_source_rir(REFERENCE_ROOM, array, max_order=2, sample_rate=16000)
+        src = Waveform(samples=_rng(6).normal(size=(1, 16000)), sample_rate=16000)
+        assert array.channels * (16000 + rir.taps.shape[1]) >= STFT_BLOCK_SAMPLES
+        in_two, split = roomsim._in_two, []
+        monkeypatch.setattr(roomsim, "_in_two", lambda *calls: split.append(1) or in_two(*calls))
+        out = simulate_multichannel(src, rir)
+        assert split == [1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert np.array_equal(out.samples, simulate_multichannel(src, rir).samples)
+
+    def test_traced_peak_under_1_7_outputs(self):
+        # The output buffer, a CONVOLVE_BLOCK_ROWS spectrum scratch per CPU and the
+        # source spectrum: 1.63 times the 8-ch output, 2.13 times with whole-scene
+        # spectra, their product and a contiguous copy of the cut.
+        array = array_preset("aishell4-8ch-circular", [5.0, 3.0, 1.5])
+        rir = image_source_rir(REFERENCE_ROOM, array, max_order=2, sample_rate=16000)
+        src = Waveform(samples=_rng(7).normal(size=(1, 72000)), sample_rate=16000)
+        simulate_multichannel(src, rir)
+        tracemalloc.start()
+        try:
+            out = simulate_multichannel(src, rir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * out.samples.nbytes
+
+    def test_small_or_one_row_scene_not_split(self, monkeypatch):
+        # Below the size rule (the toy scenes) or with one RIR row there is
+        # nothing to split (a call of None would raise).
+        monkeypatch.setattr(roomsim, "_in_two", None)
+        desk = image_source_rir(REFERENCE_ROOM, array_preset("desk-4ch", [5.0, 3.0, 1.5]),
+                                max_order=2, sample_rate=8000)
+        simulate_multichannel(Waveform(samples=np.ones((1, 8000)), sample_rate=8000), desk)
+        one = roomsim.RIR(taps=desk.taps[:1], sample_rate=8000)
+        simulate_multichannel(Waveform(samples=np.ones((1, 2 * STFT_BLOCK_SAMPLES)),
+                                       sample_rate=8000), one)
 
     def test_fast_rfft_len_matches_scipy(self):
         from scipy.fft import next_fast_len

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from beamlab import cli, pipeline, roomsim, sched
+from beamlab import beamform, cli, dsp, pipeline, roomsim, sched
 from beamlab.roomsim import RoomSpec, array_preset
 from beamlab.sched import (
     MODES,
@@ -665,6 +665,20 @@ class TestToyCorpus:
     def test_vocab_size_validated(self):
         with pytest.raises(ValueError, match="vocab_size"):
             generate_toy_corpus(1, 1, 1, _rng(0))
+
+    def test_toy_shapes_never_split(self, monkeypatch):
+        # The two-CPU splits are for 16 kHz array shapes. The toy corpus's renders,
+        # SIMU's renders, the STFTs and the training PSD sums all stay below the
+        # size rule, in every mode, with the longest toy utterances (6 labels):
+        # a call of None would raise.
+        for module in (dsp, beamform, roomsim):
+            monkeypatch.setattr(module, "_in_two", None)
+        multi, single, _ = _toy_sets(n_multi=12, n_single=12, seed=5)
+        assert max(len(u.labels) for u in multi) == max(len(u.labels) for u in single) == 6
+        for mode in MODES:
+            scene = {"room": toy_room(), "array": toy_array()} if mode == "SIMU" else {}
+            run_training(_cfg(mode=mode, epochs=1, multi_batch_size=6, pretrain_epochs=1,
+                              **scene), multi, single)
 
 
 class TestCompareSchemes:
