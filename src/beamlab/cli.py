@@ -20,7 +20,7 @@ import numpy as np
 
 from . import backend, beamform, corpus_io, pipeline, roomsim, sched
 from .corpus_io import UsageError
-from .dsp import Spectrogram, istft, stft
+from .dsp import STFT_BLOCK_SAMPLES, Spectrogram, istft, stft
 
 GRADCHECK_TOL = 1e-4
 
@@ -141,8 +141,17 @@ def _as_float32(wave):
 
 def _channel_0_mask(mask_params, bins, clean, window_size: int, hop: int) -> np.ndarray:
     """[T, F] speech mask from channel 0 of the noisy bins [T, F, C]: mask_params'
-    mask net (its vjp dropped at once), or if None the ideal ratio mask of the
-    clean channel 0 and the noisy one.
+    mask net, or if None the ideal ratio mask of the clean channel 0 and the noisy one.
+
+    The mask net runs on blocks of frames whose [H, rows] hidden activations hold
+    at most STFT_BLOCK_SAMPLES entries, each block's vjp dropped at once, so its
+    working memory does not grow with the recording. Each mask entry depends only
+    on its own frame, and a block is a multiple of 4 frames (28 at F = 257, H = 8),
+    so of 4 rows: OpenBLAS's gemv computes the last (rows mod 4) rows of its
+    output in another order, and blocks that leave it only the whole input's last
+    rows give the whole input's mask bit for bit with one BLAS thread (tested at
+    H = 8; with more threads the whole input's own mask depends on how they split
+    its rows).
 
     The clean channel is transformed in float64. Where speech has about 1e-14 of
     its peak power (near Nyquist), a complex64 transform's roundoff is as large
@@ -150,7 +159,12 @@ def _channel_0_mask(mask_params, bins, clean, window_size: int, hop: int) -> np.
     filter: on perfbench's 18 oracle scenes, complex64 clean bins moved the SNR
     gain from the all-float64 path's by up to 8.2e-3 dB, float64 ones by 6.3e-6 dB."""
     if mask_params is not None:
-        return pipeline.mask_net_forward(mask_params, bins)[0]
+        n_frames, n_bins = bins.shape[:2]
+        mask = np.empty((n_frames, n_bins))
+        step = max(4, STFT_BLOCK_SAMPLES // (4 * mask_params.w1.shape[1] * n_bins) * 4)
+        for t in range(0, n_frames, step):
+            mask[t : t + step] = pipeline.mask_net_forward(mask_params, bins[t : t + step])[0]
+        return mask
     clean_0 = replace(clean, samples=clean.samples[:1].astype(np.float64))
     clean_0 = stft(clean_0, window_size, hop).bins[:, :, 0].astype(bins.dtype)
     return beamform.oracle_masks(clean_0, bins[:, :, 0] - clean_0)
@@ -193,16 +207,17 @@ def cmd_simulate(cfg: dict) -> int:
     room, array, extras = roomsim.load_room_config(room_path)
     manifest = corpus_io.load_manifest(manifest_path)
     manifest_out = cfg["manifest_out"] or str(Path(out_dir, "manifest.jsonl"))
+    # One RIR per sample rate the manifest records (read_utterance checks each WAV's),
+    # built before write_corpus makes a directory: a room whose taps exceed
+    # roomsim.MAX_RIR_TAPS at a rate fails first.
+    rirs = {rate: roomsim.image_source_rir(room, array, extras["max_order"], rate)
+            for rate in {utt.sample_rate for utt in manifest}}
 
     def rendered():
-        rirs = {}  # one per sample rate
         for utt in manifest:
             wave = corpus_io.read_utterance(manifest_path, utt)
             if wave.channels != 1:
                 raise ValueError(f"utterance '{utt.utt_id}' is not single-channel")
-            if wave.sample_rate not in rirs:
-                rirs[wave.sample_rate] = roomsim.image_source_rir(room, array, extras["max_order"],
-                                                                  wave.sample_rate)
             yield (utt.utt_id, roomsim.simulate_multichannel(wave, rirs[wave.sample_rate]),
                    utt.transcript, "simulated")
 

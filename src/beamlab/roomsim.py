@@ -9,7 +9,8 @@ scipy.signal.fftconvolve without importing scipy; a large scene's RIR rows are
 convolved in two halves, one per CPU (dsp._in_two). Room configs are read
 through the constructors: each key is checked against their parameters, and
 max_order and sound_speed against the bounds that keep the image enumeration
-and the taps small (MAX_IMAGE_ORDER, MIN_SOUND_SPEED).
+and the taps small (MAX_IMAGE_ORDER, MIN_SOUND_SPEED). The tap count, set by the
+farthest image and the sample rate, is bounded too (MAX_RIR_TAPS).
 """
 
 import inspect
@@ -36,6 +37,12 @@ CONVOLVE_BLOCK_ROWS = 2
 # candidate images in Python, 74,088 at 20 (10,648 at the default 10), and the walls
 # leave an order-20 image 0.65^10 = 1.3% of its amplitude at the default absorption.
 MAX_IMAGE_ORDER = 20
+# Most RIR taps per channel: 4.1 s at 16 kHz, 0.5 MiB of float64. The farthest image's delay
+# sets the count, so room dims, max_order, sound_speed and the sample rate do, and simulate's
+# FFT length grows with it. At 16 kHz a 6 x 4.5 x 3 m room at the default order 10 needs 2,890,
+# a 20 x 20 x 10 m one at order 20 18,750; a 2 km cube with its source and array 3.1 km
+# apart would need 145,476 at order 0.
+MAX_RIR_TAPS = 1 << 16
 # Half-width of the windowed-sinc fractional-delay kernel, in taps.
 SINC_HALF_WIDTH = 40
 DEFAULT_MAX_ORDER = 10
@@ -241,7 +248,9 @@ def image_source_rir(
     """Image-source RIRs for every microphone, on a shared time base.
 
     Each image contributes gain/(4 pi d) at fractional delay d/c (in samples),
-    interpolated with a +-40-tap Hann-windowed sinc.
+    interpolated with a +-40-tap Hann-windowed sinc. More than MAX_RIR_TAPS taps
+    per channel is a ValueError naming the keys and the rate, before they are
+    allocated.
     """
     _checked_max_order(max_order)
     if np.any(array.positions <= 0) or np.any(array.positions >= room.dims):
@@ -252,6 +261,11 @@ def image_source_rir(
     amps = gains[None, :] / (4.0 * np.pi * dists)
 
     n_taps = int(np.ceil(delays.max())) + SINC_HALF_WIDTH + 2
+    if n_taps > MAX_RIR_TAPS:
+        raise ValueError(f"room.dims, max_order {max_order} and room.sound_speed at sample rate "
+                         f"{sample_rate} Hz put the farthest image {dists.max():.1f} m from a "
+                         f"microphone: {n_taps} RIR taps per channel, more than MAX_RIR_TAPS = "
+                         f"{MAX_RIR_TAPS}")
     taps = np.zeros((array.channels, n_taps + SINC_HALF_WIDTH + 1))
     offsets = np.arange(-SINC_HALF_WIDTH, SINC_HALF_WIDTH + 1)
     for c in range(array.channels):
@@ -349,4 +363,6 @@ def mix_at_snr(speech: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     if p_speech <= 0.0 or p_noise <= 0.0:
         raise ValueError("zero-power input to mix_at_snr")
     scale = np.sqrt(p_speech / (p_noise * 10.0 ** (snr_db / 10.0)))
-    return Waveform(samples=speech.samples + scale * noise.samples, sample_rate=speech.sample_rate)
+    mixed = scale * noise.samples  # then + speech, in place: the same bits, one [C, n] array
+    mixed += speech.samples
+    return Waveform(samples=mixed, sample_rate=speech.sample_rate)

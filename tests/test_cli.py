@@ -4,16 +4,21 @@ import argparse
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from beamlab import beamform, cli, corpus_io, pipeline, roomsim
 from beamlab.cli import main
-from beamlab.dsp import Waveform, stft
+from beamlab.dsp import STFT_BLOCK_SAMPLES, Waveform, stft
 from beamlab.sched import ScheduleConfig, toy_room
 
 
@@ -162,10 +167,9 @@ class TestExitCodes:
         assert "unknown config key 'seed'" in capsys.readouterr().err
 
 
-def traced_enhance_peak(tmp_dir, masks="oracle"):
-    """(tracemalloc peak bytes, bytes of one [T, F, C] spectrogram) of an
-    `enhance` on a synthetic 8-channel, 16 kHz, 4.5 s scene written to tmp_dir:
-    oracle masks with the clean reference, or checkpoint masks without it."""
+def enhance_argv(tmp_dir, masks="oracle") -> list:
+    """`enhance` arguments for a synthetic 8-channel, 16 kHz, 4.5 s scene written to
+    tmp_dir: oracle masks with the clean reference, or checkpoint masks without it."""
     from beamlab.pipeline import init_train_state, save_checkpoint
 
     rng = _rng(8)
@@ -178,11 +182,16 @@ def traced_enhance_peak(tmp_dir, masks="oracle"):
     argv = ["enhance", "--input", str(paths["noisy"]), "--out", str(tmp_dir / "enh.wav"),
             "--masks", masks]
     if masks == "oracle":
-        argv += ["--clean", str(paths["clean"])]
-    else:
-        save_checkpoint(init_train_state(_rng(3), n_mels=40, vocab_size=6, am_hidden=32,
-                                         mask_hidden=8), tmp_dir / "ck.json")
-        argv += ["--checkpoint", str(tmp_dir / "ck.json")]
+        return argv + ["--clean", str(paths["clean"])]
+    save_checkpoint(init_train_state(_rng(3), n_mels=40, vocab_size=6, am_hidden=32,
+                                     mask_hidden=8), tmp_dir / "ck.json")
+    return argv + ["--checkpoint", str(tmp_dir / "ck.json")]
+
+
+def traced_enhance_peak(tmp_dir, masks="oracle"):
+    """(tracemalloc peak bytes, bytes of one complex128 [T, F, C] spectrogram) of an
+    `enhance` of enhance_argv's scene."""
+    argv = enhance_argv(tmp_dir, masks)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # FFT plan caches stay out of the measurement
         tracemalloc.start()
@@ -191,8 +200,42 @@ def traced_enhance_peak(tmp_dir, masks="oracle"):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    frames = (n - 512) // 128 + 1
-    return peak, frames * 257 * channels * 16
+    frames = (72000 - 512) // 128 + 1
+    return peak, frames * 257 * 8 * 16
+
+
+def blocked_mask_mismatches() -> list:
+    """The cases, (frames, bins, channels, dtype name), where enhance's checkpoint
+    mask (cli._channel_0_mask) differs from one whole-input
+    pipeline.mask_net_forward, or is not made in blocks of the largest multiple of
+    4 frames whose [H, rows] hidden activations fit in STFT_BLOCK_SAMPLES entries.
+    Each of 129 and 257 bins, 2 and 8 channels and complex64 and complex128 bins is
+    tried at one frame below a block, exactly 3 blocks and 3 blocks plus a frame."""
+    params = pipeline.init_train_state(_rng(3), n_mels=40, vocab_size=6, am_hidden=32,
+                                       mask_hidden=8).mask_params
+    forward, blocks, mismatches = pipeline.mask_net_forward, [], []
+
+    def counted(mask_params, bins):
+        blocks.append(len(bins))
+        return forward(mask_params, bins)
+
+    pipeline.mask_net_forward = counted
+    try:
+        for n_bins, channels, dtype in itertools.product((129, 257), (2, 8),
+                                                         (np.complex64, np.complex128)):
+            step = STFT_BLOCK_SAMPLES // (params.w1.shape[1] * n_bins) // 4 * 4  # 60, 28
+            for frames in (step - 1, 3 * step, 3 * step + 1):
+                rng = _rng(frames + channels)
+                shape = (frames, n_bins, channels)
+                bins = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+                blocks.clear()
+                mask = cli._channel_0_mask(params, bins, None, 512, 128)
+                expected = [step] * (frames // step) + [frames % step] * (frames % step > 0)
+                if blocks != expected or not np.array_equal(mask, forward(params, bins)[0]):
+                    mismatches.append((frames, n_bins, channels, np.dtype(dtype).name))
+    finally:
+        pipeline.mask_net_forward = forward
+    return mismatches
 
 
 class TestEnhance:
@@ -219,12 +262,43 @@ class TestEnhance:
         peak, spec_bytes = traced_enhance_peak(tmp_path)
         assert peak < 1.2 * spec_bytes, peak / spec_bytes
 
-    def test_checkpoint_peak_under_1_6_spectrograms(self, tmp_path):
-        # In the same unit: the complex64 noisy spectrogram and the mask net's
-        # float64 hidden activations, which now share the peak (1.38; 1.41 with
-        # complex128 bins and the activations gone before the spectrogram).
+    def test_checkpoint_peak_under_0_85_spectrograms(self, tmp_path):
+        # In the same unit: the complex64 noisy spectrogram and mvdr_weights' arrays
+        # set the peak, since the mask net runs on blocks of frames whose hidden
+        # activations hold at most STFT_BLOCK_SAMPLES entries (0.75; 1.38 with the
+        # whole input's float64 activations beside the spectrogram).
         peak, spec_bytes = traced_enhance_peak(tmp_path, masks="checkpoint")
-        assert peak < 1.5 * spec_bytes, peak / spec_bytes
+        assert peak < 0.85 * spec_bytes, peak / spec_bytes
+
+    def test_blocked_checkpoint_mask_equals_whole_input_mask(self):
+        # Run with one BLAS thread, perfbench's and CI's setting: with more, OpenBLAS
+        # splits a whole input's rows between threads and computes the rows at the
+        # split in another order, so that mask itself depends on the thread count.
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        out = subprocess.run([sys.executable, "-c",
+                              "import test_cli; print(test_cli.blocked_mask_mismatches())"],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert (out.stdout, out.returncode) == ("[]\n", 0), out.stdout + out.stderr
+
+    def test_checkpoint_mask_memory_independent_of_length(self):
+        # The mask step's traced peak, less the [T, F] float64 mask it returns, at 4.5 s
+        # and 18 s of 8-ch, 16 kHz input: 0.77 MiB at both (14.3 and 57.3 MiB with the
+        # whole input's context rows, hidden activations and logits).
+        params = pipeline.init_train_state(_rng(3), n_mels=40, vocab_size=6, am_hidden=32,
+                                           mask_hidden=8).mask_params
+        working = []
+        for n_samples in (72000, 288000):
+            bins = np.full(((n_samples - 512) // 128 + 1, 257, 8), 0.1 + 0.2j, np.complex64)
+            tracemalloc.start()
+            try:
+                mask = cli._channel_0_mask(params, bins, None, 512, 128)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            working.append(peak - mask.nbytes)
+        assert abs(working[1] - working[0]) < 1 << 20, working
 
     def test_single_precision_snr_gain_matches_double_precision(self, tmp_path, capsys,
                                                                 monkeypatch):
@@ -1075,11 +1149,16 @@ class TestSimulate:
         (None, "max_order", 21, "max_order must lie in [0, MAX_IMAGE_ORDER = 20], not 21"),
         ("room", "sound_speed", 99.99,
          "sound_speed must be one number of at least MIN_SOUND_SPEED = 100.0 m/s, not 99.99"),
-    ], ids=["max_order", "sound_speed"])
+        ("room", "dims", [5000.0, 4000.0, 3000.0],
+         "room.dims, max_order 2 and room.sound_speed at sample rate 8000 Hz put the farthest "
+         "image"),
+    ], ids=["max_order", "sound_speed", "dims"])
     def test_room_config_past_a_bound_is_data_error(self, tmp_path, capsys, where, key, value,
                                                    message):
         # Before: a huge max_order looped over 8 (max_order + 2)^3 candidate images in
-        # Python, and a tiny sound_speed sized the taps without bound.
+        # Python, and a tiny sound_speed or huge dims sized the taps without bound (the
+        # dims, at the toy corpus's 8 kHz, past MAX_RIR_TAPS: checked against the rates
+        # the manifest records before any directory is made).
         single, room_cfg = self._corpus_and_room(tmp_path)
         cfg = json.loads(room_cfg.read_text())
         (cfg if where is None else cfg[where])[key] = value

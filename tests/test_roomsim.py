@@ -12,6 +12,7 @@ from beamlab.corpus_io import UsageError
 from beamlab.dsp import STFT_BLOCK_SAMPLES, Waveform
 from beamlab.roomsim import (
     MAX_IMAGE_ORDER,
+    MAX_RIR_TAPS,
     MIN_SOUND_SPEED,
     SOUND_SPEED,
     MicArray,
@@ -190,8 +191,8 @@ class TestImages:
 
 
 class TestBounds:
-    """MAX_IMAGE_ORDER and MIN_SOUND_SPEED: values just past them are rejected
-    before the image enumeration and before the taps are allocated."""
+    """MAX_IMAGE_ORDER, MIN_SOUND_SPEED and MAX_RIR_TAPS: values just past them are
+    rejected before the image enumeration and before the taps are allocated."""
 
     def test_max_order_past_bound_rejected_before_enumeration(self, monkeypatch):
         # Before: max_order 10**4 looped over about 8 * 10**12 candidate images in Python.
@@ -222,6 +223,39 @@ class TestBounds:
         mic = MicArray(positions=[[3.5, 2.0, 1.5]], preset="custom")
         rir = image_source_rir(room, mic, max_order=MAX_IMAGE_ORDER, sample_rate=8000)
         assert rir.taps.shape[0] == 1 and np.all(np.isfinite(rir.taps))
+
+    @pytest.mark.parametrize("dims,center,sample_rate", [
+        ([2000.0] * 3, [1900.0] * 3, 16000),
+        ([6.0, 4.5, 3.0], [3.0, 2.5, 1.1], 10 ** 9),
+        ([6.0, 4.5, 3.0], [3.0, 2.5, 1.1], 2 ** 32 - 1),
+    ], ids=["2km_room", "1GHz", "largest_wav_rate"])
+    def test_taps_past_bound_rejected_without_allocating(self, dims, center, sample_rate):
+        # Before: at order 2 a 2 km cube sized the taps' np.zeros at 302,339 samples per
+        # channel, and a 1 GHz rate at 38,074,605 (2.3 GiB for 8 channels).
+        room = RoomSpec(dims=dims, source_pos=[2.0, 2.2, 1.5], absorption=0.35)
+        array = array_preset("aishell4-8ch-circular", center)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"room.dims, max_order 2 and room.sound_speed "
+                                                 f"at sample rate {sample_rate} Hz .* RIR taps "
+                                                 f"per channel, more than MAX_RIR_TAPS"):
+                image_source_rir(room, array, max_order=2, sample_rate=sample_rate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_taps_at_the_bound_accepted(self):
+        # A direct path of exactly 343 m at 343 m/s is sample_rate samples of delay, and
+        # SINC_HALF_WIDTH + 2 taps follow the last delay: MAX_RIR_TAPS taps at the rate
+        # below, one more at the next.
+        room = RoomSpec(dims=[400.0, 4.0, 3.0], source_pos=[1.0, 2.0, 1.5], absorption=0.35)
+        mic = MicArray(positions=[[344.0, 2.0, 1.5]], preset="custom")
+        rate = MAX_RIR_TAPS - roomsim.SINC_HALF_WIDTH - 2
+        assert image_source_rir(room, mic, max_order=0, sample_rate=rate).taps.shape == (
+            1, MAX_RIR_TAPS)
+        with pytest.raises(ValueError, match=f"{MAX_RIR_TAPS + 1} RIR taps per channel"):
+            image_source_rir(room, mic, max_order=0, sample_rate=rate + 1)
 
 
 class TestSimulate:
@@ -363,6 +397,27 @@ class TestMixAtSnr:
             with pytest.raises(ValueError, match="noise must match the speech's shape and "
                                                  "sample rate"):
                 mix_at_snr(speech, noise, 0.0)
+
+    @pytest.mark.parametrize("shape", [(4, 4000), (8, 72000)], ids=["toy", "array_16k"])
+    def test_mixes_in_one_output_array(self, shape):
+        # The scaled noise is the output, and the speech is added into it: the bits of
+        # speech + scale * noise (IEEE addition commutes), and a traced peak of 1.01
+        # times the output for a toy render. That sum peaked at 2.00 times below numpy's
+        # 256 KiB temporary-elision threshold (a toy render); above it numpy already
+        # reused the temporary.
+        rng = _rng(5)
+        speech = Waveform(samples=rng.normal(size=shape), sample_rate=16000)
+        noise = Waveform(samples=rng.normal(size=shape), sample_rate=16000)
+        tracemalloc.start()
+        try:
+            mixed = mix_at_snr(speech, noise, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scale = np.sqrt(np.mean(speech.samples[0] ** 2)
+                        / (np.mean(noise.samples[0] ** 2) * 10.0 ** 0.5))
+        assert np.array_equal(mixed.samples, speech.samples + scale * noise.samples)
+        assert peak < 1.05 * mixed.samples.nbytes, peak / mixed.samples.nbytes
 
     def test_zero_power_rejected(self):
         speech = Waveform(samples=np.full((1, 100), 1e-200), sample_rate=8000)
